@@ -33,6 +33,7 @@ from .harness import (
     ExperimentConfig,
     HypothesisError,
     StageError,
+    _fmt,
     estimates_from_run,
     export_plotdata,
     list_presets,
@@ -51,19 +52,12 @@ EXIT_VERDICT_FAIL = 2
 EXIT_HYPOTHESIS = 3
 EXIT_ERROR = 4
 
-_FMT = ".17g"
-
-
 class _Parser(argparse.ArgumentParser):
     # usage errors share the generic error code, keeping 2 and 3 reserved
     # for verdict and hypothesis outcomes
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
-
-
-def _fmt(value) -> str:
-    return format(float(value), _FMT)
 
 
 def _emit(text: str, out: Optional[str]) -> None:

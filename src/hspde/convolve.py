@@ -4,23 +4,47 @@ The mild solution of du + A^(alpha/2) u dt = G dW with u(0) = 0 is built
 mode by mode.  Writing mu_k = lambda_k^(alpha/2), each resolved mode obeys
 an Ornstein-Uhlenbeck recursion over one time step:
 
-    c_{k,n+1} = e^(-mu_k dt) c_{k,n} + xi_{k,n},
+    c_{k,n+1} = e^(-mu_k dt) c_{k,n} + s_k xi_{k,n},
 
-and the schemes differ only in how the noise term xi is produced.
+where xi_n is the step's increment vector dW_n mapped through G frozen at
+the step's left endpoint and projected onto the drift modes, and
+s_k = sqrt((1 - e^(-2 Re mu_k dt)) / (2 Re mu_k dt)) gives it the exact
+integrated variance gain_k^2 (1 - e^(-2 mu_k dt)) / (2 mu_k).
+
+Two scheme labels say what the recorded law means:
 
 * exact-diagonal: G diagonalises over the drift eigenbasis (identity
   embedding, or multiplication by a constant, over a Laplacian-type
-  system).  xi_{k,n} = gain_k * s_k(dt) * dW_{k,n} with
-  s_k = sqrt((1 - e^(-2 Re mu_k dt)) / (2 Re mu_k dt)), which gives the
-  per-step noise the exact integrated variance
-  gain_k^2 (1 - e^(-2 mu_k dt)) / (2 mu_k).
-* frozen-exponential: general G.  The full increment vector is mapped
-  through G frozen at the step's left endpoint and projected onto the
-  drift modes, then the same per-mode exact-variance scaling applies:
-  xi_n = s .* (Phi_n dW_n).  For diagonal G the two schemes produce
-  bit-identical paths from the same seed.
+  system), so the paths are exact in law at the grid times for any step
+  count.
+* frozen-exponential: general G, frozen at each step's left endpoint.
 
-Both schemes consume the per-(seed, replica, mode) increment streams of
+Both run one core, so for diagonal G they produce bit-identical paths.
+The core picks the noise-to-mode route once per plan, the first that
+applies:
+
+* weights: identity G over the shared sine basis.  xi_k = w_k dW_k with
+  the noise-space weights w, and only the N noise modes are propagated
+  (the others never receive noise).
+* dense: static G.  One (N, K) matrix
+  Phi = weight * ((synthesis * g) @ conj(dual_modes)^T) maps increments
+  to modes, xi_n = Phi^T dW_n.
+* per-step: time-dependent or tabled G.  Each step's increments are
+  synthesised on the grid, multiplied by g(t_n, .) and projected.
+
+The scale s is folded into the route's operator.  Replicas run in
+batches on a thread pool.  A batch's increments are drawn straight into
+one (R, N, steps) buffer and streamed through blocks of 256 steps:
+project the block, run the recursion in place, and synthesise the
+recorded rows with one matmul per replica, written into the output.  A
+batch holds at most ceil(replicas / workers) replicas, and as many as
+keep its increments, block states and per-step field within 256 MiB.
+Every matmul acts on one replica with shapes fixed by the plan, and the
+rest is elementwise, so a replica's values do not depend on batching or
+worker count, bit for bit; ``simulate_from_increments`` fed the same
+draws reproduces ``simulate``.
+
+Increments come from the per-(seed, replica, mode) streams of
 ``hspde.noise``, and gains enter linearly after the draws, so trajectories
 are exactly linear in G under a shared seed.  Synthesised trajectories of
 non-self-adjoint systems must be real up to 1e-10; larger imaginary
@@ -54,6 +78,10 @@ __all__ = [
 ]
 
 IMAG_TOL = 1e-10
+#: steps per block of the projection / recursion / synthesis stream
+BLOCK_STEPS = 256
+#: buffer budget of one replica batch
+BATCH_BYTES = 256 << 20
 
 
 @dataclass(frozen=True)
@@ -157,38 +185,6 @@ class MqNormEstimate:
     per_replica: np.ndarray = field(repr=False, default=None)
 
 
-def _diagonal_gains(plan: SimulationPlan) -> np.ndarray:
-    """Per-mode gains when G diagonalises over the drift eigenbasis."""
-    system, noise, G = plan.system, plan.noise, plan.G
-    if system.family not in ("laplacian", "diagonal"):
-        raise ValueError(
-            "exact-diagonal scheme needs a self-adjoint spectral system; "
-            "use simulate_frozen_exponential"
-        )
-    if not system.is_selfadjoint:
-        raise ValueError("exact-diagonal scheme needs a self-adjoint system")
-    const = None
-    if G.kind == "identity":
-        const = 1.0
-    elif G.kind == "multiplication" and not G.time_dependent:
-        gv = G.values_at(system.domain, 0, 0.0)
-        if gv is not None and np.ptp(gv) <= 1e-14 * max(1.0, np.abs(gv).max()):
-            const = float(gv[0])
-    if const is None:
-        raise ValueError(
-            "G does not diagonalise (non-constant multiplier); "
-            "use simulate_frozen_exponential"
-        )
-    n_active = min(noise.truncation, system.mode_count)
-    if system.family == "laplacian":
-        probe = noise.basis_functions[:n_active] - system.modes[:n_active]
-        if np.abs(probe).max() > 1e-10:
-            raise ValueError("noise basis does not match the drift eigenbasis")
-    gains = np.zeros(system.mode_count)
-    gains[:n_active] = const * noise.weights[:n_active]
-    return gains
-
-
 def _record_layout(plan: SimulationPlan):
     dom = plan.system.domain
     ax_idx = plan.record.axis_indices(dom.grid_size)
@@ -208,10 +204,11 @@ def _record_layout(plan: SimulationPlan):
     return flat, shape, weight, rec_times
 
 
-def _provenance(plan: SimulationPlan, scheme: str) -> dict:
+def _provenance(plan: SimulationPlan, scheme: str, route: str) -> dict:
     dom = plan.system.domain
     return {
         "scheme": scheme,
+        "route": route,
         "seed": int(plan.seed),
         "alpha": float(plan.alpha),
         "T": float(plan.T),
@@ -244,68 +241,198 @@ def _ou_factors(plan: SimulationPlan):
     return decay, scale
 
 
-def _shares_eigenbasis(system: EigenSystem, noise: CameronMartinSpec) -> bool:
+def _varies_in_time(G: GProcess) -> bool:
+    return bool(G.time_dependent or G.table is not None)
+
+
+def _basis_gap(plan: SimulationPlan) -> float:
+    """Largest gap between the leading noise basis vectors and drift modes.
+
+    Only Laplacian systems can share the sine basis of the noise; for any
+    other family the gap is infinite.  This is the one K x n_points
+    comparison a plan makes.
+    """
+    system, noise = plan.system, plan.noise
+    if system.family != "laplacian":
+        return np.inf
     n = min(noise.truncation, system.mode_count)
-    if system.family != "laplacian" or noise.truncation > system.mode_count:
-        return False
-    return np.abs(noise.basis_functions[:n] - system.modes[:n]).max() <= 1e-12
+    return float(np.abs(noise.basis_functions[:n] - system.modes[:n]).max())
 
 
-def _mode_increment_batch(plan: SimulationPlan, increments: np.ndarray) -> np.ndarray:
-    """Map raw increments (R, N, steps) to drift-mode space, (R, steps, K)."""
-    system, noise, G = plan.system, plan.noise, plan.G
-    r_b, n_modes, steps = increments.shape
-    incs = np.swapaxes(increments, 1, 2)  # (R, steps, N)
-    if G.kind == "identity" and _shares_eigenbasis(system, noise):
-        # diagonal shortcut: identity G over the shared sine basis
-        out = np.zeros((r_b, steps, system.mode_count))
-        out[:, :, : noise.truncation] = incs * noise.weights[None, None, :]
-        return out
-    flat = incs.reshape(r_b * steps, n_modes)
-    fields = flat @ noise.synthesis  # (R*steps, n_points)
+def _diagonal_obstacle(plan: SimulationPlan, gap: float) -> Optional[str]:
+    """Why G does not diagonalise over the drift eigenbasis; None if it does."""
+    system, G = plan.system, plan.G
+    if system.family not in ("laplacian", "diagonal"):
+        return ("exact-diagonal scheme needs a self-adjoint spectral system; "
+                "use simulate_frozen_exponential")
+    if not system.is_selfadjoint:
+        return "exact-diagonal scheme needs a self-adjoint system"
     if G.kind == "multiplication":
-        if G.time_dependent or G.table is not None:
-            tg = plan.time_grid
-            g_rows = np.stack(
-                [G.values_at(system.domain, n, tg[n]) for n in range(steps)]
-            )
-            fields = fields.reshape(r_b, steps, -1) * g_rows[None, :, :]
-            fields = fields.reshape(r_b * steps, -1)
+        gv = None if G.time_dependent else G.values_at(system.domain, 0, 0.0)
+        if gv is None or np.ptp(gv) > 1e-14 * max(1.0, np.abs(gv).max()):
+            return ("G does not diagonalise (non-constant multiplier); "
+                    "use simulate_frozen_exponential")
+    if system.family == "laplacian" and gap > 1e-10:
+        return "noise basis does not match the drift eigenbasis"
+    return None
+
+
+def _choose_scheme(plan: SimulationPlan, requested: str, gap: float) -> str:
+    """Resolve "auto"; refuse "exact-diagonal" where it does not apply."""
+    if requested == "frozen-exponential":
+        return requested
+    obstacle = _diagonal_obstacle(plan, gap)
+    if obstacle is None:
+        return "exact-diagonal"
+    if requested == "exact-diagonal":
+        raise ValueError(obstacle)
+    return "frozen-exponential"
+
+
+def _route(plan: SimulationPlan, gap: float) -> str:
+    """The noise-to-mode route of a plan, the first of three that applies."""
+    if (plan.G.kind == "identity" and gap <= 1e-12
+            and plan.noise.truncation <= plan.system.mode_count):
+        return "weights"
+    return "per-step" if _varies_in_time(plan.G) else "dense"
+
+
+def _noise_to_modes(plan: SimulationPlan, g: Optional[np.ndarray]) -> np.ndarray:
+    """(N, K) map from H-coefficients to drift-mode coefficients, G frozen
+    at grid values ``g`` (None: the identity kind)."""
+    system, noise = plan.system, plan.noise
+    lifted = noise.synthesis if g is None else noise.synthesis * g[None, :]
+    return system.weight * (lifted @ np.conj(system.dual_modes).T)
+
+
+@dataclass(frozen=True)
+class _Core:
+    """What every replica batch of a plan shares, built once per plan.
+
+    ``operator`` maps one step's increments to the step's noise in drift
+    coordinates, with the exact-variance scale folded in: per-mode weights
+    (N,) on the "weights" route, the dense (N, K) matrix on "dense", and the
+    (n_points, K) projection that follows ``lift`` (the noise synthesis)
+    and the multiplier on "per-step".  The "weights" route propagates only
+    the N noise modes; the others never receive noise and stay at zero.
+    """
+
+    plan: SimulationPlan
+    gap: float
+    route: str
+    operator: np.ndarray
+    lift: Optional[np.ndarray]
+    decay: np.ndarray  # e^(-mu dt) over the propagated modes
+    modes_rec: np.ndarray  # propagated modes at the recorded points
+    layout: tuple  # _record_layout(plan)
+
+    @classmethod
+    def build(cls, plan: SimulationPlan) -> "_Core":
+        system, noise = plan.system, plan.noise
+        gap = _basis_gap(plan)
+        route = _route(plan, gap)
+        layout = _record_layout(plan)
+        decay, scale = _ou_factors(plan)
+        modes_rec = system.modes[:, layout[0]]
+        lift = None
+        if route == "weights":
+            n = noise.truncation
+            operator = noise.weights * scale[:n]
+            decay, modes_rec = decay[:n], modes_rec[:n]
+        elif route == "dense":
+            operator = _noise_to_modes(plan, plan.G.values_at(system.domain, 0, 0.0))
+            operator *= scale
         else:
-            fields = fields * G.values_at(system.domain, 0, 0.0)[None, :]
-    coeffs = system.weight * (fields @ np.conj(system.dual_modes).T)
-    return coeffs.reshape(r_b, steps, system.mode_count)
+            lift = noise.synthesis
+            operator = (system.weight * np.conj(system.dual_modes).T) * scale
+        return cls(plan, gap, route, operator, lift, decay,
+                   np.ascontiguousarray(modes_rec), layout)
 
+    @property
+    def dtype(self) -> np.dtype:
+        return np.result_type(self.operator, self.decay, self.modes_rec)
 
-def _propagate_batch(plan, mode_incs, decay, scale, modes_rec, out, offset):
-    """OU recursion over steps, recording synthesised values into ``out``."""
-    r_b, steps, k = mode_incs.shape
-    stride = plan.record.time_stride
-    c = np.zeros((r_b, k), dtype=np.result_type(decay.dtype, mode_incs.dtype))
-    complex_path = np.iscomplexobj(c) or np.iscomplexobj(modes_rec)
-    rec_row = 0
-    if complex_path:
-        buf = np.empty((out.shape[1], r_b, modes_rec.shape[1]), dtype=complex)
-        buf[0] = 0.0
-    else:
-        out[offset:offset + r_b, 0, :] = 0.0
-    for n in range(steps):
-        c *= decay
-        c += scale * mode_incs[:, n, :]
-        if (n + 1) % stride == 0:
-            rec_row += 1
-            if complex_path:
-                buf[rec_row] = c @ modes_rec
-            else:
-                out[offset:offset + r_b, rec_row, :] = c @ modes_rec
-    if complex_path:
-        vals = _realify(np.swapaxes(buf, 0, 1), IMAG_TOL)
-        out[offset:offset + r_b] = vals
+    def batch_size(self, workers: int) -> int:
+        """Replicas per batch: their buffers fit BATCH_BYTES, and no worker
+        is left without a batch (at most ceil(replicas / workers))."""
+        plan = self.plan
+        blk = min(BLOCK_STEPS, plan.steps)
+        # increments, one block of mode states, carry and scratch rows
+        per_replica = (8 * plan.noise.truncation * plan.steps
+                       + self.dtype.itemsize * (blk + 2) * self.decay.size)
+        shared = 0 if self.lift is None else 8 * blk * self.lift.shape[1]
+        fit = (BATCH_BYTES - shared) // per_replica
+        return int(max(1, min(fit, -(-plan.replicas // max(workers, 1)))))
 
+    def new_output(self) -> np.ndarray:
+        flat_idx, _, _, rec_times = self.layout
+        return np.empty((self.plan.replicas, len(rec_times), len(flat_idx)))
 
-def _batch_size(plan: SimulationPlan) -> int:
-    per_replica = plan.steps * (plan.noise.truncation + plan.system.mode_count) * 8
-    return int(np.clip((256 << 20) // max(per_replica, 1), 1, plan.replicas))
+    def integrate(self, incs: np.ndarray, out: np.ndarray) -> None:
+        """Propagate increment tables (R, N, steps) into recorded values
+        ``out`` (R, recorded times, recorded points), 256 steps at a time."""
+        plan = self.plan
+        r_b, _, steps = incs.shape
+        stride = plan.record.time_stride
+        xi = np.empty((r_b, min(BLOCK_STEPS, steps), self.decay.size),
+                      dtype=self.dtype)
+        carry, tmp = np.empty_like(xi[:, 0]), np.empty_like(xi[:, 0])
+        complex_path = np.iscomplexobj(xi)
+        out[:, 0] = 0.0
+        row = 1
+        for b0 in range(0, steps, BLOCK_STEPS):
+            blk = xi[:, : min(BLOCK_STEPS, steps - b0)]
+            self._project(incs[:, :, b0:b0 + blk.shape[1]], blk, b0)
+            # OU recursion in place: row n becomes the state after step b0 + n
+            if b0:
+                np.multiply(carry, self.decay, out=tmp)
+                blk[:, 0] += tmp
+            for n in range(1, blk.shape[1]):
+                np.multiply(blk[:, n - 1], self.decay, out=tmp)
+                np.add(blk[:, n], tmp, out=blk[:, n])
+            carry[...] = blk[:, -1]
+            rows = blk[:, (-b0 - 1) % stride:: stride]
+            stop = row + rows.shape[1]
+            for r in range(r_b):
+                if complex_path:
+                    out[r, row:stop] = _realify(rows[r] @ self.modes_rec, IMAG_TOL)
+                else:
+                    np.matmul(rows[r], self.modes_rec, out=out[r, row:stop])
+            row = stop
+
+    def _project(self, block: np.ndarray, blk: np.ndarray, b0: int) -> None:
+        """Noise of the steps of ``block`` (R, N, B) in drift coordinates,
+        written to ``blk`` (R, B, K), one matmul per replica."""
+        if self.route == "weights":
+            # transpose in slabs of 32 modes, so the strided reads stay in cache
+            for r in range(len(block)):
+                for j in range(0, blk.shape[2], 32):
+                    np.multiply(block[r, j:j + 32].T, self.operator[j:j + 32],
+                                out=blk[r, :, j:j + 32])
+            return
+        if self.route == "dense":
+            for r in range(len(block)):
+                np.matmul(block[r].T, self.operator, out=blk[r])
+            return
+        G, domain, tg = self.plan.G, self.plan.system.domain, self.plan.time_grid
+        g_rows = np.stack([G.values_at(domain, n, tg[n])
+                           for n in range(b0, b0 + blk.shape[1])])
+        for r in range(len(block)):
+            field = block[r].T @ self.lift
+            field *= g_rows
+            np.matmul(field, self.operator, out=blk[r])
+
+    def ensemble(self, values: np.ndarray, scheme: str) -> TrajectoryEnsemble:
+        flat_idx, shape, weight, rec_times = self.layout
+        return TrajectoryEnsemble(
+            values=values,
+            time_grid=rec_times,
+            space_points=self.plan.system.domain.points[flat_idx],
+            space_indices=flat_idx,
+            space_shape=shape,
+            space_weight=weight,
+            provenance=_provenance(self.plan, scheme, self.route),
+        )
 
 
 def simulate_from_increments(plan: SimulationPlan, increments: np.ndarray,
@@ -314,50 +441,37 @@ def simulate_from_increments(plan: SimulationPlan, increments: np.ndarray,
 
     ``increments`` has shape (replicas, truncation, steps).  The value at
     time index n depends only on increments with step index < n, which is
-    what makes spliced-future determinism checks meaningful.
+    what makes spliced-future determinism checks meaningful.  Fed the
+    draws ``simulate`` makes, it reproduces ``simulate`` bit for bit.
     """
     increments = np.asarray(increments, dtype=float)
     want = (plan.replicas, plan.noise.truncation, plan.steps)
     if increments.shape != want:
         raise ValueError(f"increments shape {increments.shape}, want {want}")
-    flat_idx, shape, weight, rec_times = _record_layout(plan)
-    modes_rec = plan.system.modes[:, flat_idx]
-    decay, scale = _ou_factors(plan)
-    out = np.empty((plan.replicas, len(rec_times), len(flat_idx)))
-    mode_incs = _mode_increment_batch(plan, increments)
-    _propagate_batch(plan, mode_incs, decay, scale, modes_rec, out, 0)
-    dom = plan.system.domain
-    return TrajectoryEnsemble(
-        values=out,
-        time_grid=rec_times,
-        space_points=dom.points[flat_idx],
-        space_indices=flat_idx,
-        space_shape=shape,
-        space_weight=weight,
-        provenance=_provenance(plan, scheme_label),
-    )
+    core = _Core.build(plan)
+    out = core.new_output()
+    batch = core.batch_size(1)
+    for start in range(0, plan.replicas, batch):
+        core.integrate(increments[start:start + batch], out[start:start + batch])
+    return core.ensemble(out, scheme_label)
 
 
 def _simulate(plan: SimulationPlan, scheme: str,
               workers: Optional[int] = None) -> TrajectoryEnsemble:
-    flat_idx, shape, weight, rec_times = _record_layout(plan)
-    modes_rec = plan.system.modes[:, flat_idx]
-    decay, scale = _ou_factors(plan)
-    out = np.empty((plan.replicas, len(rec_times), len(flat_idx)))
-    tg = plan.time_grid
-    batch = _batch_size(plan)
+    core = _Core.build(plan)
+    scheme = _choose_scheme(plan, scheme, core.gap)
+    out = core.new_output()
     n_workers = workers if workers else (os.cpu_count() or 1)
+    batch = core.batch_size(n_workers)
+    tg = plan.time_grid
 
     def run_batch(start: int) -> None:
         stop = min(start + batch, plan.replicas)
-        incs = np.stack(
-            [
-                sample_wiener_increments(plan.noise, tg, plan.seed, r)
-                for r in range(start, stop)
-            ]
-        )
-        mode_incs = _mode_increment_batch(plan, incs)
-        _propagate_batch(plan, mode_incs, decay, scale, modes_rec, out, start)
+        incs = np.empty((stop - start, plan.noise.truncation, plan.steps))
+        for i in range(stop - start):
+            sample_wiener_increments(plan.noise, tg, plan.seed, start + i,
+                                     out=incs[i])
+        core.integrate(incs, out[start:stop])
 
     starts = range(0, plan.replicas, batch)
     if n_workers > 1 and len(starts) > 1:
@@ -367,16 +481,7 @@ def _simulate(plan: SimulationPlan, scheme: str,
     else:
         for start in starts:
             run_batch(start)
-    dom = plan.system.domain
-    return TrajectoryEnsemble(
-        values=out,
-        time_grid=rec_times,
-        space_points=dom.points[flat_idx],
-        space_indices=flat_idx,
-        space_shape=shape,
-        space_weight=weight,
-        provenance=_provenance(plan, scheme),
-    )
+    return core.ensemble(out, scheme)
 
 
 def simulate_exact_diagonal(plan: SimulationPlan,
@@ -385,9 +490,9 @@ def simulate_exact_diagonal(plan: SimulationPlan,
 
     The per-step noise has the exact integrated variance
     gain^2 (1 - e^(-2 mu dt)) / (2 mu), so the scheme is exact in law at
-    the grid times for any step count.
+    the grid times for any step count.  Raises ValueError when G does not
+    diagonalise.
     """
-    _diagonal_gains(plan)  # validates the preconditions
     return _simulate(plan, "exact-diagonal", workers)
 
 
@@ -395,22 +500,16 @@ def simulate_frozen_exponential(plan: SimulationPlan,
                                 workers: Optional[int] = None) -> TrajectoryEnsemble:
     """Exponential scheme with G frozen at each step's left endpoint.
 
-    Shares increment streams and the per-mode exact-variance scaling with
-    the diagonal scheme, so for diagonal G the two coincide bitwise.
+    Runs the same core as the diagonal scheme, so for diagonal G the two
+    coincide bitwise.
     """
     return _simulate(plan, "frozen-exponential", workers)
 
 
 def simulate(plan: SimulationPlan, workers: Optional[int] = None) -> TrajectoryEnsemble:
-    """Dispatch on plan.scheme ("auto" prefers the exact diagonal path)."""
-    if plan.scheme == "exact-diagonal":
-        return simulate_exact_diagonal(plan, workers)
-    if plan.scheme == "frozen-exponential":
-        return simulate_frozen_exponential(plan, workers)
-    try:
-        return simulate_exact_diagonal(plan, workers)
-    except ValueError:
-        return simulate_frozen_exponential(plan, workers)
+    """Run plan.scheme; "auto" takes the exact diagonal scheme where G
+    diagonalises and the frozen-exponential one otherwise."""
+    return _simulate(plan, plan.scheme, workers)
 
 
 def mean_mq_norm(ens: TrajectoryEnsemble, p: float, q: float) -> MqNormEstimate:
@@ -444,20 +543,18 @@ def predicted_second_moment(plan: SimulationPlan, at_time: Optional[float] = Non
     tg = plan.time_grid
     dt = plan.dt
 
+    route = _route(plan, _basis_gap(plan))
+
     def gain_sq(n):
-        if G.kind == "identity":
+        if route == "weights":
             gs = np.zeros(system.mode_count)
-            n_active = min(noise.truncation, system.mode_count)
-            gs[:n_active] = noise.weights[:n_active] ** 2
+            gs[: noise.truncation] = noise.weights**2
             return gs
-        gv = G.values_at(system.domain, n, tg[n])
-        phi = system.weight * (
-            np.conj(system.dual_modes) @ (noise.synthesis * gv[None, :]).T
-        )
-        return np.sum(np.abs(phi) ** 2, axis=1)
+        phi = _noise_to_modes(plan, G.values_at(system.domain, n, tg[n]))
+        return np.sum(np.abs(phi) ** 2, axis=0)
 
     dsq = np.abs(decay) ** 2
-    static_gain = None if (G.time_dependent or G.table is not None) else gain_sq(0)
+    static_gain = None if _varies_in_time(G) else gain_sq(0)
     var = np.zeros(system.mode_count)
     for n in range(steps):
         g2 = static_gain if static_gain is not None else gain_sq(n)

@@ -190,7 +190,8 @@ def g_preset(name: str, m: float, q: float) -> GProcess:
 
 
 def sample_wiener_increments(
-    spec: CameronMartinSpec, time_grid: np.ndarray, seed: int, replica: int
+    spec: CameronMartinSpec, time_grid: np.ndarray, seed: int, replica: int,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Increment table of the cylindrical process, shape (truncation, steps).
 
@@ -198,7 +199,8 @@ def sample_wiener_increments(
     across modes and steps.  Stream k is derived from
     SeedSequence(seed, spawn_key=(replica, k)) over a counter-based
     generator, so the table is reproducible per (seed, replica, mode) with
-    no cross-stream coordination.
+    no cross-stream coordination.  ``out``, a C-contiguous float array of
+    that shape, receives the table in place of a new array.
     """
     time_grid = np.asarray(time_grid, dtype=float)
     if time_grid.ndim != 1 or len(time_grid) < 2:
@@ -209,14 +211,18 @@ def sample_wiener_increments(
     dt = dts[0]
     if np.abs(dts - dt).max() > 1e-12 * max(dt, 1.0):
         raise ValueError("time grid must be uniform")
-    steps = len(dts)
-    out = np.empty((spec.truncation, steps))
+    shape = (spec.truncation, len(dts))
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape {shape}")
     root = np.sqrt(dt)
     for k in range(spec.truncation):
         gen = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(seed, spawn_key=(replica, k)))
         )
-        out[k] = gen.standard_normal(steps) * root
+        gen.standard_normal(out=out[k])
+        out[k] *= root
     return out
 
 

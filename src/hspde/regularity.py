@@ -66,6 +66,8 @@ THEOREMS = ("prop32", "remark33", "colored", "fractional")
 EXPONENT_CAP = 1.5
 DROP_LOW = 2
 DROP_HIGH = 2
+#: columns per cache-resident slab of _max_increments
+_SLAB_COLUMNS = 64
 VERIFY_TOLERANCE = 0.10
 
 Rational = Union[int, float, Fraction]
@@ -287,10 +289,29 @@ def _kept_lags(n_samples: int) -> list:
 
 
 def _max_increments(series: np.ndarray, lags: Sequence[int]) -> np.ndarray:
-    """M(lag) = max over start (and any trailing axes) of |x(.+lag) - x(.)|."""
-    return np.array(
-        [np.abs(series[lag:] - series[:-lag]).max() for lag in lags]
-    )
+    """M(lag) = max over start (and any trailing axes) of |x(.+lag) - x(.)|.
+
+    Trailing axes are flattened and walked in slabs of ``_SLAB_COLUMNS``
+    columns: each slab is copied once into a small scratch array and every
+    lag is taken on it while it is in cache.  Working memory stays at two
+    slabs whatever the series size, so no call makes a series-sized
+    temporary.  A max is exact, so slabbing does not change a bit.
+    """
+    n = len(series)
+    flat = series.reshape(n, -1)
+    width = min(flat.shape[1], _SLAB_COLUMNS)
+    slab = np.empty((n, width), dtype=series.dtype)
+    diff = np.empty((n - min(lags), width), dtype=series.dtype)
+    starts = range(0, flat.shape[1], width)
+    out = np.empty((len(starts), len(lags)))
+    for b, j in enumerate(starts):
+        w = min(width, flat.shape[1] - j)
+        cols = slab[:, :w]
+        np.copyto(cols, flat[:, j:j + w])
+        for i, lag in enumerate(lags):
+            d = np.subtract(cols[lag:], cols[:-lag], out=diff[: n - lag, :w])
+            out[b, i] = np.abs(d, out=d).max()
+    return out.max(axis=0)
 
 
 def _fit_loglog(lags_phys: np.ndarray, profile: np.ndarray):

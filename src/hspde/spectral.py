@@ -144,11 +144,6 @@ class EllipticOperatorSpec:
                 raise ValueError(f"coefficient {name} is not finite on the grid")
         return a, b, c
 
-    @property
-    def min_exponent(self) -> float:
-        """min of the two integrability exponents; noise hypotheses use it."""
-        return float(min(self.b_exponent, self.c_exponent))
-
 
 def _sample(coeff: Coefficient, xi: np.ndarray) -> np.ndarray:
     if callable(coeff):

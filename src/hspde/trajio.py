@@ -34,7 +34,7 @@ def save_trajectories(ens: TrajectoryEnsemble, path: str) -> str:
     stem = _stem(path)
     values = np.ascontiguousarray(ens.values, dtype="<f8")
     with open(stem + ".bin", "wb") as fh:
-        fh.write(values.tobytes())
+        fh.write(values.data)  # the array's own buffer: no payload-sized copy
     manifest = {
         "format": FORMAT_TAG,
         "dtype": "<f8",

@@ -7,6 +7,8 @@ semigroup decay once the noise switches off, adaptedness to the
 increment stream).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from hspde.spectral import (
     build_variable_coefficient_system,
 )
 from hspde.noise import GProcess, make_cameron_martin, g_preset
+from hspde.presets import operator_preset
+from hspde import convolve
 from hspde.convolve import (
     RecordSpec,
     SimulationPlan,
@@ -363,6 +367,108 @@ def test_nonselfadjoint_paths_are_real():
         simulate_exact_diagonal(plan)
     with pytest.raises(ValueError):
         predicted_second_moment(plan)
+
+
+# ----- one core: routes and batching ----------------------------------------
+
+
+def core_plan(case, replicas=3, steps=600, stride=3):
+    """Plans over the three noise-to-mode routes, real and complex."""
+    if case == "complex":
+        dom, system = nonnormal_system()
+        noise = make_cameron_martin(dom, theta=0.5, truncation=6)
+    else:
+        dom = SpectralDomain(1, 32, 12)
+        if case in ("drifted", "smooth-varcoef"):
+            system = build_variable_coefficient_system(dom, operator_preset(case))
+        else:
+            system = build_laplacian_system(dom)
+        noise = make_cameron_martin(dom, theta=0.5, truncation=10)
+    g = GProcess.identity() if case in ("identity", "drifted", "complex") \
+        else g_preset("separable:sin" if case == "separable:sin" else "bump",
+                      8.0, 16.0)
+    return SimulationPlan(
+        system=system, noise=noise, G=g, seed=73, T=0.5, steps=steps,
+        replicas=replicas, record=RecordSpec(time_stride=stride, space_count=32),
+    )
+
+
+def replica_increments(plan):
+    return np.stack([sample_wiener_increments(plan.noise, plan.time_grid,
+                                              plan.seed, r)
+                     for r in range(plan.replicas)])
+
+
+@pytest.mark.parametrize("case, route", [
+    ("identity", "weights"), ("bump", "dense"), ("separable:sin", "per-step"),
+    ("drifted", "dense"), ("complex", "dense"),
+])
+def test_replica_values_independent_of_batching(case, route):
+    # 600 steps span three 256-step blocks; stride 3 records across them
+    plan = core_plan(case)
+    one = simulate(plan, workers=1)
+    two = simulate(plan, workers=2)  # batches of 2 and 1 replicas
+    assert one.provenance["route"] == route
+    assert np.array_equal(one.values, two.values)
+    single = dataclasses.replace(plan, replicas=1)
+    incs = replica_increments(plan)
+    for r in range(plan.replicas):
+        alone = simulate_from_increments(single, incs[r:r + 1])
+        assert np.array_equal(alone.values[0], one.values[r])
+
+
+def field_path_reference(plan, increments, space_indices):
+    """Step-by-step oracle: synthesise each step's increments on the grid,
+    multiply by g(t_n), project onto the drift modes, then advance the OU
+    recursion and synthesise the recorded points."""
+    system, noise, G = plan.system, plan.noise, plan.G
+    mu = plan.drift_exponents
+    decay = np.exp(-mu * plan.dt)
+    scale = np.sqrt(-np.expm1(-2.0 * mu.real * plan.dt) / (2.0 * mu.real * plan.dt))
+    tg = plan.time_grid
+    modes_rec = system.modes[:, space_indices]
+    c = np.zeros((plan.replicas, system.mode_count), dtype=complex)
+    values = [np.zeros((plan.replicas, len(space_indices)))]
+    for n in range(plan.steps):
+        fields = increments[:, :, n] @ noise.synthesis
+        g = G.values_at(system.domain, n, tg[n])
+        if g is not None:
+            fields = fields * g[None, :]
+        xi = system.weight * (fields @ np.conj(system.dual_modes).T)
+        c = decay * c + scale * xi
+        if (n + 1) % plan.record.time_stride == 0:
+            values.append((c @ modes_rec).real)
+    return np.stack(values, axis=1)
+
+
+@pytest.mark.parametrize("case", [
+    "identity", "bump", "smooth-varcoef", "separable:sin", "complex",
+])
+def test_routes_match_field_path_oracle(case):
+    plan = core_plan(case, replicas=2, steps=300, stride=1)
+    incs = replica_increments(plan)
+    got = simulate_from_increments(plan, incs)
+    want = field_path_reference(plan, incs, got.space_indices)
+    scale = np.abs(want).max()
+    assert scale > 0
+    assert np.abs(got.values - want).max() <= 1e-12 * scale
+
+
+def test_batch_size_budget_and_cap():
+    # computed from the buffer model, nothing of this size is allocated
+    dom = SpectralDomain(1, 64, 32)
+    noise = make_cameron_martin(dom, theta=0.0, truncation=32)
+    plan = SimulationPlan(system=build_laplacian_system(dom), noise=noise,
+                          G=GProcess.identity(), seed=0, steps=1 << 16,
+                          replicas=100)
+    core = convolve._Core.build(plan)
+    per_replica = 8 * 32 * (1 << 16) + 8 * (convolve.BLOCK_STEPS + 2) * 32
+    fit = convolve.BATCH_BYTES // per_replica
+    assert 1 < fit < 100
+    assert core.batch_size(1) == fit
+    assert core.batch_size(10) == 10  # ceil(100 / 10) < fit
+    huge = dataclasses.replace(plan, steps=1 << 22)
+    assert convolve._Core.build(huge).batch_size(1) == 1
 
 
 # ----- plan validation and layout --------------------------------------------

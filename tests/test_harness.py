@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hspde
 from hspde import cli
 from hspde.harness import (
     ExperimentConfig,
@@ -177,6 +180,21 @@ def test_rerun_is_byte_identical(completed_run):
     run_experiment(cfg)
     for name, payload in before.items():
         assert (run_dir / name).read_bytes() == payload
+
+
+def test_rerun_writes_identical_manifest(tmp_path):
+    cfg = small_config(tmp_path)
+    cfg["plan"].update({"steps": 512, "replicas": 2})
+    manifest = run_experiment(cfg)
+    run_dir = tmp_path / manifest.run_id
+    first = (run_dir / "manifest.json").read_bytes()
+    run_experiment(cfg)
+    assert (run_dir / "manifest.json").read_bytes() == first
+    # wall-clock timings live beside the manifest, outside the outputs
+    assert "timings" not in json.loads(first)
+    timings = json.loads((run_dir / "timings.json").read_text())
+    assert set(timings) == set(manifest.stages)
+    assert "timings.json" not in manifest.outputs
 
 
 def test_manifest_reproduces_the_run(completed_run):
@@ -449,7 +467,11 @@ def test_cli_export_missing_run_errors(tmp_path, capsys):
 
 
 def test_console_script_is_wired():
+    # the child interpreter imports the package this suite imported
+    src = str(Path(hspde.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "hspde.cli", "presets"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "laplacian-d1" in proc.stdout

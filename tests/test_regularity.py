@@ -20,6 +20,7 @@ from hspde.regularity import (
     select_sigma_delta,
     verify_region,
 )
+from hspde.regularity import _max_increments
 from hspde.spectral import SpectralDomain, build_laplacian_system
 
 P32 = RegularityQuery("prop32", d=1, q=8, p=4)
@@ -278,6 +279,24 @@ def test_estimates_invariant_under_scaling():
         scaled_s = estimate_spatial_exponent(inject(c * vals))
         assert np.isclose(scaled_t.beta_hat, base_t.beta_hat, atol=1e-9)
         assert np.isclose(scaled_s.gamma_hat, base_s.gamma_hat, atol=1e-9)
+
+
+def test_max_increments_match_fresh_differences():
+    # the column slabs must give the per-lag expression's bits, also for
+    # series wider than one slab and with several trailing axes
+    rng = np.random.default_rng(5)
+    lags = [1, 2, 4, 8, 16, 32]
+    nan_wide = rng.standard_normal((70, 150))
+    nan_wide[40, 140] = np.nan
+    for series in (rng.standard_normal(257), rng.standard_normal((300, 7)),
+                   rng.standard_normal((7, 300)).T,
+                   rng.standard_normal((300, 9))[:, 4],
+                   rng.standard_normal((300, 150)),
+                   rng.standard_normal((300, 200))[:, ::3],
+                   rng.standard_normal((70, 9, 11)), nan_wide):
+        want = [np.abs(series[lag:] - series[:-lag]).max() for lag in lags]
+        assert np.array_equal(_max_increments(series, lags), want,
+                              equal_nan=True)
 
 
 def test_degenerate_paths_excluded_with_warning():
