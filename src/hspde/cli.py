@@ -32,8 +32,6 @@ from .gamma_radon import FiniteRankOperator, mc_gamma_norm
 from .harness import (
     ExperimentConfig,
     HypothesisError,
-    StageError,
-    _fmt,
     estimates_from_run,
     export_plotdata,
     list_presets,
@@ -44,6 +42,7 @@ from .harness import (
 from .regularity import RegularityQuery
 from .spectral import SpectralDomain, build_laplacian_system, \
     diagonal_system, synthesize
+from .trajio import _fmt
 
 __all__ = ["main"]
 
@@ -348,10 +347,7 @@ def main(argv=None) -> int:
     except HypothesisError as err:
         print(f"hypothesis validation failed: {err}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except StageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    except Exception as err:
+    except Exception as err:  # stage failures included
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

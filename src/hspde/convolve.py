@@ -13,10 +13,11 @@ integrated variance gain_k^2 (1 - e^(-2 mu_k dt)) / (2 mu_k).
 
 Two scheme labels say what the recorded law means:
 
-* exact-diagonal: G diagonalises over the drift eigenbasis (identity
-  embedding, or multiplication by a constant, over a Laplacian-type
-  system), so the paths are exact in law at the grid times for any step
-  count.
+* exact-diagonal: the noise is uncorrelated across drift modes, so the
+  paths are exact in law at the grid times for any step count.  The core
+  decides this once per plan from its route (below): weights always,
+  dense when the system is self-adjoint and Phi^T Phi is diagonal,
+  per-step never.
 * frozen-exponential: general G, frozen at each step's left endpoint.
 
 Both run one core, so for diagonal G they produce bit-identical paths.
@@ -61,7 +62,7 @@ from typing import Optional
 
 import numpy as np
 
-from .spectral import EigenSystem, _realify
+from .spectral import EigenSystem, _principal_power, _realify
 from .noise import CameronMartinSpec, GProcess, sample_wiener_increments
 
 __all__ = [
@@ -77,7 +78,6 @@ __all__ = [
     "predicted_second_moment",
 ]
 
-IMAG_TOL = 1e-10
 #: steps per block of the projection / recursion / synthesis stream
 BLOCK_STEPS = 256
 #: buffer budget of one replica batch
@@ -148,15 +148,9 @@ class SimulationPlan:
 
     @property
     def drift_exponents(self) -> np.ndarray:
-        lam = self.system.eigenvalues
-        if self.alpha == 2.0:
-            return lam
-        mu = np.exp((self.alpha / 2.0) * np.log(lam.astype(complex)))
-        # real positive spectra stay on the real axis; drop the dead
-        # imaginary part so the recursion runs in real arithmetic
-        if np.abs(mu.imag).max() <= IMAG_TOL * np.abs(mu.real).max():
-            return mu.real
-        return mu
+        """mu_k = lambda_k^(alpha/2); real for real positive spectra, so the
+        recursion runs in real arithmetic."""
+        return _principal_power(self.system.eigenvalues, self.alpha / 2.0)
 
 
 @dataclass
@@ -259,33 +253,42 @@ def _basis_gap(plan: SimulationPlan) -> float:
     return float(np.abs(noise.basis_functions[:n] - system.modes[:n]).max())
 
 
-def _diagonal_obstacle(plan: SimulationPlan, gap: float) -> Optional[str]:
-    """Why G does not diagonalise over the drift eigenbasis; None if it does."""
-    system, G = plan.system, plan.G
-    if system.family not in ("laplacian", "diagonal"):
-        return ("exact-diagonal scheme needs a self-adjoint spectral system; "
-                "use simulate_frozen_exponential")
+def _diagonal_obstacle(system: EigenSystem, route: str,
+                       operator: np.ndarray) -> Optional[str]:
+    """Why the noise of a plan is not diagonal over the drift eigenbasis;
+    None if it is, which makes the per-mode recursion exact in law.
+
+    The weights route is diagonal by construction and the per-step route
+    never counts as diagonal.  On the dense route the per-step noise
+    covariance in drift coordinates is operator^H operator (up to dt and
+    the per-mode scale); it must be diagonal, to 1e-12 of its largest
+    entry, over an orthonormal (self-adjoint) eigenbasis.
+    """
+    if route == "weights":
+        return None
+    if route == "per-step":
+        return ("G varies in time, so it does not diagonalise over the "
+                "drift eigenbasis; use simulate_frozen_exponential")
     if not system.is_selfadjoint:
-        return "exact-diagonal scheme needs a self-adjoint system"
-    if G.kind == "multiplication":
-        gv = None if G.time_dependent else G.values_at(system.domain, 0, 0.0)
-        if gv is None or np.ptp(gv) > 1e-14 * max(1.0, np.abs(gv).max()):
-            return ("G does not diagonalise (non-constant multiplier); "
-                    "use simulate_frozen_exponential")
-    if system.family == "laplacian" and gap > 1e-10:
-        return "noise basis does not match the drift eigenbasis"
+        return ("exact-diagonal scheme needs a self-adjoint system; "
+                "use simulate_frozen_exponential")
+    gram = operator.conj().T @ operator
+    diag = np.abs(np.diagonal(gram))
+    np.fill_diagonal(gram, 0.0)
+    if np.abs(gram).max() > 1e-12 * diag.max():
+        return ("G does not diagonalise over the drift eigenbasis; "
+                "use simulate_frozen_exponential")
     return None
 
 
-def _choose_scheme(plan: SimulationPlan, requested: str, gap: float) -> str:
+def _choose_scheme(core: "_Core", requested: str) -> str:
     """Resolve "auto"; refuse "exact-diagonal" where it does not apply."""
     if requested == "frozen-exponential":
         return requested
-    obstacle = _diagonal_obstacle(plan, gap)
-    if obstacle is None:
+    if core.obstacle is None:
         return "exact-diagonal"
     if requested == "exact-diagonal":
-        raise ValueError(obstacle)
+        raise ValueError(core.obstacle)
     return "frozen-exponential"
 
 
@@ -315,22 +318,23 @@ class _Core:
     (n_points, K) projection that follows ``lift`` (the noise synthesis)
     and the multiplier on "per-step".  The "weights" route propagates only
     the N noise modes; the others never receive noise and stay at zero.
+    ``obstacle`` is None when the plan is exact-diagonal, else the reason
+    it is not (see ``_diagonal_obstacle``).
     """
 
     plan: SimulationPlan
-    gap: float
     route: str
     operator: np.ndarray
     lift: Optional[np.ndarray]
     decay: np.ndarray  # e^(-mu dt) over the propagated modes
     modes_rec: np.ndarray  # propagated modes at the recorded points
     layout: tuple  # _record_layout(plan)
+    obstacle: Optional[str]
 
     @classmethod
     def build(cls, plan: SimulationPlan) -> "_Core":
         system, noise = plan.system, plan.noise
-        gap = _basis_gap(plan)
-        route = _route(plan, gap)
+        route = _route(plan, _basis_gap(plan))
         layout = _record_layout(plan)
         decay, scale = _ou_factors(plan)
         modes_rec = system.modes[:, layout[0]]
@@ -345,8 +349,9 @@ class _Core:
         else:
             lift = noise.synthesis
             operator = (system.weight * np.conj(system.dual_modes).T) * scale
-        return cls(plan, gap, route, operator, lift, decay,
-                   np.ascontiguousarray(modes_rec), layout)
+        return cls(plan, route, operator, lift, decay,
+                   np.ascontiguousarray(modes_rec), layout,
+                   _diagonal_obstacle(system, route, operator))
 
     @property
     def dtype(self) -> np.dtype:
@@ -395,7 +400,7 @@ class _Core:
             stop = row + rows.shape[1]
             for r in range(r_b):
                 if complex_path:
-                    out[r, row:stop] = _realify(rows[r] @ self.modes_rec, IMAG_TOL)
+                    out[r, row:stop] = _realify(rows[r] @ self.modes_rec)
                 else:
                     np.matmul(rows[r], self.modes_rec, out=out[r, row:stop])
             row = stop
@@ -459,7 +464,7 @@ def simulate_from_increments(plan: SimulationPlan, increments: np.ndarray,
 def _simulate(plan: SimulationPlan, scheme: str,
               workers: Optional[int] = None) -> TrajectoryEnsemble:
     core = _Core.build(plan)
-    scheme = _choose_scheme(plan, scheme, core.gap)
+    scheme = _choose_scheme(core, scheme)
     out = core.new_output()
     n_workers = workers if workers else (os.cpu_count() or 1)
     batch = core.batch_size(n_workers)

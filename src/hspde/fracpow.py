@@ -32,7 +32,8 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .spectral import EigenSystem, project, synthesize, _realify
+from .spectral import EigenSystem, project, synthesize, _principal_power, \
+    _real_result
 
 __all__ = [
     "FracPowerRequest",
@@ -86,23 +87,11 @@ class QuadratureError(RuntimeError):
         self.fine = fine
 
 
-def _principal_power(lam: np.ndarray, z: complex) -> np.ndarray:
-    return np.exp(z * np.log(lam.astype(complex)))
-
-
 def frac_power_eigen(system: EigenSystem, z: complex, values: np.ndarray) -> np.ndarray:
     """A^z acting on the resolved modes via the exact functional calculus."""
     factors = _principal_power(system.eigenvalues, z)
     out = synthesize(system, project(system, values) * factors)
-    if (
-        not np.iscomplexobj(values)
-        and np.iscomplexobj(out)
-        and complex(z).imag == 0.0
-        and not np.iscomplexobj(system.eigenvalues)
-        and not np.iscomplexobj(system.modes)
-    ):
-        out = _realify(out)
-    return out
+    return _real_result(out, values, z)
 
 
 def _panels(lo: float, hi: float, total_nodes: int):
@@ -189,9 +178,7 @@ def _quadrature_apply(system, z, values, req, factor_fn, return_error):
     if req.tolerance is not None and err > req.tolerance:
         raise QuadratureError(err, req.tolerance, coarse, fine)
 
-    if not np.iscomplexobj(values) and z.imag == 0.0 and np.iscomplexobj(fine):
-        if not np.iscomplexobj(system.eigenvalues) and not np.iscomplexobj(system.modes):
-            fine = _realify(fine)
+    fine = _real_result(fine, values, z)
     if return_error:
         return fine, err
     return fine

@@ -50,7 +50,9 @@ from .convolve import RecordSpec, SimulationPlan, simulate
 from .noise import GProcess, g_preset, make_cameron_martin, validate_noise_hypotheses
 from .presets import get_preset, list_presets, operator_preset
 from .regularity import (
+    _MIN_SAMPLES,
     RegularityQuery,
+    _increment_profiles,
     estimate_spatial_exponent,
     estimate_temporal_exponent,
     exponent_budget,
@@ -65,7 +67,8 @@ from .spectral import (
     build_variable_coefficient_system,
     diagonal_system,
 )
-from .trajio import export_trajectories_csv, load_trajectories, save_trajectories
+from .trajio import _fmt, export_trajectories_csv, load_trajectories, \
+    save_trajectories
 
 __all__ = [
     "ExperimentConfig",
@@ -103,10 +106,6 @@ class StageError(RuntimeError):
 
 class HypothesisError(RuntimeError):
     """The configured noise violates the hypotheses the query relies on."""
-
-
-def _fmt(value) -> str:
-    return format(float(value), ".17g")
 
 
 def _deep_merge(base: dict, top: dict) -> dict:
@@ -554,30 +553,17 @@ def _load_run(run_dir) -> dict:
 
 
 def _increment_profile_csv(ens) -> str:
-    """Median dyadic max-increment profiles, plot-ready."""
-    from .regularity import _kept_lags, _max_increments  # shared lag policy
-
+    """Median dyadic max-increment profiles, plot-ready: the estimators'
+    per-replica profiles, in time pooled over every recorded point and in
+    space pooled over every recorded time."""
     lines = ["axis,lag,median_max_increment"]
-    n_t = ens.values.shape[1]
-    dt = float(ens.time_grid[1] - ens.time_grid[0])
-    lags = _kept_lags(n_t)
-    # (replicas, lags): every lag of a replica in one pass over its values
-    prof = np.array([_max_increments(ens.values[r], lags)
-                     for r in range(ens.replicas)])
-    for lag, meds in zip(lags, prof.T):
-        lines.append(f"time,{_fmt(lag * dt)},{_fmt(np.median(meds))}")
-    n_s = int(ens.space_shape[0])
-    if n_s >= 33:
-        pts = ens.space_points.reshape(tuple(ens.space_shape) + (-1,))
-        gap = float(pts[1, ..., 0].ravel()[0] - pts[0, ..., 0].ravel()[0])
-        full = ens.values.reshape(ens.values.shape[:2] + tuple(ens.space_shape))
-        for _ in range(len(ens.space_shape) - 1):
-            full = full[..., full.shape[-1] // 2]
-        lags = _kept_lags(n_s)
-        prof = np.array([_max_increments(full[r].T, lags)
-                         for r in range(ens.replicas)])
-        for lag, meds in zip(lags, prof.T):
-            lines.append(f"space,{_fmt(lag * gap)},{_fmt(np.median(meds))}")
+    axes = {"time": {}}
+    if ens.space_shape[0] >= _MIN_SAMPLES:
+        axes["space"] = {"times": np.arange(ens.values.shape[1])}
+    for axis, where in axes.items():
+        lags, profiles = _increment_profiles(ens, axis, **where)
+        for lag, per_replica in zip(lags, profiles.T):
+            lines.append(f"{axis},{_fmt(lag)},{_fmt(np.median(per_replica))}")
     return "\n".join(lines) + "\n"
 
 

@@ -66,6 +66,8 @@ THEOREMS = ("prop32", "remark33", "colored", "fractional")
 EXPONENT_CAP = 1.5
 DROP_LOW = 2
 DROP_HIGH = 2
+#: fewest samples that leave the lag policy two dyadic levels to fit
+_MIN_SAMPLES = (1 << (DROP_LOW + DROP_HIGH + 1)) + 1
 #: columns per cache-resident slab of _max_increments
 _SLAB_COLUMNS = 64
 VERIFY_TOLERANCE = 0.10
@@ -327,17 +329,71 @@ def _fit_loglog(lags_phys: np.ndarray, profile: np.ndarray):
     return float(slope), min(max(r2, 0.0), 1.0)
 
 
-def _aggregate(slopes, r2s, excluded, what):
-    if excluded:
-        warnings.warn(
-            f"excluded {excluded} degenerate (flat or zero) path(s) from "
-            f"the {what} exponent fit",
-            RuntimeWarning,
-        )
-    if not slopes:
-        raise ValueError(f"all paths degenerate; cannot estimate {what} exponent")
-    value = float(np.median(np.clip(slopes, 0.0, EXPONENT_CAP)))
-    return value, float(np.median(r2s))
+def _uniform_step(coords: np.ndarray, what: str) -> float:
+    gaps = np.diff(coords)
+    if gaps.size == 0 or not np.allclose(gaps, gaps[0], rtol=1e-9, atol=0.0):
+        raise ValueError(f"recorded {what} must be uniform")
+    return float(gaps[0])
+
+
+def _increment_profiles(ens: TrajectoryEnsemble, axis: str,
+                        point_index: Optional[int] = None, times=None):
+    """Each replica's dyadic max-increment profile, with the physical lags.
+
+    ``axis="time"``: increments in time at the recorded point
+    ``point_index``, or pooled over all recorded points when it is None.
+    ``axis="space"``: increments along the first recorded axis (the other
+    axes held at their midpoints), pooled over the recorded time indices
+    ``times``.  Lags are the dyadic levels ``_kept_lags`` keeps.  Returns
+    (lags (L,) in time or space units, profiles (replicas, L)).
+    """
+    if axis == "time":
+        step = _uniform_step(ens.time_grid, "time grid")
+        kept = _kept_lags(ens.values.shape[1])
+        series = (ens.values[r] if point_index is None
+                  else ens.values[r, :, point_index]
+                  for r in range(ens.replicas))
+    else:
+        shape = tuple(ens.space_shape)
+        if shape[0] < _MIN_SAMPLES:
+            raise ValueError(f"need at least {_MIN_SAMPLES} recorded points "
+                             "per spatial axis")
+        kept = _kept_lags(shape[0])
+        pts = ens.space_points.reshape(shape + (len(shape),))
+        step = _uniform_step(pts[(slice(None),) + (0,) * len(shape)],
+                             "spatial axis")
+        line = ens.values.reshape(ens.values.shape[:2] + shape)
+        for _ in shape[1:]:
+            line = line[..., line.shape[-1] // 2]
+        # (S_axis0, n_times) per replica: lags run down axis 0
+        series = (line[r][times].T for r in range(ens.replicas))
+    profiles = np.array([_max_increments(x, kept) for x in series])
+    return np.asarray(kept, dtype=float) * step, profiles
+
+
+def _fit_profiles(lags: np.ndarray, profiles: np.ndarray,
+                  kind: str) -> ExponentEstimate:
+    """Fit each replica's profile, exclude degenerate ones, clip the
+    slopes to [0, EXPONENT_CAP] and take the median over replicas."""
+    per_replica = np.full(len(profiles), np.nan)
+    r2s = []
+    for r, profile in enumerate(profiles):
+        fit = _fit_loglog(lags, profile)
+        if fit is not None:
+            per_replica[r] = min(max(fit[0], 0.0), EXPONENT_CAP)
+            r2s.append(fit[1])
+    if len(r2s) < len(profiles):
+        warnings.warn(f"excluded {len(profiles) - len(r2s)} degenerate (flat "
+                      f"or zero) path(s) from the {kind} exponent fit",
+                      RuntimeWarning)
+    if not r2s:
+        raise ValueError(f"all paths degenerate; cannot estimate {kind} exponent")
+    value = float(np.median(per_replica[np.isfinite(per_replica)]))
+    return ExponentEstimate(
+        beta_hat=value if kind == "temporal" else None,
+        gamma_hat=value if kind == "spatial" else None,
+        per_replica=per_replica, lag_range=(float(lags[0]), float(lags[-1])),
+        fit_r2=float(np.median(r2s)), kind=kind)
 
 
 def estimate_temporal_exponent(
@@ -353,56 +409,14 @@ def estimate_temporal_exponent(
     """
     if mode not in ("pointwise", "sup-space"):
         raise ValueError(f"unknown mode {mode!r}")
-    n_times = ens.values.shape[1]
-    if n_times < 64:
+    if ens.values.shape[1] < 64:
         raise ValueError("need at least 64 recorded times")
-    dt = np.diff(ens.time_grid)
-    if dt.size and not np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
-        raise ValueError("recorded time grid must be uniform")
-    kept = _kept_lags(n_times)
-    lags_phys = np.asarray(kept, dtype=float) * float(dt[0])
-    idx = ens.values.shape[2] // 2 if point_index is None else point_index
-    slopes, r2s = [], []
-    per_replica = np.full(ens.replicas, np.nan)
-    excluded = 0
-    for r in range(ens.replicas):
-        series = ens.values[r, :, idx] if mode == "pointwise" else ens.values[r]
-        fit = _fit_loglog(lags_phys, _max_increments(series, kept))
-        if fit is None:
-            excluded += 1
-            continue
-        slope = min(max(fit[0], 0.0), EXPONENT_CAP)
-        per_replica[r] = slope
-        slopes.append(slope)
-        r2s.append(fit[1])
-    value, r2 = _aggregate(slopes, r2s, excluded, "temporal")
-    return ExponentEstimate(
-        beta_hat=value,
-        gamma_hat=None,
-        per_replica=per_replica,
-        lag_range=(float(lags_phys[0]), float(lags_phys[-1])),
-        fit_r2=r2,
-        kind="temporal",
-    )
-
-
-def _spatial_line(ens: TrajectoryEnsemble) -> np.ndarray:
-    """Values along the first recorded axis, other axes held at midpoints."""
-    shape = tuple(ens.space_shape)
-    full = ens.values.reshape(ens.values.shape[:2] + shape)
-    for _ in range(len(shape) - 1):
-        full = full[..., full.shape[-1] // 2]
-    return full  # (R, T, S_axis0)
-
-
-def _spacing_along_axis(ens: TrajectoryEnsemble) -> float:
-    shape = tuple(ens.space_shape)
-    pts = ens.space_points.reshape(shape + (len(shape),))
-    line = pts[(slice(None),) + (0,) * (len(shape) - 1) + (0,)]
-    gaps = np.diff(line)
-    if gaps.size == 0 or not np.allclose(gaps, gaps[0], rtol=1e-9, atol=0.0):
-        raise ValueError("recorded spatial axis must be uniform")
-    return float(gaps[0])
+    if mode == "sup-space":
+        point_index = None
+    elif point_index is None:
+        point_index = ens.values.shape[2] // 2
+    lags, profiles = _increment_profiles(ens, "time", point_index=point_index)
+    return _fit_profiles(lags, profiles, "temporal")
 
 
 def _default_times(n_times: int, times) -> np.ndarray:
@@ -427,35 +441,9 @@ def estimate_spatial_exponent(
     replicas.  Pooling keeps the extreme-value sample count roughly flat
     across lags, which per-section fits do not.
     """
-    n_space = ens.space_shape[0]
-    if n_space < 33:
-        raise ValueError("need at least 33 recorded points per spatial axis")
-    kept = _kept_lags(n_space)
-    lags_phys = np.asarray(kept, dtype=float) * _spacing_along_axis(ens)
-    line = _spatial_line(ens)
-    t_idx = _default_times(ens.values.shape[1], times)
-    slopes, r2s = [], []
-    per_rep = np.full(ens.replicas, np.nan)
-    excluded = 0
-    for r in range(ens.replicas):
-        sections = line[r][t_idx].T  # (S_axis0, n_times), lags run down axis 0
-        fit = _fit_loglog(lags_phys, _max_increments(sections, kept))
-        if fit is None:
-            excluded += 1
-            continue
-        slope = min(max(fit[0], 0.0), EXPONENT_CAP)
-        per_rep[r] = slope
-        slopes.append(slope)
-        r2s.append(fit[1])
-    value, r2 = _aggregate(slopes, r2s, excluded, "spatial")
-    return ExponentEstimate(
-        beta_hat=None,
-        gamma_hat=value,
-        per_replica=per_rep,
-        lag_range=(float(lags_phys[0]), float(lags_phys[-1])),
-        fit_r2=r2,
-        kind="spatial",
-    )
+    lags, profiles = _increment_profiles(
+        ens, "space", times=_default_times(ens.values.shape[1], times))
+    return _fit_profiles(lags, profiles, "spatial")
 
 
 # ----- confrontation ----------------------------------------------------------

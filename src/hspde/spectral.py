@@ -22,9 +22,9 @@ weight the sampled sine modes are exactly orthonormal.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -47,6 +47,8 @@ POSITIVITY_MARGIN = 1.0
 BIORTHO_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
 CONDITION_LIMIT = 1e8
+#: imaginary residue, relative to the real part, below which a result is real
+IMAG_TOL = 1e-10
 
 Coefficient = Union[float, np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
@@ -173,9 +175,8 @@ class EigenSystem:
     modes: np.ndarray
     dual_modes: np.ndarray
     is_selfadjoint: bool
-    family: str  # "laplacian" or "fd1d"
+    family: str  # "laplacian", "fd1d" or "diagonal"
     effective_shift: float
-    index_map: np.ndarray = field(repr=False, default=None)
 
     @property
     def mode_count(self) -> int:
@@ -234,7 +235,6 @@ def build_laplacian_system(domain: SpectralDomain, shift: float = 0.0) -> EigenS
         is_selfadjoint=True,
         family="laplacian",
         effective_shift=float(shift),
-        index_map=indices,
     )
 
 
@@ -325,7 +325,6 @@ def build_variable_coefficient_system(
         is_selfadjoint=bool(symmetric),
         family="fd1d",
         effective_shift=float(spec.shift + extra),
-        index_map=np.arange(1, k + 1),
     )
 
 
@@ -352,7 +351,6 @@ def diagonal_system(eigenvalues) -> EigenSystem:
         is_selfadjoint=True,
         family="diagonal",
         effective_shift=0.0,
-        index_map=np.arange(1, n + 1),
     )
 
 
@@ -377,13 +375,37 @@ def synthesize(system: EigenSystem, coeffs: np.ndarray) -> np.ndarray:
     return coeffs @ system.modes
 
 
-def _realify(values: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _realify(values: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(values):
         worst = np.abs(values.imag).max() if values.size else 0.0
-        if worst > tol * max(1.0, np.abs(values.real).max()):
-            raise RuntimeError(f"imaginary residue {worst:.3e} above {tol:.0e}")
+        if worst > IMAG_TOL * max(1.0, np.abs(values.real).max()):
+            raise RuntimeError(f"imaginary residue {worst:.3e} above {IMAG_TOL:.0e}")
         return np.ascontiguousarray(values.real)
     return values
+
+
+def _principal_power(lam: np.ndarray, z: complex) -> np.ndarray:
+    """lambda^z on the principal branch, exp(z log lambda) in complex
+    arithmetic; ``lam`` itself for z = 1.
+
+    An imaginary part at most IMAG_TOL of the largest real part is dropped,
+    so real positive spectra under real z stay real.
+    """
+    if z == 1:
+        return lam
+    mu = np.exp(z * np.log(lam.astype(complex)))
+    if np.abs(mu.imag).max() <= IMAG_TOL * np.abs(mu.real).max():
+        return mu.real
+    return mu
+
+
+def _real_result(out: np.ndarray, values, z: complex) -> np.ndarray:
+    """The realness rule of every lambda^z calculus: real ``values`` under
+    a real exponent give a real result, whose imaginary residue must stay
+    within IMAG_TOL; anything else is returned as computed."""
+    if not np.iscomplexobj(values) and complex(z).imag == 0.0:
+        return _realify(out)
+    return out
 
 
 def apply_semigroup(
@@ -398,9 +420,6 @@ def apply_semigroup(
     """
     if t < 0:
         raise ValueError("semigroup time must be nonnegative")
-    lam = system.eigenvalues.astype(complex) ** power if power != 1.0 else system.eigenvalues
-    decay = np.exp(-t * lam)
+    decay = np.exp(-t * _principal_power(system.eigenvalues, power))
     out = synthesize(system, project(system, values) * decay)
-    if not np.iscomplexobj(values) and np.iscomplexobj(out):
-        out = _realify(out)
-    return out
+    return _real_result(out, values, power)

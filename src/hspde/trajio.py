@@ -24,6 +24,12 @@ FORMAT_TAG = "hspde-traj-1"
 CSV_CELL_LIMIT = 2_000_000
 
 
+def _fmt(value) -> str:
+    """17 significant digits, enough to round-trip a float64: the format of
+    every number the package writes to CSV."""
+    return format(float(value), ".17g")
+
+
 def _stem(path: str) -> str:
     root, ext = os.path.splitext(path)
     return root if ext in (".bin", ".json") else path
@@ -99,8 +105,8 @@ def export_trajectories_csv(ens: TrajectoryEnsemble, path: str,
         for r in range(n_rep):
             for it, t in enumerate(ens.time_grid):
                 for js in range(ens.values.shape[2]):
-                    coords = [f"{c:.17g}" for c in ens.space_points[js]]
+                    coords = [_fmt(c) for c in ens.space_points[js]]
                     writer.writerow(
-                        [r, f"{t:.17g}"] + coords + [f"{ens.values[r, it, js]:.17g}"]
+                        [r, _fmt(t)] + coords + [_fmt(ens.values[r, it, js])]
                     )
     return path

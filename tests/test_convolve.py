@@ -17,6 +17,7 @@ from hspde.spectral import (
     EllipticOperatorSpec,
     build_laplacian_system,
     build_variable_coefficient_system,
+    diagonal_system,
 )
 from hspde.noise import GProcess, make_cameron_martin, g_preset
 from hspde.presets import operator_preset
@@ -263,6 +264,28 @@ def test_exact_scheme_rejects_nondiagonal_g():
     plan = small_plan(g_preset("bump", 8.0, 16.0), replicas=1, steps=8)
     with pytest.raises(ValueError, match="frozen"):
         simulate_exact_diagonal(plan)
+
+
+def test_exact_label_needs_uncorrelated_mode_noise():
+    # the sine noise basis is not the indicator eigenbasis of a diagonal
+    # system: under unequal weights (theta > 0) the mode noises correlate,
+    # under white noise (theta = 0, full truncation) Phi is orthogonal
+    system = diagonal_system([1.0, 4.0, 9.0])
+
+    def plan(theta, scheme="auto"):
+        return SimulationPlan(
+            system=system, noise=make_cameron_martin(system.domain, theta, 3),
+            G=GProcess.identity(), seed=4, steps=8, replicas=2,
+            record=RecordSpec(space_count=3), scheme=scheme)
+
+    assert simulate(plan(0.5)).provenance["scheme"] == "frozen-exponential"
+    with pytest.raises(ValueError, match="frozen"):
+        simulate(plan(0.5, "exact-diagonal"))
+    white = simulate(plan(0.0, "exact-diagonal"))
+    assert white.provenance["scheme"] == "exact-diagonal"
+    assert simulate(plan(0.0)).provenance["scheme"] == "exact-diagonal"
+    assert np.array_equal(simulate_frozen_exponential(plan(0.0)).values,
+                          white.values)
 
 
 # ----- predicted second moment ----------------------------------------------

@@ -328,6 +328,79 @@ def test_export_increments_and_trajectory(tmp_path):
     assert header.startswith("replica,")
 
 
+# Two small seeded runs, one per dimension, and the exact text their
+# estimate table and increments export produced (x86-64, numpy 2.4,
+# OpenBLAS).  The estimators and the export share one increment-profile
+# routine; these bytes pin that they still compute what they did.
+PINNED_RUNS = {
+    "d1": {
+        "name": "pin-d1",
+        "domain": {"dimension": 1, "grid_size": 64, "mode_cutoff": 64},
+        "noise": {"theta": 0.0, "truncation": 64},
+        "plan": {"seed": 11, "steps": 512, "replicas": 3, "space_count": 64},
+        "query": {"theorem": "prop32", "d": 1, "q": 8, "p": 4},
+        "persist_trajectories": True,
+    },
+    "d2": {
+        "name": "pin-d2",
+        "domain": {"dimension": 2, "grid_size": 35, "mode_cutoff": 8},
+        "noise": {"theta": 0.5, "truncation": 64},
+        "g": {"kind": "preset", "name": "bump", "m": 8.0, "q": 16.0},
+        "plan": {"seed": 5, "steps": 256, "replicas": 3, "space_count": 35},
+        "persist_trajectories": True,
+    },
+}
+PINNED_TEXT = {
+    "d1": {
+        "estimates": (
+            "alpha,kind,mode,value,fit_r2,lag_lo,lag_hi,replicas\n"
+            "2,temporal,pointwise,0.18144886749384212,0.86844090603897106,0.0078125,0.25,3\n"
+            "2,temporal,sup-space,0.15350626523171826,0.95986771550850603,0.0078125,0.25,3\n"
+            "2,spatial,pooled,0.52132971184409216,1,0.061538461538461542,0.12307692307692308,3\n"
+        ),
+        "increments": (
+            "axis,lag,median_max_increment\n"
+            "time,0.0078125,0.92741642936822499\n"
+            "time,0.015625,1.0918566157238589\n"
+            "time,0.03125,1.2461181145976372\n"
+            "time,0.0625,1.3860953935132021\n"
+            "time,0.125,1.6968067452342024\n"
+            "time,0.25,1.703833279739263\n"
+            "space,0.061538461538461542,0.68138673892578694\n"
+            "space,0.12307692307692308,0.95324982092306321\n"
+        ),
+    },
+    "d2": {
+        "estimates": (
+            "alpha,kind,mode,value,fit_r2,lag_lo,lag_hi,replicas\n"
+            "2,temporal,pointwise,0.088885047892667685,0.5252046733054232,0.015625,0.25,3\n"
+            "2,temporal,sup-space,0.061166379592814075,0.41029013189359176,0.015625,0.25,3\n"
+            "2,spatial,pooled,0.56930152934061273,1,0.1111111111111111,0.22222222222222221,3\n"
+        ),
+        "increments": (
+            "axis,lag,median_max_increment\n"
+            "time,0.015625,0.46666794549832674\n"
+            "time,0.03125,0.50636401260743646\n"
+            "time,0.0625,0.54032651417542232\n"
+            "time,0.125,0.61508153670436161\n"
+            "time,0.25,0.55993465428747147\n"
+            "space,0.1111111111111111,0.27426856074896538\n"
+            "space,0.22222222222222221,0.38287699525016827\n"
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_RUNS))
+def test_estimates_and_increments_match_pinned_text(key, tmp_path):
+    manifest = run_experiment(dict(PINNED_RUNS[key], output_dir=str(tmp_path)),
+                              workers=2)
+    run_dir = tmp_path / manifest.run_id
+    want = PINNED_TEXT[key]
+    assert (run_dir / "estimates.csv").read_text() == want["estimates"]
+    assert export_plotdata(run_dir, "increments") == want["increments"]
+
+
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hspde.convolve import RecordSpec, SimulationPlan, TrajectoryEnsemble, simulate
 from hspde.noise import GProcess, make_cameron_martin
@@ -207,6 +208,77 @@ def test_query_validation():
         RegularityQuery("colored", d=1, q=8, theta=0.4)
     with pytest.raises(ValueError, match="m must exceed"):
         RegularityQuery("colored", d=1, q=8, theta=0.4, m=2)
+
+
+# ----- region properties over random rational queries --------------------------
+
+
+def rationals(lo, hi):
+    return st.fractions(min_value=lo, max_value=hi, max_denominator=64)
+
+
+@st.composite
+def queries(draw):
+    """Valid queries of all four theorems with rational parameters."""
+    theorem = draw(st.sampled_from(["prop32", "remark33", "colored", "fractional"]))
+    d = draw(st.integers(1, 3))
+    params = {}
+    if theorem in ("prop32", "fractional"):
+        params["p"] = max(2, d) + draw(rationals(Fraction(1, 64), 64))
+    if theorem == "fractional":
+        params["alpha"] = draw(rationals(Fraction(1, 64), 2))
+    if theorem in ("remark33", "colored"):
+        params["theta"] = draw(rationals(0, 4))
+    if theorem == "colored":
+        params["m"] = 2 + draw(rationals(Fraction(1, 64), 64))
+    return RegularityQuery(theorem, d=d, q=draw(rationals(2, 64)), **params)
+
+
+@st.composite
+def interior_points(draw):
+    """A query with a nonempty region and a point 0 <= g < ceiling on it."""
+    query = draw(queries())
+    budget = exponent_budget(query)
+    assume(budget > 0)
+    beta = budget * draw(rationals(0, Fraction(63, 64)))
+    gamma = gamma_ceiling(query, beta) * draw(rationals(0, Fraction(63, 64)))
+    return query, beta, gamma
+
+
+PROPERTY = settings(max_examples=150, deadline=None)
+
+
+@PROPERTY
+@given(queries(), rationals(0, 2))
+def test_region_boundary_never_admissible(query, beta):
+    assert not admissible(query, beta, gamma_ceiling(query, beta))
+
+
+@PROPERTY
+@given(interior_points())
+def test_points_below_the_ceiling_are_admissible(point):
+    query, beta, gamma = point
+    assert 0 <= gamma < gamma_ceiling(query, beta)
+    assert admissible(query, beta, gamma)
+
+
+@PROPERTY
+@given(interior_points())
+def test_selection_keeps_the_budget(point):
+    query, beta, gamma = point
+    if query.theorem == "remark33":
+        with pytest.raises(ValueError, match="defined for"):
+            select_sigma_delta(query, beta, gamma)
+        return
+    if query.theorem == "colored" and \
+            Fraction(1, 2) - query.theta / query.d + 1 / query.m <= 0:
+        with pytest.raises(ValueError, match="theta too large"):
+            select_sigma_delta(query, beta, gamma)
+        return
+    sel = select_sigma_delta(query, beta, gamma)
+    assert sel.sigma_interval[0] < sel.sigma < sel.sigma_interval[1]
+    assert sel.delta_interval[0] < sel.delta < sel.delta_interval[1]
+    assert beta + sel.delta + sel.sigma + 1 / Fraction(query.q) < Fraction(1, 2)
 
 
 # ----- exponent estimators ------------------------------------------------------

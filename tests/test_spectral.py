@@ -10,7 +10,10 @@ from hspde.spectral import (
     project,
     synthesize,
     apply_semigroup,
+    diagonal_system,
 )
+from hspde.convolve import SimulationPlan
+from hspde.noise import GProcess, make_cameron_martin
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +227,22 @@ def test_semigroup_decay_bound_selfadjoint():
     for t in (0.01, 0.1, 1.0):
         nt = np.sqrt(w * np.sum(apply_semigroup(sys, t, x) ** 2))
         assert nt <= np.exp(-np.pi**2 * t) * n0 * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("power", [0.25, 0.5, 0.75, 1.0])
+def test_fractional_semigroup_decays_at_the_drift_exponents_bitwise(power):
+    # one principal power serves both: exp(-t A^power) on an eigenmode is
+    # exp(-t mu_k) times the mode, mu = drift_exponents at alpha = 2 power
+    system = diagonal_system([1.0, 4.0, 9.0])
+    plan = SimulationPlan(system=system,
+                          noise=make_cameron_martin(system.domain, 0.0, 3),
+                          G=GProcess.identity(), seed=0, alpha=2.0 * power)
+    t = 0.3
+    decay = np.exp(-t * plan.drift_exponents)
+    assert np.isrealobj(decay)
+    for k in range(3):
+        out = apply_semigroup(system, t, system.modes[k], power=power)
+        assert np.array_equal(out, system.modes[k] * decay[k])
 
 
 def test_semigroup_rejects_negative_time():
