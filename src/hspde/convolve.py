@@ -30,8 +30,8 @@ applies:
 * dense: static G.  One (N, K) matrix
   Phi = weight * ((synthesis * g) @ conj(dual_modes)^T) maps increments
   to modes, xi_n = Phi^T dW_n.
-* per-step: time-dependent or tabled G.  Each step's increments are
-  synthesised on the grid, multiplied by g(t_n, .) and projected.
+* per-step: time-dependent G, a table of several rows included.  Each
+  step's increments are synthesised, multiplied by g(t_n, .) and projected.
 
 The scale s is folded into the route's operator.  Replicas run in
 batches on a thread pool.  A batch's increments are drawn straight into
@@ -235,10 +235,6 @@ def _ou_factors(plan: SimulationPlan):
     return decay, scale
 
 
-def _varies_in_time(G: GProcess) -> bool:
-    return bool(G.time_dependent or G.table is not None)
-
-
 def _basis_gap(plan: SimulationPlan) -> float:
     """Largest gap between the leading noise basis vectors and drift modes.
 
@@ -297,7 +293,7 @@ def _route(plan: SimulationPlan, gap: float) -> str:
     if (plan.G.kind == "identity" and gap <= 1e-12
             and plan.noise.truncation <= plan.system.mode_count):
         return "weights"
-    return "per-step" if _varies_in_time(plan.G) else "dense"
+    return "per-step" if plan.G.time_dependent else "dense"
 
 
 def _noise_to_modes(plan: SimulationPlan, g: Optional[np.ndarray]) -> np.ndarray:
@@ -559,7 +555,7 @@ def predicted_second_moment(plan: SimulationPlan, at_time: Optional[float] = Non
         return np.sum(np.abs(phi) ** 2, axis=0)
 
     dsq = np.abs(decay) ** 2
-    static_gain = None if _varies_in_time(G) else gain_sq(0)
+    static_gain = None if G.time_dependent else gain_sq(0)
     var = np.zeros(system.mode_count)
     for n in range(steps):
         g2 = static_gain if static_gain is not None else gain_sq(n)

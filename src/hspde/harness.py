@@ -11,6 +11,11 @@ reproduces every persisted output, ``manifest.json`` included, byte for
 byte.  Wall-clock stage timings go to ``timings.json`` beside them; it is
 not a deterministic output and is not listed in the manifest.
 
+Each ensemble is fitted once, in the estimate stage.  Region verdicts
+take the ``sup-space`` and ``pooled`` rows of the estimate table, so
+``estimator.times`` shapes both the table and the verdict;
+``estimator.temporal_mode`` steers sweep verdicts only.
+
 Config schema (all sections JSON primitives)::
 
     {
@@ -52,6 +57,8 @@ from .presets import get_preset, list_presets, operator_preset
 from .regularity import (
     _MIN_SAMPLES,
     RegularityQuery,
+    _check_provenance,
+    _confront_region,
     _increment_profiles,
     estimate_spatial_exponent,
     estimate_temporal_exponent,
@@ -59,7 +66,7 @@ from .regularity import (
     gamma_ceiling,
     region_boundary,
     select_sigma_delta,
-    verify_region,
+    verify_region,  # not called here: perfbench's tracer patches it
 )
 from .spectral import (
     SpectralDomain,
@@ -349,36 +356,27 @@ def _derived_block(system, query) -> dict:
     return out
 
 
-def _estimate_rows(alpha: float, ens, estimator: dict) -> list:
-    times = estimator.get("times")
-    point_index = estimator.get("point_index")
-    rows = []
-    pw = estimate_temporal_exponent(ens, mode="pointwise",
-                                    point_index=point_index)
-    sup = estimate_temporal_exponent(ens, mode="sup-space")
-    sp = estimate_spatial_exponent(ens, times=times)
-    for est, mode in ((pw, "pointwise"), (sup, "sup-space"), (sp, "pooled")):
-        rows.append((alpha, est.kind, mode, est.value, est.fit_r2,
-                     est.lag_range[0], est.lag_range[1],
-                     int(np.sum(np.isfinite(est.per_replica)))))
-    return rows
+def _fit_ensemble(ens, estimator: dict) -> dict:
+    """The three exponent fits of one ensemble, keyed by table mode."""
+    return {
+        "pointwise": estimate_temporal_exponent(
+            ens, mode="pointwise", point_index=estimator.get("point_index")),
+        "sup-space": estimate_temporal_exponent(ens, mode="sup-space"),
+        "pooled": estimate_spatial_exponent(ens, times=estimator.get("times")),
+    }
 
 
-def _estimates_csv(rows: list) -> str:
+def _estimates_csv(fits) -> str:
+    """The estimate table of (alpha, ``_fit_ensemble`` result) pairs."""
     lines = ["alpha,kind,mode,value,fit_r2,lag_lo,lag_hi,replicas"]
-    for alpha, kind, mode, value, r2, lo, hi, reps in rows:
-        lines.append(
-            f"{_fmt(alpha)},{kind},{mode},{_fmt(value)},{_fmt(r2)},"
-            f"{_fmt(lo)},{_fmt(hi)},{reps}"
-        )
+    for alpha, by_mode in fits:
+        for mode, est in by_mode.items():
+            lines.append(
+                f"{_fmt(alpha)},{est.kind},{mode},{_fmt(est.value)},"
+                f"{_fmt(est.fit_r2)},{_fmt(est.lag_range[0])},"
+                f"{_fmt(est.lag_range[1])},"
+                f"{int(np.sum(np.isfinite(est.per_replica)))}")
     return "\n".join(lines) + "\n"
-
-
-def _temporal_headline(rows: list, alpha: float, mode: str) -> float:
-    for row in rows:
-        if row[0] == alpha and row[1] == "temporal" and row[2] == mode:
-            return row[3]
-    raise KeyError(f"no temporal estimate for alpha={alpha}")
 
 
 def run_experiment(config, workers: Optional[int] = None,
@@ -414,15 +412,12 @@ def run_experiment(config, workers: Optional[int] = None,
         t0 = time.perf_counter()
         try:
             result = fn()
-        except HypothesisError as err:
-            manifest.stages[stage] = f"failed: {err}"
-            manifest.timings[stage] = time.perf_counter() - t0
-            persist_manifest()
-            raise
         except Exception as err:
             manifest.stages[stage] = f"failed: {err}"
             manifest.timings[stage] = time.perf_counter() - t0
             persist_manifest()
+            if isinstance(err, HypothesisError):
+                raise
             raise StageError(stage, err) from err
         manifest.stages[stage] = "ok"
         manifest.timings[stage] = time.perf_counter() - t0
@@ -487,16 +482,15 @@ def run_experiment(config, workers: Optional[int] = None,
 
     # ---- estimate ----
     def estimate_all():
-        rows = []
-        for alpha in alphas:
-            rows.extend(_estimate_rows(alpha, ensembles[alpha],
-                                       config.estimator))
-        (out_dir / "estimates.csv").write_text(_estimates_csv(rows),
-                                               encoding="utf-8")
+        fits = {alpha: _fit_ensemble(ens, config.estimator)
+                for alpha, ens in ensembles.items()}
+        (out_dir / "estimates.csv").write_text(
+            _estimates_csv((alpha, fits[alpha]) for alpha in alphas),
+            encoding="utf-8")
         manifest.outputs.append("estimates.csv")
-        return rows
+        return fits
 
-    rows = run_stage("estimate", estimate_all)
+    fits = run_stage("estimate", estimate_all)
 
     if until == "estimate":
         persist_manifest()
@@ -506,8 +500,10 @@ def run_experiment(config, workers: Optional[int] = None,
     def verify():
         if config.sweep:
             mode = config.estimator.get("temporal_mode", "pointwise")
+            if mode not in ("pointwise", "sup-space"):
+                raise ValueError(f"unknown estimator.temporal_mode {mode!r}")
             slack = float(config.sweep.get("slack", 0.03))
-            betas = [_temporal_headline(rows, a, mode) for a in alphas]
+            betas = [fits[a][mode].value for a in alphas]
             steps_ok = [betas[i + 1] >= betas[i] - slack
                         for i in range(len(betas) - 1)]
             return {
@@ -520,8 +516,10 @@ def run_experiment(config, workers: Optional[int] = None,
                 "passed": bool(all(steps_ok)),
             }
         if query is not None:
-            verdict = verify_region(ensembles[alphas[0]], query)
-            payload = verdict.as_dict()
+            _check_provenance(ensembles[alphas[0]], query, strict=False)
+            by_mode = fits[alphas[0]]
+            payload = _confront_region(query, by_mode["sup-space"],
+                                       by_mode["pooled"]).as_dict()
             payload["kind"] = "region"
             payload["theorem"] = query.theorem
             payload["params"] = _query_params(query)
@@ -552,6 +550,16 @@ def _load_run(run_dir) -> dict:
     return json.loads(manifest_path.read_text(encoding="utf-8"))
 
 
+def _trajectory_files(run_dir: Path) -> list:
+    """The sidecars of a run's persisted trajectories, sorted; at least one."""
+    traj = sorted(run_dir.glob("trajectories*.json"))
+    if not traj:
+        raise FileNotFoundError(
+            "run has no persisted trajectories; re-run with "
+            "persist_trajectories enabled")
+    return traj
+
+
 def _increment_profile_csv(ens) -> str:
     """Median dyadic max-increment profiles, plot-ready: the estimators'
     per-replica profiles, in time pooled over every recorded point and in
@@ -570,20 +578,14 @@ def _increment_profile_csv(ens) -> str:
 def estimates_from_run(run_dir) -> str:
     """Recompute the estimate table from a run's persisted trajectories."""
     manifest = _load_run(run_dir)
-    run_dir = Path(run_dir)
-    traj = sorted(run_dir.glob("trajectories*.json"))
-    if not traj:
-        raise FileNotFoundError(
-            "run has no persisted trajectories; re-run with "
-            "persist_trajectories enabled")
     estimator = manifest["config"].get("estimator") or {}
     fallback = manifest["config"]["plan"].get("alpha", 2.0)
-    rows = []
-    for path in traj:
+    fits = []
+    for path in _trajectory_files(Path(run_dir)):
         ens = load_trajectories(str(path))
         alpha = float(ens.provenance.get("alpha", fallback))
-        rows.extend(_estimate_rows(alpha, ens, estimator))
-    return _estimates_csv(rows)
+        fits.append((alpha, _fit_ensemble(ens, estimator)))
+    return _estimates_csv(fits)
 
 
 def export_plotdata(run_dir, kind: str, out_path=None, max_replicas=None):
@@ -600,17 +602,11 @@ def export_plotdata(run_dir, kind: str, out_path=None, max_replicas=None):
         if not query_dict:
             raise ValueError("run has no region query to export")
         return region_csv(RegularityQuery(**query_dict))
-    traj = sorted(run_dir.glob("trajectories*.json"))
-    if kind in ("increments", "trajectory") and not traj:
-        raise FileNotFoundError(
-            "run has no persisted trajectories; re-run with "
-            "persist_trajectories enabled")
+    if kind not in ("increments", "trajectory"):
+        raise ValueError(f"unknown export kind {kind!r}")
+    ens = load_trajectories(_trajectory_files(run_dir)[0])
     if kind == "increments":
-        return _increment_profile_csv(load_trajectories(traj[0]))
-    if kind == "trajectory":
-        ens = load_trajectories(traj[0])
-        out_path = Path(out_path) if out_path \
-            else run_dir / "trajectory-export.csv"
-        export_trajectories_csv(ens, out_path, max_replicas=max_replicas)
-        return out_path
-    raise ValueError(f"unknown export kind {kind!r}")
+        return _increment_profile_csv(ens)
+    out_path = Path(out_path or run_dir / "trajectory-export.csv")
+    export_trajectories_csv(ens, out_path, max_replicas=max_replicas)
+    return out_path

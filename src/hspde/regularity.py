@@ -517,6 +517,21 @@ def verify_region(
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     _check_provenance(ens, query, strict_provenance)
+    fits = (None, None)
+    if exponent_budget(query) > 0:
+        fits = (estimate_temporal_exponent(ens, mode="sup-space"),
+                estimate_spatial_exponent(ens))
+    return _confront_region(query, *fits, tolerance, grid_size)
+
+
+def _confront_region(query: RegularityQuery,
+                     t_est: Optional[ExponentEstimate],
+                     s_est: Optional[ExponentEstimate],
+                     tolerance: float = VERIFY_TOLERANCE,
+                     grid_size: int = 5) -> RegionVerdict:
+    """The grid, margins and verdict of ``verify_region`` from a sup-space
+    temporal fit and a spatial fit; both may be None for an empty region
+    (budget <= 0), whose verdict is vacuous."""
     budget = exponent_budget(query)
     if budget <= 0:
         return RegionVerdict(
@@ -530,8 +545,6 @@ def verify_region(
             failures=np.empty(0, dtype=int),
             note="empty region: budget <= 0, nothing to verify",
         )
-    t_est = estimate_temporal_exponent(ens, mode="sup-space")
-    s_est = estimate_spatial_exponent(ens)
     beta_hat, gamma_hat = t_est.beta_hat, s_est.gamma_hat
     verts = []
     for i in range(grid_size):
@@ -540,12 +553,7 @@ def verify_region(
         for j in range(grid_size):
             verts.append((float(b), float(ceil * j / (grid_size - 1))))
     vertices = np.array(verts)
-    margins = np.column_stack(
-        [
-            beta_hat + tolerance - vertices[:, 0],
-            gamma_hat + tolerance - vertices[:, 1],
-        ]
-    )
+    margins = np.array([beta_hat, gamma_hat]) + tolerance - vertices
     failures = np.nonzero((margins < 0).any(axis=1))[0]
     return RegionVerdict(
         passed=failures.size == 0,

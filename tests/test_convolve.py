@@ -202,6 +202,20 @@ def test_identity_and_unit_multiplier_agree():
     assert np.abs(a.values - b.values).max() < 1e-12 * max(scale, 1.0)
 
 
+def test_constant_one_row_table_matches_unit_multiplier():
+    # a one-row table does not vary in time: it takes the scalar's route
+    scalar = small_plan(GProcess.multiplication(1.0, m=8.0, q=16.0),
+                        replicas=2, seed=6)
+    rows = np.ones((1, scalar.system.domain.n_points))
+    table = dataclasses.replace(
+        scalar, G=GProcess.from_table(rows, m=8.0, q=16.0))
+    a, b = simulate(scalar), simulate(table)
+    assert b.provenance["route"] == a.provenance["route"] == "dense"
+    assert b.provenance["scheme"] == a.provenance["scheme"] == "exact-diagonal"
+    assert np.array_equal(a.values, b.values)
+    assert predicted_second_moment(table) == predicted_second_moment(scalar)
+
+
 def test_trajectories_exactly_linear_in_gain():
     g1 = GProcess.multiplication(0.75, m=8.0, q=16.0)
     g2 = GProcess.multiplication(1.5, m=8.0, q=16.0)

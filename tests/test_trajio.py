@@ -1,10 +1,15 @@
 """Trajectory container round-trips and CSV export."""
 
 import csv
+import dataclasses
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hspde.spectral import SpectralDomain, build_laplacian_system
 from hspde.noise import GProcess, make_cameron_martin
@@ -42,6 +47,27 @@ def test_roundtrip_is_bitwise(tmp_path, ensemble):
     assert back.space_shape == ensemble.space_shape
     assert back.space_weight == ensemble.space_weight
     assert back.provenance == ensemble.provenance
+
+
+# NaNs (quiet, signalling, with payload, negative), infinities, signed zeros,
+# subnormals and the extremes of the normal range, as float64 bit patterns
+SPECIAL_BITS = [0x7FF8000000000000, 0x7FF0000000000001, 0x7FF8DEADBEEF0001,
+                0xFFF8000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+                0x0000000000000000, 0x8000000000000000, 0x0000000000000001,
+                0x800FFFFFFFFFFFFF, 0x0010000000000000, 0x7FEFFFFFFFFFFFFF]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.integers(1, 3), st.integers(1, 6), st.integers(1, 5))
+       .flatmap(lambda shape: arrays(
+           np.uint64, shape,
+           elements=st.sampled_from(SPECIAL_BITS) | st.integers(0, 2**64 - 1))))
+def test_roundtrip_is_bitwise_for_any_shape_and_bit_pattern(ensemble, bits):
+    ens = dataclasses.replace(ensemble, values=bits.view(np.float64))
+    with tempfile.TemporaryDirectory() as tmp:
+        back = load_trajectories(save_trajectories(ens, os.path.join(tmp, "r")))
+    assert back.values.shape == bits.shape
+    assert np.array_equal(back.values.view(np.uint64), bits)
 
 
 def test_manifest_carries_format_tag(tmp_path, ensemble):
