@@ -47,8 +47,6 @@ from .convolve import (
     TrajectoryEnsemble,
     MqNormEstimate,
     simulate,
-    simulate_exact_diagonal,
-    simulate_frozen_exponential,
     simulate_from_increments,
     mean_mq_norm,
     predicted_second_moment,

@@ -115,7 +115,6 @@ def _resolve(args, force_persist: bool = False) -> ExperimentConfig:
     if args.preset is None and args.config is None:
         raise ValueError("one of --preset or --config is required")
     raw = resolve_config(args.preset, args.config, args.overrides)
-    raw.pop("description", None)
     if args.out_dir is not None:
         raw["output_dir"] = args.out_dir
     if force_persist or getattr(args, "persist_trajectories", False):
@@ -257,9 +256,7 @@ def _cmd_fracpow_check(args) -> int:
 
 def _cmd_export(args) -> int:
     if args.kind == "region" and args.run is None:
-        query = _query_from_flags(args)
-        _emit(region_csv(query, n_points=args.points), args.out)
-        return EXIT_OK
+        return _cmd_region(args)
     if args.run is None:
         raise ValueError(f"export {args.kind!r} needs --run")
     if args.kind == "trajectory":

@@ -11,7 +11,10 @@ the step's left endpoint and projected onto the drift modes, and
 s_k = sqrt((1 - e^(-2 Re mu_k dt)) / (2 Re mu_k dt)) gives it the exact
 integrated variance gain_k^2 (1 - e^(-2 mu_k dt)) / (2 mu_k).
 
-Two scheme labels say what the recorded law means:
+The plan's ``scheme`` ("auto", "exact-diagonal" or "frozen-exponential")
+picks one of two labels that say what the recorded law means; "auto"
+takes exact-diagonal wherever it applies, and an explicit
+"exact-diagonal" is refused where it does not:
 
 * exact-diagonal: the noise is uncorrelated across drift modes, so the
   paths are exact in law at the grid times for any step count.  The core
@@ -34,8 +37,10 @@ applies:
   step's increments are synthesised, multiplied by g(t_n, .) and projected.
 
 The scale s is folded into the route's operator.  Replicas run in
-batches on a thread pool.  A batch's increments are drawn straight into
-one (R, N, steps) buffer and streamed through blocks of 256 steps:
+batches on a thread pool.  A batch's (R, N, steps) increment table is
+drawn straight into one buffer by ``simulate``, or sliced from the
+caller's table by ``simulate_from_increments`` (serially, labelled
+"from-increments"); either way it streams through blocks of 256 steps:
 project the block, run the recursion in place, and synthesise the
 recorded rows with one matmul per replica, written into the output.  A
 batch holds at most ceil(replicas / workers) replicas, and as many as
@@ -71,8 +76,6 @@ __all__ = [
     "TrajectoryEnsemble",
     "MqNormEstimate",
     "simulate",
-    "simulate_exact_diagonal",
-    "simulate_frozen_exponential",
     "simulate_from_increments",
     "mean_mq_norm",
     "predicted_second_moment",
@@ -225,30 +228,6 @@ def _provenance(plan: SimulationPlan, scheme: str, route: str) -> dict:
     }
 
 
-def _ou_factors(plan: SimulationPlan):
-    """Per-mode decay e^(-mu dt) and exact-variance scale s(dt)."""
-    mu = plan.drift_exponents
-    dt = plan.dt
-    decay = np.exp(-mu * dt)
-    re = np.real(mu)
-    scale = np.sqrt(-np.expm1(-2.0 * re * dt) / (2.0 * re * dt))
-    return decay, scale
-
-
-def _basis_gap(plan: SimulationPlan) -> float:
-    """Largest gap between the leading noise basis vectors and drift modes.
-
-    Only Laplacian systems can share the sine basis of the noise; for any
-    other family the gap is infinite.  This is the one K x n_points
-    comparison a plan makes.
-    """
-    system, noise = plan.system, plan.noise
-    if system.family != "laplacian":
-        return np.inf
-    n = min(noise.truncation, system.mode_count)
-    return float(np.abs(noise.basis_functions[:n] - system.modes[:n]).max())
-
-
 def _diagonal_obstacle(system: EigenSystem, route: str,
                        operator: np.ndarray) -> Optional[str]:
     """Why the noise of a plan is not diagonal over the drift eigenbasis;
@@ -264,16 +243,16 @@ def _diagonal_obstacle(system: EigenSystem, route: str,
         return None
     if route == "per-step":
         return ("G varies in time, so it does not diagonalise over the "
-                "drift eigenbasis; use simulate_frozen_exponential")
+                'drift eigenbasis; use scheme "frozen-exponential"')
     if not system.is_selfadjoint:
         return ("exact-diagonal scheme needs a self-adjoint system; "
-                "use simulate_frozen_exponential")
+                'use scheme "frozen-exponential"')
     gram = operator.conj().T @ operator
     diag = np.abs(np.diagonal(gram))
     np.fill_diagonal(gram, 0.0)
     if np.abs(gram).max() > 1e-12 * diag.max():
         return ("G does not diagonalise over the drift eigenbasis; "
-                "use simulate_frozen_exponential")
+                'use scheme "frozen-exponential"')
     return None
 
 
@@ -286,22 +265,6 @@ def _choose_scheme(core: "_Core", requested: str) -> str:
     if requested == "exact-diagonal":
         raise ValueError(core.obstacle)
     return "frozen-exponential"
-
-
-def _route(plan: SimulationPlan, gap: float) -> str:
-    """The noise-to-mode route of a plan, the first of three that applies."""
-    if (plan.G.kind == "identity" and gap <= 1e-12
-            and plan.noise.truncation <= plan.system.mode_count):
-        return "weights"
-    return "per-step" if plan.G.time_dependent else "dense"
-
-
-def _noise_to_modes(plan: SimulationPlan, g: Optional[np.ndarray]) -> np.ndarray:
-    """(N, K) map from H-coefficients to drift-mode coefficients, G frozen
-    at grid values ``g`` (None: the identity kind)."""
-    system, noise = plan.system, plan.noise
-    lifted = noise.synthesis if g is None else noise.synthesis * g[None, :]
-    return system.weight * (lifted @ np.conj(system.dual_modes).T)
 
 
 @dataclass(frozen=True)
@@ -329,22 +292,35 @@ class _Core:
 
     @classmethod
     def build(cls, plan: SimulationPlan) -> "_Core":
-        system, noise = plan.system, plan.noise
-        route = _route(plan, _basis_gap(plan))
+        system, noise, G = plan.system, plan.noise, plan.G
         layout = _record_layout(plan)
-        decay, scale = _ou_factors(plan)
+        mu, dt = plan.drift_exponents, plan.dt
+        decay = np.exp(-mu * dt)
+        re = np.real(mu)
+        # s(dt), the exact-variance scale
+        scale = np.sqrt(-np.expm1(-2.0 * re * dt) / (2.0 * re * dt))
         modes_rec = system.modes[:, layout[0]]
+        n = noise.truncation
         lift = None
-        if route == "weights":
-            n = noise.truncation
+        # only Laplacians can share the noise's sine basis; this is the one
+        # K x n_points basis comparison a plan makes
+        if (G.kind == "identity" and system.family == "laplacian"
+                and n <= system.mode_count
+                and np.abs(noise.basis_functions[:n] - system.modes[:n]).max()
+                <= 1e-12):
+            route = "weights"
             operator = noise.weights * scale[:n]
             decay, modes_rec = decay[:n], modes_rec[:n]
-        elif route == "dense":
-            operator = _noise_to_modes(plan, plan.G.values_at(system.domain, 0, 0.0))
-            operator *= scale
-        else:
+        elif G.time_dependent:
+            route = "per-step"
             lift = noise.synthesis
             operator = (system.weight * np.conj(system.dual_modes).T) * scale
+        else:
+            route = "dense"
+            g = G.values_at(system.domain, 0, 0.0)
+            lifted = noise.synthesis if g is None else noise.synthesis * g[None, :]
+            operator = system.weight * (lifted @ np.conj(system.dual_modes).T)
+            operator *= scale
         return cls(plan, route, operator, lift, decay,
                    np.ascontiguousarray(modes_rec), layout,
                    _diagonal_obstacle(system, route, operator))
@@ -368,6 +344,28 @@ class _Core:
     def new_output(self) -> np.ndarray:
         flat_idx, _, _, rec_times = self.layout
         return np.empty((self.plan.replicas, len(rec_times), len(flat_idx)))
+
+    def run(self, label: str, tables, workers: int) -> TrajectoryEnsemble:
+        """The plan's ensemble, labelled ``label``: every replica batch
+        propagates the (R, N, steps) increments ``tables(start, stop)``
+        gives for replicas start..stop-1, on ``workers`` threads."""
+        plan = self.plan
+        out = self.new_output()
+        batch = self.batch_size(workers)
+
+        def run_batch(start: int) -> None:
+            stop = min(start + batch, plan.replicas)
+            self.integrate(tables(start, stop), out[start:stop])
+
+        starts = range(0, plan.replicas, batch)
+        if workers > 1 and len(starts) > 1:
+            # batches write disjoint replica slices of `out`
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(run_batch, starts))
+        else:
+            for start in starts:
+                run_batch(start)
+        return self.ensemble(out, label)
 
     def integrate(self, incs: np.ndarray, out: np.ndarray) -> None:
         """Propagate increment tables (R, N, steps) into recorded values
@@ -436,8 +434,30 @@ class _Core:
         )
 
 
-def simulate_from_increments(plan: SimulationPlan, increments: np.ndarray,
-                             scheme_label: str = "from-increments") -> TrajectoryEnsemble:
+def simulate(plan: SimulationPlan, workers: Optional[int] = None) -> TrajectoryEnsemble:
+    """Run plan.scheme; "auto" takes the exact diagonal scheme where G
+    diagonalises and the frozen-exponential one otherwise.
+
+    Raises ValueError when plan.scheme is "exact-diagonal" and G does not
+    diagonalise over the drift eigenbasis.  ``workers`` threads run the
+    replica batches (default: one per CPU).
+    """
+    core = _Core.build(plan)
+    scheme = _choose_scheme(core, plan.scheme)
+    tg = plan.time_grid
+
+    def draw(start: int, stop: int) -> np.ndarray:
+        incs = np.empty((stop - start, plan.noise.truncation, plan.steps))
+        for i in range(stop - start):
+            sample_wiener_increments(plan.noise, tg, plan.seed, start + i,
+                                     out=incs[i])
+        return incs
+
+    return core.run(scheme, draw, workers or os.cpu_count() or 1)
+
+
+def simulate_from_increments(plan: SimulationPlan,
+                             increments: np.ndarray) -> TrajectoryEnsemble:
     """Run the recursion on caller-supplied increment tables.
 
     ``increments`` has shape (replicas, truncation, steps).  The value at
@@ -449,68 +469,8 @@ def simulate_from_increments(plan: SimulationPlan, increments: np.ndarray,
     want = (plan.replicas, plan.noise.truncation, plan.steps)
     if increments.shape != want:
         raise ValueError(f"increments shape {increments.shape}, want {want}")
-    core = _Core.build(plan)
-    out = core.new_output()
-    batch = core.batch_size(1)
-    for start in range(0, plan.replicas, batch):
-        core.integrate(increments[start:start + batch], out[start:start + batch])
-    return core.ensemble(out, scheme_label)
-
-
-def _simulate(plan: SimulationPlan, scheme: str,
-              workers: Optional[int] = None) -> TrajectoryEnsemble:
-    core = _Core.build(plan)
-    scheme = _choose_scheme(core, scheme)
-    out = core.new_output()
-    n_workers = workers if workers else (os.cpu_count() or 1)
-    batch = core.batch_size(n_workers)
-    tg = plan.time_grid
-
-    def run_batch(start: int) -> None:
-        stop = min(start + batch, plan.replicas)
-        incs = np.empty((stop - start, plan.noise.truncation, plan.steps))
-        for i in range(stop - start):
-            sample_wiener_increments(plan.noise, tg, plan.seed, start + i,
-                                     out=incs[i])
-        core.integrate(incs, out[start:stop])
-
-    starts = range(0, plan.replicas, batch)
-    if n_workers > 1 and len(starts) > 1:
-        # batches write disjoint replica slices of `out`
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(run_batch, starts))
-    else:
-        for start in starts:
-            run_batch(start)
-    return core.ensemble(out, scheme)
-
-
-def simulate_exact_diagonal(plan: SimulationPlan,
-                            workers: Optional[int] = None) -> TrajectoryEnsemble:
-    """Exact per-mode OU sampling; needs G diagonal over the eigenbasis.
-
-    The per-step noise has the exact integrated variance
-    gain^2 (1 - e^(-2 mu dt)) / (2 mu), so the scheme is exact in law at
-    the grid times for any step count.  Raises ValueError when G does not
-    diagonalise.
-    """
-    return _simulate(plan, "exact-diagonal", workers)
-
-
-def simulate_frozen_exponential(plan: SimulationPlan,
-                                workers: Optional[int] = None) -> TrajectoryEnsemble:
-    """Exponential scheme with G frozen at each step's left endpoint.
-
-    Runs the same core as the diagonal scheme, so for diagonal G the two
-    coincide bitwise.
-    """
-    return _simulate(plan, "frozen-exponential", workers)
-
-
-def simulate(plan: SimulationPlan, workers: Optional[int] = None) -> TrajectoryEnsemble:
-    """Run plan.scheme; "auto" takes the exact diagonal scheme where G
-    diagonalises and the frozen-exponential one otherwise."""
-    return _simulate(plan, plan.scheme, workers)
+    return _Core.build(plan).run(
+        "from-increments", lambda start, stop: increments[start:stop], 1)
 
 
 def mean_mq_norm(ens: TrajectoryEnsemble, p: float, q: float) -> MqNormEstimate:
@@ -538,26 +498,24 @@ def predicted_second_moment(plan: SimulationPlan, at_time: Optional[float] = Non
     t_end = plan.T if at_time is None else float(at_time)
     if not (0.0 <= t_end <= plan.T):
         raise ValueError("time must lie in [0, T]")
-    decay, scale = _ou_factors(plan)
-    steps = int(round(t_end / plan.dt))
-    system, noise, G = plan.system, plan.noise, plan.G
-    tg = plan.time_grid
-    dt = plan.dt
+    # a step's per-mode variance gain per unit time is the column sum of
+    # |operator|^2, as the operator carries the exact-variance scale
+    core = _Core.build(plan)
+    if core.route == "per-step":
+        G, domain, tg = plan.G, plan.system.domain, plan.time_grid
 
-    route = _route(plan, _basis_gap(plan))
+        def gain_sq(n):
+            field = (core.lift * G.values_at(domain, n, tg[n])) @ core.operator
+            return np.sum(np.abs(field) ** 2, axis=0)
+    else:
+        static = core.operator**2 if core.route == "weights" \
+            else np.sum(np.abs(core.operator) ** 2, axis=0)
 
-    def gain_sq(n):
-        if route == "weights":
-            gs = np.zeros(system.mode_count)
-            gs[: noise.truncation] = noise.weights**2
-            return gs
-        phi = _noise_to_modes(plan, G.values_at(system.domain, n, tg[n]))
-        return np.sum(np.abs(phi) ** 2, axis=0)
+        def gain_sq(n):
+            return static
 
-    dsq = np.abs(decay) ** 2
-    static_gain = None if G.time_dependent else gain_sq(0)
-    var = np.zeros(system.mode_count)
-    for n in range(steps):
-        g2 = static_gain if static_gain is not None else gain_sq(n)
-        var = dsq * var + scale**2 * g2 * dt
+    dsq = np.abs(core.decay) ** 2
+    var = np.zeros(core.decay.size)
+    for n in range(int(round(t_end / plan.dt))):
+        var = dsq * var + gain_sq(n) * plan.dt
     return float(var.sum())

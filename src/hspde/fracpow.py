@@ -32,8 +32,8 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .spectral import EigenSystem, project, synthesize, _principal_power, \
-    _real_result
+from .spectral import EigenSystem, project, synthesize, _mode_calculus, \
+    _principal_power, _real_result
 
 __all__ = [
     "FracPowerRequest",
@@ -89,9 +89,8 @@ class QuadratureError(RuntimeError):
 
 def frac_power_eigen(system: EigenSystem, z: complex, values: np.ndarray) -> np.ndarray:
     """A^z acting on the resolved modes via the exact functional calculus."""
-    factors = _principal_power(system.eigenvalues, z)
-    out = synthesize(system, project(system, values) * factors)
-    return _real_result(out, values, z)
+    return _mode_calculus(system, _principal_power(system.eigenvalues, z),
+                          values, z)
 
 
 def _panels(lo: float, hi: float, total_nodes: int):

@@ -44,7 +44,7 @@ import copy
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -210,20 +210,7 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "domain": self.domain,
-            "operator": self.operator,
-            "noise": self.noise,
-            "g": self.g,
-            "plan": self.plan,
-            "query": self.query,
-            "sweep": self.sweep,
-            "estimator": self.estimator,
-            "output_dir": self.output_dir,
-            "persist_trajectories": self.persist_trajectories,
-            "note": self.note,
-        }
+        return asdict(self)
 
     @property
     def run_id(self) -> str:

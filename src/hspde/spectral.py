@@ -408,6 +408,15 @@ def _real_result(out: np.ndarray, values, z: complex) -> np.ndarray:
     return out
 
 
+def _mode_calculus(system: EigenSystem, factors: np.ndarray, values,
+                   z: complex) -> np.ndarray:
+    """f(A) on the resolved modes: project ``values``, scale mode k by
+    ``factors[k]`` = f(lambda_k), synthesise, and apply the realness rule
+    of the exponent ``z`` that f is built from."""
+    out = synthesize(system, project(system, values) * factors)
+    return _real_result(out, values, z)
+
+
 def apply_semigroup(
     system: EigenSystem, t: float, values: np.ndarray, power: float = 1.0
 ) -> np.ndarray:
@@ -421,5 +430,4 @@ def apply_semigroup(
     if t < 0:
         raise ValueError("semigroup time must be nonnegative")
     decay = np.exp(-t * _principal_power(system.eigenvalues, power))
-    out = synthesize(system, project(system, values) * decay)
-    return _real_result(out, values, power)
+    return _mode_calculus(system, decay, values, power)

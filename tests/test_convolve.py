@@ -11,6 +11,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hspde.spectral import (
     SpectralDomain,
@@ -26,8 +28,6 @@ from hspde.convolve import (
     RecordSpec,
     SimulationPlan,
     simulate,
-    simulate_exact_diagonal,
-    simulate_frozen_exponential,
     simulate_from_increments,
     mean_mq_norm,
     predicted_second_moment,
@@ -90,6 +90,10 @@ def small_plan(g, replicas=4, steps=32, seed=91, theta=0.5, modes=8, grid=32,
     )
 
 
+def with_scheme(plan, scheme):
+    return dataclasses.replace(plan, scheme=scheme)
+
+
 def mode_coefficients(ens, system):
     """Project recorded full-grid values back onto the eigenmodes."""
     assert len(ens.space_indices) == system.domain.n_points
@@ -104,7 +108,7 @@ def mode_coefficients(ens, system):
 def test_single_mode_variance_matches_ou_formula():
     # exact-in-law sampling: coarse steps must still hit the OU variance
     plan = single_mode_plan(replicas=6000, steps=8)
-    ens = simulate_exact_diagonal(plan)
+    ens = simulate(with_scheme(plan, "exact-diagonal"))
     mu = np.pi**2
     c_end = mode_coefficients(ens, plan.system)[:, -1, 0]
     var_hat = c_end.var(ddof=1)
@@ -116,7 +120,7 @@ def test_single_mode_variance_matches_ou_formula():
 def test_em_oracle_agrees_with_scheme():
     mu = np.pi**2
     plan = single_mode_plan(replicas=4000, steps=8, seed=5)
-    ens = simulate_exact_diagonal(plan)
+    ens = simulate(with_scheme(plan, "exact-diagonal"))
     c_end = mode_coefficients(ens, plan.system)[:, -1, 0]
     em_end = em_ou_endpoints(mu, 1.0, 5000, 4000, seed=1234)
     v_scheme = c_end.var(ddof=1)
@@ -135,7 +139,8 @@ def test_covariance_decays_at_semigroup_rate():
         T=1.0, steps=16, replicas=8000,
         record=RecordSpec(time_stride=1, space_count=64),
     )
-    coeffs = mode_coefficients(simulate_exact_diagonal(plan), plan.system)
+    ens = simulate(with_scheme(plan, "exact-diagonal"))
+    coeffs = mode_coefficients(ens, plan.system)
     x, y = coeffs[:, 8, 0], coeffs[:, 16, 0]  # t = 0.5 and t = 1.0
     prods = x * y
     want = np.exp(-mu * 0.5) * ou_variance(mu, 0.5)
@@ -172,22 +177,22 @@ def test_endpoint_values_look_gaussian():
 
 def test_zero_multiplier_gives_zero_paths():
     g = GProcess.multiplication(0.0, m=8.0, q=16.0)
-    ens = simulate_frozen_exponential(small_plan(g, replicas=3))
+    ens = simulate(small_plan(g, replicas=3, scheme="frozen-exponential"))
     assert np.all(ens.values == 0.0)
 
 
 def test_frozen_matches_exact_bitwise_for_identity():
     plan = small_plan(GProcess.identity(), replicas=3)
-    a = simulate_exact_diagonal(plan)
-    b = simulate_frozen_exponential(plan)
+    a = simulate(with_scheme(plan, "exact-diagonal"))
+    b = simulate(with_scheme(plan, "frozen-exponential"))
     assert np.array_equal(a.values, b.values)
 
 
 def test_frozen_matches_exact_bitwise_for_constant_multiplier():
     g = GProcess.multiplication(1.7, m=8.0, q=16.0)
     plan = small_plan(g, replicas=3)
-    a = simulate_exact_diagonal(plan)
-    b = simulate_frozen_exponential(plan)
+    a = simulate(with_scheme(plan, "exact-diagonal"))
+    b = simulate(with_scheme(plan, "frozen-exponential"))
     assert np.array_equal(a.values, b.values)
 
 
@@ -224,13 +229,40 @@ def test_trajectories_exactly_linear_in_gain():
     assert np.array_equal(2.0 * a.values, b.values)
 
 
+LINEAR_STEPS = 24
+# away from the subnormals, where scaling by 2^k would round
+TABLE_ENTRIES = st.just(0.0) | st.floats(1e-3, 4.0) | st.floats(-4.0, -1e-3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=st.sampled_from([1, LINEAR_STEPS]), k=st.integers(-4, 4),
+       data=st.data())
+def test_trajectories_exactly_linear_in_g_table(rows, k, data):
+    # one row takes the dense route, one row per step the per-step route
+    base = small_plan(GProcess.identity(), replicas=2, steps=LINEAR_STEPS,
+                      modes=6, grid=16, seed=23)
+    tables = arrays(np.float64, (rows, 16), elements=TABLE_ENTRIES)
+    a, b = data.draw(tables), data.draw(tables)
+
+    def run(table):
+        g = GProcess.from_table(table, m=8.0, q=16.0)
+        return simulate(dataclasses.replace(base, G=g), workers=1)
+
+    ens_a = run(a)
+    assert ens_a.provenance["route"] == ("dense" if rows == 1 else "per-step")
+    assert np.array_equal(run(2.0**k * a).values, 2.0**k * ens_a.values)
+    want = ens_a.values + run(b).values
+    got = run(a + b).values
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_semigroup_decay_after_noise_stops():
     def gate(t, pts):
         return np.full(len(pts), 1.0 if t < 0.5 else 0.0)
 
     g = GProcess.multiplication(gate, m=8.0, q=16.0, time_dependent=True)
     plan = small_plan(g, replicas=2, steps=64, modes=6, grid=24)
-    ens = simulate_frozen_exponential(plan)
+    ens = simulate(with_scheme(plan, "frozen-exponential"))
     coeffs = mode_coefficients(ens, plan.system)
     lam = np.real(plan.system.eigenvalues)
     c_half = coeffs[:, 32, :]
@@ -277,7 +309,7 @@ def test_auto_scheme_dispatch():
 def test_exact_scheme_rejects_nondiagonal_g():
     plan = small_plan(g_preset("bump", 8.0, 16.0), replicas=1, steps=8)
     with pytest.raises(ValueError, match="frozen"):
-        simulate_exact_diagonal(plan)
+        simulate(with_scheme(plan, "exact-diagonal"))
 
 
 def test_exact_label_needs_uncorrelated_mode_noise():
@@ -298,7 +330,7 @@ def test_exact_label_needs_uncorrelated_mode_noise():
     white = simulate(plan(0.0, "exact-diagonal"))
     assert white.provenance["scheme"] == "exact-diagonal"
     assert simulate(plan(0.0)).provenance["scheme"] == "exact-diagonal"
-    assert np.array_equal(simulate_frozen_exponential(plan(0.0)).values,
+    assert np.array_equal(simulate(plan(0.0, "frozen-exponential")).values,
                           white.values)
 
 
@@ -324,6 +356,41 @@ def test_predicted_second_moment_matches_ensemble():
     want = predicted_second_moment(plan)
     se = sq.std(ddof=1) / np.sqrt(len(sq))
     assert abs(sq.mean() - want) < 3 * se
+
+
+def second_moment_reference(plan, steps):
+    """Field-path oracle: each step's Phi from the noise synthesis times
+    g(t_n), projected onto the drift modes, then the variance recursion."""
+    system, noise, G = plan.system, plan.noise, plan.G
+    mu, dt, tg = plan.drift_exponents.real, plan.dt, plan.time_grid
+    var = np.zeros(system.mode_count)
+    for n in range(steps):
+        g = G.values_at(system.domain, n, tg[n])
+        lifted = noise.synthesis if g is None else noise.synthesis * g[None, :]
+        phi = system.weight * (lifted @ system.dual_modes.T)
+        var = (np.exp(-2.0 * mu * dt) * var
+               - np.expm1(-2.0 * mu * dt) / (2.0 * mu) * np.sum(phi**2, axis=0))
+    return var.sum()
+
+
+@pytest.mark.parametrize("case, route", [("d2-extra-noise", "dense"),
+                                         ("separable:sin", "per-step")])
+def test_predicted_second_moment_matches_field_path_oracle(case, route):
+    if case == "d2-extra-noise":
+        # 12 noise modes over a 3x3 drift set: rows of Phi are zero
+        dom = SpectralDomain(2, 15, 3)
+        plan = SimulationPlan(
+            system=build_laplacian_system(dom),
+            noise=make_cameron_martin(dom, theta=1.5, truncation=12),
+            G=GProcess.identity(), seed=2, T=0.25, steps=8, replicas=1,
+            record=RecordSpec(space_count=8))
+    else:
+        plan = small_plan(g_preset(case, 8.0, 16.0), replicas=1, steps=64)
+    assert convolve._Core.build(plan).route == route
+    for steps in (plan.steps, plan.steps // 2):
+        want = second_moment_reference(plan, steps)
+        got = predicted_second_moment(plan, at_time=steps * plan.dt)
+        assert abs(got - want) <= 1e-13 * want
 
 
 def test_refinement_shrinks_freezing_bias():
@@ -401,7 +468,7 @@ def test_nonselfadjoint_paths_are_real():
     assert np.isrealobj(ens.values)
     assert np.isfinite(ens.values).all()
     with pytest.raises(ValueError):
-        simulate_exact_diagonal(plan)
+        simulate(with_scheme(plan, "exact-diagonal"))
     with pytest.raises(ValueError):
         predicted_second_moment(plan)
 
