@@ -15,12 +15,15 @@ Subcommands::
 
 Exit codes: 0 success (verdict PASS or no verdict), 2 verification FAIL,
 3 noise-hypothesis validation failure, 4 any other error (bad flags,
-unknown names, numerical stage failures).
+unknown names, numerical stage failures).  An error prints one
+``error: <message>`` line; ``hspde --verbose <command>`` prints its
+traceback first.
 """
 
 import argparse
 import os
 import sys
+import traceback
 from pathlib import Path
 from typing import Optional
 
@@ -272,6 +275,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="hspde",
                      description="spectral simulation and statistical "
                                  "verification of stochastic-PDE regularity")
+    parser.add_argument("--verbose", action="store_true",
+                        help="print the traceback of an error")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
@@ -345,6 +350,8 @@ def main(argv=None) -> int:
         print(f"hypothesis validation failed: {err}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except Exception as err:  # stage failures included
+        if args.verbose:
+            traceback.print_exc()
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -37,14 +37,17 @@ applies:
   step's increments are synthesised, multiplied by g(t_n, .) and projected.
 
 The scale s is folded into the route's operator.  Replicas run in
-batches on a thread pool.  A batch's (R, N, steps) increment table is
-drawn straight into one buffer by ``simulate``, or sliced from the
-caller's table by ``simulate_from_increments`` (serially, labelled
-"from-increments"); either way it streams through blocks of 256 steps:
-project the block, run the recursion in place, and synthesise the
-recorded rows with one matmul per replica, written into the output.  A
-batch holds at most ceil(replicas / workers) replicas, and as many as
-keep its increments, block states and per-step field within 256 MiB.
+batches on a thread pool, and each batch streams its increments through
+blocks of 256 steps: project the block, run the recursion in place, and
+synthesise the recorded rows with one matmul per replica, written into
+the output.  ``simulate`` draws a batch's increments in chunks of 2048
+steps into one (R, N, 2048) buffer, refilled every 8 blocks from the
+batch's live generators; ``simulate_from_increments`` slices the blocks
+from the caller's table (serially, labelled "from-increments").  A batch
+holds at most ceil(replicas / workers) replicas, and as many as keep one
+increment chunk, the block states and the per-step field within 256 MiB;
+a plan whose single replica exceeds that is refused before anything is
+drawn.  The recorded ensemble itself lies outside the budget.
 Every matmul acts on one replica with shapes fixed by the plan, and the
 rest is elementwise, so a replica's values do not depend on batching or
 worker count, bit for bit; ``simulate_from_increments`` fed the same
@@ -68,7 +71,7 @@ from typing import Optional
 import numpy as np
 
 from .spectral import EigenSystem, _principal_power, _realify
-from .noise import CameronMartinSpec, GProcess, sample_wiener_increments
+from .noise import CameronMartinSpec, GProcess, _WienerStreams
 
 __all__ = [
     "RecordSpec",
@@ -83,6 +86,8 @@ __all__ = [
 
 #: steps per block of the projection / recursion / synthesis stream
 BLOCK_STEPS = 256
+#: steps per chunk of increments ``simulate`` draws; a multiple of BLOCK_STEPS
+DRAW_STEPS = 8 * BLOCK_STEPS
 #: buffer budget of one replica batch
 BATCH_BYTES = 256 << 20
 
@@ -228,6 +233,13 @@ def _provenance(plan: SimulationPlan, scheme: str, route: str) -> dict:
     }
 
 
+def _rows_agree(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
+    """max |a - b| <= tol, taken over slabs of 32 rows so that no full-size
+    temporary is made; a max is exact, so this is the same test."""
+    return all(np.abs(a[i:i + 32] - b[i:i + 32]).max() <= tol
+               for i in range(0, len(a), 32))
+
+
 def _diagonal_obstacle(system: EigenSystem, route: str,
                        operator: np.ndarray) -> Optional[str]:
     """Why the noise of a plan is not diagonal over the drift eigenbasis;
@@ -306,8 +318,8 @@ class _Core:
         # K x n_points basis comparison a plan makes
         if (G.kind == "identity" and system.family == "laplacian"
                 and n <= system.mode_count
-                and np.abs(noise.basis_functions[:n] - system.modes[:n]).max()
-                <= 1e-12):
+                and _rows_agree(noise.basis_functions[:n], system.modes[:n],
+                                1e-12)):
             route = "weights"
             operator = noise.weights * scale[:n]
             decay, modes_rec = decay[:n], modes_rec[:n]
@@ -331,31 +343,45 @@ class _Core:
 
     def batch_size(self, workers: int) -> int:
         """Replicas per batch: their buffers fit BATCH_BYTES, and no worker
-        is left without a batch (at most ceil(replicas / workers))."""
+        is left without a batch (at most ceil(replicas / workers)).
+
+        Raises ValueError, with the byte estimate, when one replica's
+        buffers alone exceed BATCH_BYTES.  The recorded output is not a
+        buffer and lies outside the budget.
+        """
         plan = self.plan
         blk = min(BLOCK_STEPS, plan.steps)
-        # increments, one block of mode states, carry and scratch rows
-        per_replica = (8 * plan.noise.truncation * plan.steps
+        # one chunk of increments, one block of mode states, carry and
+        # scratch rows; the per-step route adds one block of field values
+        per_replica = (8 * plan.noise.truncation * min(DRAW_STEPS, plan.steps)
                        + self.dtype.itemsize * (blk + 2) * self.decay.size)
         shared = 0 if self.lift is None else 8 * blk * self.lift.shape[1]
+        if per_replica + shared > BATCH_BYTES:
+            raise ValueError(
+                f"one replica needs {per_replica + shared} bytes of "
+                f"simulation buffers, over the batch budget of "
+                f"{BATCH_BYTES} bytes; use fewer noise or drift modes")
         fit = (BATCH_BYTES - shared) // per_replica
-        return int(max(1, min(fit, -(-plan.replicas // max(workers, 1)))))
+        return int(min(fit, -(-plan.replicas // max(workers, 1))))
 
     def new_output(self) -> np.ndarray:
         flat_idx, _, _, rec_times = self.layout
         return np.empty((self.plan.replicas, len(rec_times), len(flat_idx)))
 
-    def run(self, label: str, tables, workers: int) -> TrajectoryEnsemble:
-        """The plan's ensemble, labelled ``label``: every replica batch
-        propagates the (R, N, steps) increments ``tables(start, stop)``
-        gives for replicas start..stop-1, on ``workers`` threads."""
+    def run(self, label: str, sources, workers: int) -> TrajectoryEnsemble:
+        """The plan's ensemble, labelled ``label``, on ``workers`` threads.
+
+        ``sources(start, stop)`` is the block source of the batch of
+        replicas start..stop-1: a callable that, called on consecutive
+        blocks (b0, b1), gives their (R, N, b1 - b0) increments.
+        """
         plan = self.plan
-        out = self.new_output()
         batch = self.batch_size(workers)
+        out = self.new_output()
 
         def run_batch(start: int) -> None:
             stop = min(start + batch, plan.replicas)
-            self.integrate(tables(start, stop), out[start:stop])
+            self.integrate(sources(start, stop), out[start:stop])
 
         starts = range(0, plan.replicas, batch)
         if workers > 1 and len(starts) > 1:
@@ -367,11 +393,12 @@ class _Core:
                 run_batch(start)
         return self.ensemble(out, label)
 
-    def integrate(self, incs: np.ndarray, out: np.ndarray) -> None:
-        """Propagate increment tables (R, N, steps) into recorded values
-        ``out`` (R, recorded times, recorded points), 256 steps at a time."""
+    def integrate(self, block, out: np.ndarray) -> None:
+        """Propagate the increments of the block source ``block`` (see
+        ``run``) into recorded values ``out`` (R, recorded times, recorded
+        points), 256 steps at a time."""
         plan = self.plan
-        r_b, _, steps = incs.shape
+        r_b, steps = len(out), plan.steps
         stride = plan.record.time_stride
         xi = np.empty((r_b, min(BLOCK_STEPS, steps), self.decay.size),
                       dtype=self.dtype)
@@ -381,7 +408,7 @@ class _Core:
         row = 1
         for b0 in range(0, steps, BLOCK_STEPS):
             blk = xi[:, : min(BLOCK_STEPS, steps - b0)]
-            self._project(incs[:, :, b0:b0 + blk.shape[1]], blk, b0)
+            self._project(block(b0, b0 + blk.shape[1]), blk, b0)
             # OU recursion in place: row n becomes the state after step b0 + n
             if b0:
                 np.multiply(carry, self.decay, out=tmp)
@@ -446,14 +473,19 @@ def simulate(plan: SimulationPlan, workers: Optional[int] = None) -> TrajectoryE
     scheme = _choose_scheme(core, plan.scheme)
     tg = plan.time_grid
 
-    def draw(start: int, stop: int) -> np.ndarray:
-        incs = np.empty((stop - start, plan.noise.truncation, plan.steps))
-        for i in range(stop - start):
-            sample_wiener_increments(plan.noise, tg, plan.seed, start + i,
-                                     out=incs[i])
-        return incs
+    def draws(start: int, stop: int):
+        streams = _WienerStreams(plan.noise, tg, plan.seed, range(start, stop))
+        chunk = np.empty((stop - start, plan.noise.truncation,
+                          min(DRAW_STEPS, plan.steps)))
 
-    return core.run(scheme, draw, workers or os.cpu_count() or 1)
+        def block(b0: int, b1: int) -> np.ndarray:
+            c0 = b0 - b0 % DRAW_STEPS
+            if b0 == c0:  # the first block of a chunk draws the chunk
+                streams.fill(chunk[:, :, : min(DRAW_STEPS, plan.steps - c0)])
+            return chunk[:, :, b0 - c0: b1 - c0]
+        return block
+
+    return core.run(scheme, draws, workers or os.cpu_count() or 1)
 
 
 def simulate_from_increments(plan: SimulationPlan,
@@ -469,8 +501,11 @@ def simulate_from_increments(plan: SimulationPlan,
     want = (plan.replicas, plan.noise.truncation, plan.steps)
     if increments.shape != want:
         raise ValueError(f"increments shape {increments.shape}, want {want}")
-    return _Core.build(plan).run(
-        "from-increments", lambda start, stop: increments[start:stop], 1)
+
+    def slices(start: int, stop: int):
+        return lambda b0, b1: increments[start:stop, :, b0:b1]
+
+    return _Core.build(plan).run("from-increments", slices, 1)
 
 
 def mean_mq_norm(ens: TrajectoryEnsemble, p: float, q: float) -> MqNormEstimate:

@@ -15,7 +15,10 @@ raising, so callers can log exactly which hypothesis failed.
 
 Wiener increments are drawn one stream per H-basis vector, keyed by
 (seed, replica, mode) through a counter-based generator, so replicas can be
-produced in any order or in parallel without coordination.
+produced in any order or in parallel without coordination.  A stream can
+be drawn in chunks: ``simulate`` keeps a batch's generators alive and
+fills 2048 steps at a time, which gives the same values, bit for bit, as
+``sample_wiener_increments`` drawing the whole table at once.
 """
 
 from __future__ import annotations
@@ -189,6 +192,44 @@ def g_preset(name: str, m: float, q: float) -> GProcess:
     raise KeyError(f"unknown g preset {name!r}")
 
 
+class _WienerStreams:
+    """The Philox streams of a batch of replicas, drawn chunk by chunk.
+
+    Stream (replica, k) is SeedSequence(seed, spawn_key=(replica, k)) over
+    a counter-based generator.  Each ``fill`` writes the next steps of
+    every stream, scaled by sqrt(dt), so consecutive fills of any lengths
+    concatenate to the same values as one fill over all steps, bit for bit.
+    """
+
+    def __init__(self, spec: CameronMartinSpec, time_grid: np.ndarray,
+                 seed: int, replicas: range):
+        time_grid = np.asarray(time_grid, dtype=float)
+        if time_grid.ndim != 1 or len(time_grid) < 2:
+            raise ValueError("time grid must hold at least two times")
+        dts = np.diff(time_grid)
+        if np.any(dts <= 0):
+            raise ValueError("time grid must be strictly increasing")
+        dt = dts[0]
+        if np.abs(dts - dt).max() > 1e-12 * max(dt, 1.0):
+            raise ValueError("time grid must be uniform")
+        self.steps = len(dts)
+        self.root = np.sqrt(dt)
+        self.generators = [
+            [np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(seed, spawn_key=(replica, k))))
+             for k in range(spec.truncation)]
+            for replica in replicas
+        ]
+
+    def fill(self, out: np.ndarray) -> None:
+        """Write the next out.shape[2] increments of every stream into
+        ``out`` (replicas, truncation, chunk), whose rows are contiguous."""
+        for gens, table in zip(self.generators, out):
+            for gen, row in zip(gens, table):
+                gen.standard_normal(out=row)
+                row *= self.root
+
+
 def sample_wiener_increments(
     spec: CameronMartinSpec, time_grid: np.ndarray, seed: int, replica: int,
     out: Optional[np.ndarray] = None,
@@ -202,27 +243,13 @@ def sample_wiener_increments(
     no cross-stream coordination.  ``out``, a C-contiguous float array of
     that shape, receives the table in place of a new array.
     """
-    time_grid = np.asarray(time_grid, dtype=float)
-    if time_grid.ndim != 1 or len(time_grid) < 2:
-        raise ValueError("time grid must hold at least two times")
-    dts = np.diff(time_grid)
-    if np.any(dts <= 0):
-        raise ValueError("time grid must be strictly increasing")
-    dt = dts[0]
-    if np.abs(dts - dt).max() > 1e-12 * max(dt, 1.0):
-        raise ValueError("time grid must be uniform")
-    shape = (spec.truncation, len(dts))
+    streams = _WienerStreams(spec, time_grid, seed, range(replica, replica + 1))
+    shape = (spec.truncation, streams.steps)
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64:
         raise ValueError(f"out must be a float64 array of shape {shape}")
-    root = np.sqrt(dt)
-    for k in range(spec.truncation):
-        gen = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(seed, spawn_key=(replica, k)))
-        )
-        gen.standard_normal(out=out[k])
-        out[k] *= root
+    streams.fill(out[None])
     return out
 
 

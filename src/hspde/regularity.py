@@ -290,6 +290,20 @@ def _kept_lags(n_samples: int) -> list:
     return kept
 
 
+def _line_aligned(shape: tuple, dtype) -> np.ndarray:
+    """An empty array whose data starts on a 64-byte cache line.
+
+    Where malloc places a buffer depends on what the process allocated
+    before; a scratch array starting 16 bytes into a line made the slab
+    loop of ``_max_increments`` 30-50% slower.
+    """
+    dtype = np.dtype(dtype)
+    size = math.prod(shape)
+    raw = np.empty(size + 64 // dtype.itemsize, dtype=dtype)
+    skip = (-raw.ctypes.data % 64) // dtype.itemsize
+    return raw[skip:skip + size].reshape(shape)
+
+
 def _max_increments(series: np.ndarray, lags: Sequence[int]) -> np.ndarray:
     """M(lag) = max over start (and any trailing axes) of |x(.+lag) - x(.)|.
 
@@ -302,8 +316,8 @@ def _max_increments(series: np.ndarray, lags: Sequence[int]) -> np.ndarray:
     n = len(series)
     flat = series.reshape(n, -1)
     width = min(flat.shape[1], _SLAB_COLUMNS)
-    slab = np.empty((n, width), dtype=series.dtype)
-    diff = np.empty((n - min(lags), width), dtype=series.dtype)
+    slab = _line_aligned((n, width), series.dtype)
+    diff = _line_aligned((n - min(lags), width), series.dtype)
     starts = range(0, flat.shape[1], width)
     out = np.empty((len(starts), len(lags)))
     for b, j in enumerate(starts):

@@ -558,21 +558,67 @@ def test_routes_match_field_path_oracle(case):
     assert np.abs(got.values - want).max() <= 1e-12 * scale
 
 
-def test_batch_size_budget_and_cap():
-    # computed from the buffer model, nothing of this size is allocated
+@pytest.mark.parametrize("case, route", [
+    ("identity", "weights"), ("bump", "dense"), ("separable:sin", "per-step"),
+])
+def test_draw_chunks_join_bitwise(case, route):
+    # a partial last chunk, and a record stride that does not divide the
+    # chunk, so recorded rows straddle every chunk boundary
+    steps = 2 * convolve.DRAW_STEPS + 300
+    plan = core_plan(case, steps=steps, stride=7)
+    assert steps % 7 == 0 and convolve.DRAW_STEPS % 7
+    one = simulate(plan, workers=1)
+    two = simulate(plan, workers=2)  # batches of 2 and 1 replicas
+    assert one.provenance["route"] == route
+    table = simulate_from_increments(plan, replica_increments(plan))
+    assert np.array_equal(one.values, table.values)
+    assert np.array_equal(two.values, table.values)
+
+
+def budget_plan(steps):
     dom = SpectralDomain(1, 64, 32)
     noise = make_cameron_martin(dom, theta=0.0, truncation=32)
-    plan = SimulationPlan(system=build_laplacian_system(dom), noise=noise,
-                          G=GProcess.identity(), seed=0, steps=1 << 16,
+    return SimulationPlan(system=build_laplacian_system(dom), noise=noise,
+                          G=GProcess.identity(), seed=0, steps=steps,
                           replicas=100)
-    core = convolve._Core.build(plan)
-    per_replica = 8 * 32 * (1 << 16) + 8 * (convolve.BLOCK_STEPS + 2) * 32
-    fit = convolve.BATCH_BYTES // per_replica
-    assert 1 < fit < 100
-    assert core.batch_size(1) == fit
-    assert core.batch_size(10) == 10  # ceil(100 / 10) < fit
-    huge = dataclasses.replace(plan, steps=1 << 22)
-    assert convolve._Core.build(huge).batch_size(1) == 1
+
+
+# one draw chunk of increments, one block of mode states, carry and scratch
+BUDGET_PER_REPLICA = (8 * 32 * convolve.DRAW_STEPS
+                      + 8 * (convolve.BLOCK_STEPS + 2) * 32)
+
+
+def test_batch_size_budget_and_cap(monkeypatch):
+    # computed from the buffer model, nothing of this size is allocated
+    core = convolve._Core.build(budget_plan(1 << 16))
+    assert convolve.BATCH_BYTES // BUDGET_PER_REPLICA > 100
+    assert core.batch_size(1) == 100
+    monkeypatch.setattr(convolve, "BATCH_BYTES", 7 * BUDGET_PER_REPLICA + 1)
+    assert core.batch_size(1) == 7
+    assert core.batch_size(20) == 5  # ceil(100 / 20) < 7
+    # only one chunk of increments counts, so longer plans batch alike
+    huge = convolve._Core.build(budget_plan(1 << 22))
+    assert huge.batch_size(1) == 7
+    monkeypatch.setattr(convolve, "BATCH_BYTES", BUDGET_PER_REPLICA - 1)
+    with pytest.raises(ValueError, match=f"needs {BUDGET_PER_REPLICA} bytes"):
+        huge.batch_size(1)
+
+
+def test_over_budget_replica_is_refused_before_drawing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a generator was built")
+
+    plan = budget_plan(4096)
+    monkeypatch.setattr(convolve, "_WienerStreams", no_draws)
+    monkeypatch.setattr(convolve, "BATCH_BYTES", BUDGET_PER_REPLICA - 1)
+    with pytest.raises(ValueError, match=f"needs {BUDGET_PER_REPLICA} bytes"):
+        simulate(plan, workers=1)
+    # per-step route: one block of the synthesised field counts as well
+    stepped = dataclasses.replace(plan, G=g_preset("separable:sin", 8.0, 16.0))
+    field = 8 * convolve.BLOCK_STEPS * 64
+    monkeypatch.setattr(convolve, "BATCH_BYTES", BUDGET_PER_REPLICA + field - 1)
+    with pytest.raises(ValueError, match=f"needs {BUDGET_PER_REPLICA + field}"):
+        simulate(stepped, workers=1)
 
 
 # ----- plan validation and layout --------------------------------------------

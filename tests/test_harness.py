@@ -622,6 +622,21 @@ def test_cli_stage_error_exits_4(tmp_path, capsys):
     assert "build" in err
 
 
+def test_cli_verbose_adds_the_traceback(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config(
+        tmp_path / "runs", operator={"kind": "varcoef", "name": "nope"})))
+    code, out, err = run_cli(["run", "--config", str(cfg_path)], capsys)
+    assert code == 4
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    code, verbose_out, verbose = run_cli(
+        ["--verbose", "run", "--config", str(cfg_path)], capsys)
+    assert code == 4
+    assert verbose_out == out
+    assert verbose.startswith("Traceback (most recent call last):")
+    assert verbose.endswith(err)
+
+
 def test_cli_needs_a_config_source(capsys):
     code, _, err = run_cli(["run"], capsys)
     assert code == 4

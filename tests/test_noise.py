@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hspde import noise
 from hspde.spectral import SpectralDomain
 from hspde.noise import (
     CameronMartinSpec,
@@ -70,6 +72,26 @@ def test_increments_deterministic_per_key(dom):
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d_)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cuts=st.lists(st.integers(1, 299), max_size=6, unique=True),
+       first=st.integers(0, 5), count=st.integers(1, 3))
+def test_chunked_fills_join_to_the_whole_table(cuts, first, count):
+    spec = make_cameron_martin(SpectralDomain(1, 15, 4), theta=0.5,
+                               truncation=4)
+    tg = np.linspace(0.0, 0.7, 301)
+    replicas = range(first, first + count)
+    streams = noise._WienerStreams(spec, tg, 29, replicas)
+    bounds = [0, *sorted(cuts), 300]
+    buffer = np.empty((count, 4, 300))  # filled through strided views
+    parts = []
+    for a, b in zip(bounds, bounds[1:]):
+        streams.fill(buffer[:, :, : b - a])
+        parts.append(buffer[:, :, : b - a].copy())
+    want = np.stack([sample_wiener_increments(spec, tg, 29, r)
+                     for r in replicas])
+    assert np.array_equal(np.concatenate(parts, axis=2), want)
 
 
 def test_nonuniform_grid_rejected(dom):

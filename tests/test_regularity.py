@@ -21,7 +21,7 @@ from hspde.regularity import (
     select_sigma_delta,
     verify_region,
 )
-from hspde.regularity import _max_increments
+from hspde.regularity import _line_aligned, _max_increments
 from hspde.spectral import SpectralDomain, build_laplacian_system
 
 P32 = RegularityQuery("prop32", d=1, q=8, p=4)
@@ -369,6 +369,14 @@ def test_max_increments_match_fresh_differences():
         want = [np.abs(series[lag:] - series[:-lag]).max() for lag in lags]
         assert np.array_equal(_max_increments(series, lags), want,
                               equal_nan=True)
+
+
+def test_scratch_arrays_start_on_a_cache_line():
+    for dtype in (np.float64, np.float32, np.complex128):
+        for shape in ((300, 64), (1, 3)):
+            scratch = _line_aligned(shape, dtype)
+            assert scratch.shape == shape and scratch.dtype == dtype
+            assert scratch.ctypes.data % 64 == 0
 
 
 def test_degenerate_paths_excluded_with_warning():
