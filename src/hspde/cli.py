@@ -110,8 +110,8 @@ def _add_config_flags(parser) -> None:
     parser.add_argument("--out-dir", default=None,
                         help="override the config's output_dir")
     parser.add_argument("--workers", type=int, default=os.cpu_count(),
-                        help="simulation worker threads "
-                             "(default: logical cores)")
+                        help="worker threads of the simulation and the "
+                             "exponent fits (default: logical cores)")
 
 
 def _resolve(args, force_persist: bool = False) -> ExperimentConfig:
@@ -193,7 +193,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     if args.run is not None:
-        _emit(estimates_from_run(args.run), args.out)
+        _emit(estimates_from_run(args.run, workers=args.workers), args.out)
         return EXIT_OK
     config = _resolve(args)
     manifest = run_experiment(config, workers=args.workers, until="estimate")

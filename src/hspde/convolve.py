@@ -37,21 +37,24 @@ applies:
   step's increments are synthesised, multiplied by g(t_n, .) and projected.
 
 The scale s is folded into the route's operator.  Replicas run in
-batches on a thread pool, and each batch streams its increments through
-blocks of 256 steps: project the block, run the recursion in place, and
-synthesise the recorded rows with one matmul per replica, written into
-the output.  ``simulate`` draws a batch's increments in chunks of 2048
-steps into one (R, N, 2048) buffer, refilled every 8 blocks from the
-batch's live generators; ``simulate_from_increments`` slices the blocks
-from the caller's table (serially, labelled "from-increments").  A batch
+batches on the thread pool of ``hspde._threads``, the one parallel layer:
+BLAS runs one thread inside it, and so does the serial path of one
+worker or of ``simulate_from_increments``.  Each batch streams its
+increments through blocks of 256 steps: project the block, run the
+recursion in place, and synthesise the recorded rows with one matmul per
+replica, written into the output.  ``simulate`` draws a batch's
+increments in chunks of 2048 steps into one (R, N, 2048) buffer,
+refilled every 8 blocks from the batch's live generators;
+``simulate_from_increments`` slices the blocks from the caller's table
+(serially, labelled "from-increments").  A batch
 holds at most ceil(replicas / workers) replicas, and as many as keep one
 increment chunk, the block states and the per-step field within 256 MiB;
 a plan whose single replica exceeds that is refused before anything is
 drawn.  The recorded ensemble itself lies outside the budget.
 Every matmul acts on one replica with shapes fixed by the plan, and the
-rest is elementwise, so a replica's values do not depend on batching or
-worker count, bit for bit; ``simulate_from_increments`` fed the same
-draws reproduces ``simulate``.
+rest is elementwise, so a replica's values do not depend on batching,
+worker count or the host's BLAS thread count, bit for bit;
+``simulate_from_increments`` fed the same draws reproduces ``simulate``.
 
 Increments come from the per-(seed, replica, mode) streams of
 ``hspde.noise``, and gains enter linearly after the draws, so trajectories
@@ -63,8 +66,6 @@ residue is an error.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -72,6 +73,7 @@ import numpy as np
 
 from .spectral import EigenSystem, _principal_power, _realify
 from .noise import CameronMartinSpec, GProcess, _WienerStreams
+from ._threads import map_threads, worker_count
 
 __all__ = [
     "RecordSpec",
@@ -383,14 +385,8 @@ class _Core:
             stop = min(start + batch, plan.replicas)
             self.integrate(sources(start, stop), out[start:stop])
 
-        starts = range(0, plan.replicas, batch)
-        if workers > 1 and len(starts) > 1:
-            # batches write disjoint replica slices of `out`
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run_batch, starts))
-        else:
-            for start in starts:
-                run_batch(start)
+        # batches write disjoint replica slices of `out`
+        map_threads(run_batch, range(0, plan.replicas, batch), workers)
         return self.ensemble(out, label)
 
     def integrate(self, block, out: np.ndarray) -> None:
@@ -485,7 +481,7 @@ def simulate(plan: SimulationPlan, workers: Optional[int] = None) -> TrajectoryE
             return chunk[:, :, b0 - c0: b1 - c0]
         return block
 
-    return core.run(scheme, draws, workers or os.cpu_count() or 1)
+    return core.run(scheme, draws, worker_count(workers))
 
 
 def simulate_from_increments(plan: SimulationPlan,

@@ -343,13 +343,17 @@ def _derived_block(system, query) -> dict:
     return out
 
 
-def _fit_ensemble(ens, estimator: dict) -> dict:
-    """The three exponent fits of one ensemble, keyed by table mode."""
+def _fit_ensemble(ens, estimator: dict, workers: Optional[int]) -> dict:
+    """The three exponent fits of one ensemble, keyed by table mode, each
+    taking its replicas' profiles on ``workers`` threads."""
     return {
         "pointwise": estimate_temporal_exponent(
-            ens, mode="pointwise", point_index=estimator.get("point_index")),
-        "sup-space": estimate_temporal_exponent(ens, mode="sup-space"),
-        "pooled": estimate_spatial_exponent(ens, times=estimator.get("times")),
+            ens, mode="pointwise", point_index=estimator.get("point_index"),
+            workers=workers),
+        "sup-space": estimate_temporal_exponent(ens, mode="sup-space",
+                                                workers=workers),
+        "pooled": estimate_spatial_exponent(ens, times=estimator.get("times"),
+                                            workers=workers),
     }
 
 
@@ -374,7 +378,9 @@ def run_experiment(config, workers: Optional[int] = None,
     aborts with the stage name after writing the partial manifest; a
     hypothesis violation surfaces as HypothesisError.  ``until`` stops the
     pipeline early after the named stage ("simulate", "estimate" or the
-    default "verify").
+    default "verify").  ``workers`` threads (default: one per CPU) run the
+    simulation's replica batches and the fits' replica profiles; with
+    ``workers=1`` the run starts no thread.
     """
     if until not in ("simulate", "estimate", "verify"):
         raise ValueError(f"unknown pipeline stage {until!r}")
@@ -469,7 +475,7 @@ def run_experiment(config, workers: Optional[int] = None,
 
     # ---- estimate ----
     def estimate_all():
-        fits = {alpha: _fit_ensemble(ens, config.estimator)
+        fits = {alpha: _fit_ensemble(ens, config.estimator, workers)
                 for alpha, ens in ensembles.items()}
         (out_dir / "estimates.csv").write_text(
             _estimates_csv((alpha, fits[alpha]) for alpha in alphas),
@@ -562,8 +568,9 @@ def _increment_profile_csv(ens) -> str:
     return "\n".join(lines) + "\n"
 
 
-def estimates_from_run(run_dir) -> str:
-    """Recompute the estimate table from a run's persisted trajectories."""
+def estimates_from_run(run_dir, workers: Optional[int] = None) -> str:
+    """Recompute the estimate table from a run's persisted trajectories,
+    on ``workers`` threads (default: one per CPU)."""
     manifest = _load_run(run_dir)
     estimator = manifest["config"].get("estimator") or {}
     fallback = manifest["config"]["plan"].get("alpha", 2.0)
@@ -571,7 +578,7 @@ def estimates_from_run(run_dir) -> str:
     for path in _trajectory_files(Path(run_dir)):
         ens = load_trajectories(str(path))
         alpha = float(ens.provenance.get("alpha", fallback))
-        fits.append((alpha, _fit_ensemble(ens, estimator)))
+        fits.append((alpha, _fit_ensemble(ens, estimator, workers)))
     return _estimates_csv(fits)
 
 

@@ -29,10 +29,16 @@ by least squares with the two smallest and two largest dyadic levels
 dropped, medianed across replicas.  The max pools whatever sections are
 available (recorded points for the sup-space temporal mode, selected
 time sections for the spatial fit) so the extreme-value sample count
-stays comparable across lags.  Estimates are one-sided evidence: the
-theory promises membership for every admissible exponent pair, so a
-verification passes when no admissible vertex exceeds the estimate by
-more than the calibrated tolerance (0.10).
+stays comparable across lags.  The replicas' profiles are taken on the
+thread pool of ``hspde._threads``, the one parallel layer (BLAS runs one
+thread inside it); a max is exact, so the profiles and estimates do not
+depend on the worker count or the host's BLAS thread count, bit for bit.
+The per-replica log-log fits are cheap and stay serial.
+
+Estimates are one-sided evidence: the theory promises membership for
+every admissible exponent pair, so a verification passes when no
+admissible vertex exceeds the estimate by more than the calibrated
+tolerance (0.10).
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from ._threads import map_threads
 from .convolve import TrajectoryEnsemble
 
 __all__ = [
@@ -351,15 +358,18 @@ def _uniform_step(coords: np.ndarray, what: str) -> float:
 
 
 def _increment_profiles(ens: TrajectoryEnsemble, axis: str,
-                        point_index: Optional[int] = None, times=None):
+                        point_index: Optional[int] = None, times=None,
+                        workers: Optional[int] = None):
     """Each replica's dyadic max-increment profile, with the physical lags.
 
     ``axis="time"``: increments in time at the recorded point
     ``point_index``, or pooled over all recorded points when it is None.
     ``axis="space"``: increments along the first recorded axis (the other
     axes held at their midpoints), pooled over the recorded time indices
-    ``times``.  Lags are the dyadic levels ``_kept_lags`` keeps.  Returns
-    (lags (L,) in time or space units, profiles (replicas, L)).
+    ``times``.  Lags are the dyadic levels ``_kept_lags`` keeps.  The
+    replicas are mapped on ``workers`` threads (default: one per CPU); a
+    max is exact, so the profiles do not depend on the worker count.
+    Returns (lags (L,) in time or space units, profiles (replicas, L)).
     """
     if axis == "time":
         step = _uniform_step(ens.time_grid, "time grid")
@@ -381,7 +391,8 @@ def _increment_profiles(ens: TrajectoryEnsemble, axis: str,
             line = line[..., line.shape[-1] // 2]
         # (S_axis0, n_times) per replica: lags run down axis 0
         series = (line[r][times].T for r in range(ens.replicas))
-    profiles = np.array([_max_increments(x, kept) for x in series])
+    profiles = np.array(map_threads(lambda x: _max_increments(x, kept),
+                                    series, workers))
     return np.asarray(kept, dtype=float) * step, profiles
 
 
@@ -414,12 +425,14 @@ def estimate_temporal_exponent(
     ens: TrajectoryEnsemble,
     mode: str = "pointwise",
     point_index: Optional[int] = None,
+    workers: Optional[int] = None,
 ) -> ExponentEstimate:
     """Dyadic max-increment fit of the time Hölder exponent.
 
     ``pointwise`` watches a single recorded spatial point (the middle one
     unless ``point_index`` says otherwise); ``sup-space`` takes the sup
-    over all recorded points inside each increment.
+    over all recorded points inside each increment.  ``workers`` threads
+    take the replicas' profiles (default: one per CPU).
     """
     if mode not in ("pointwise", "sup-space"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -429,7 +442,8 @@ def estimate_temporal_exponent(
         point_index = None
     elif point_index is None:
         point_index = ens.values.shape[2] // 2
-    lags, profiles = _increment_profiles(ens, "time", point_index=point_index)
+    lags, profiles = _increment_profiles(ens, "time", point_index=point_index,
+                                         workers=workers)
     return _fit_profiles(lags, profiles, "temporal")
 
 
@@ -443,7 +457,7 @@ def _default_times(n_times: int, times) -> np.ndarray:
 
 
 def estimate_spatial_exponent(
-    ens: TrajectoryEnsemble, times=None
+    ens: TrajectoryEnsemble, times=None, workers: Optional[int] = None
 ) -> ExponentEstimate:
     """Dyadic max-increment fit of the space Hölder exponent.
 
@@ -453,10 +467,12 @@ def estimate_spatial_exponent(
     every selected time section, mirroring how the sup-space temporal
     mode pools recorded points, and the estimate is the median over
     replicas.  Pooling keeps the extreme-value sample count roughly flat
-    across lags, which per-section fits do not.
+    across lags, which per-section fits do not.  ``workers`` threads take
+    the replicas' profiles (default: one per CPU).
     """
     lags, profiles = _increment_profiles(
-        ens, "space", times=_default_times(ens.values.shape[1], times))
+        ens, "space", times=_default_times(ens.values.shape[1], times),
+        workers=workers)
     return _fit_profiles(lags, profiles, "spatial")
 
 

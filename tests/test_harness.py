@@ -57,6 +57,22 @@ def completed_run(tmp_path_factory):
     return cfg, manifest, out / manifest.run_id
 
 
+def test_one_worker_starts_no_thread(completed_run, tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    _, _, run_dir = completed_run
+    monkeypatch.setattr(hspde._threads, "ThreadPoolExecutor", no_pool)
+    manifest = run_experiment(small_config(tmp_path, persist_trajectories=True),
+                              workers=1)
+    serial = tmp_path / manifest.run_id
+    # the default run took its batches and fits on one thread per CPU
+    assert (serial / "estimates.csv").read_bytes() == \
+        (run_dir / "estimates.csv").read_bytes()
+    assert estimates_from_run(serial, workers=1).encode() == \
+        (serial / "estimates.csv").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # presets
 # ---------------------------------------------------------------------------

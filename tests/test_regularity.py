@@ -21,7 +21,7 @@ from hspde.regularity import (
     select_sigma_delta,
     verify_region,
 )
-from hspde.regularity import _line_aligned, _max_increments
+from hspde.regularity import _increment_profiles, _line_aligned, _max_increments
 from hspde.spectral import SpectralDomain, build_laplacian_system
 
 P32 = RegularityQuery("prop32", d=1, q=8, p=4)
@@ -451,6 +451,31 @@ def small_heat_ensemble():
         record=RecordSpec(time_stride=1, space_count=64),
     )
     return simulate(plan)
+
+
+def same_estimate(a, b):
+    return (a.value == b.value and a.fit_r2 == b.fit_r2
+            and a.lag_range == b.lag_range
+            and a.per_replica.tobytes() == b.per_replica.tobytes())
+
+
+def test_fits_independent_of_worker_count(small_heat_ensemble):
+    # a max is exact, so mapping replicas on threads moves no bit
+    ens = small_heat_ensemble
+    times = np.arange(ens.values.shape[1] // 2, ens.values.shape[1], 64)
+    for axis, where in (("time", {"point_index": 5}), ("time", {}),
+                        ("space", {"times": times})):
+        lags, one = _increment_profiles(ens, axis, workers=1, **where)
+        lags2, two = _increment_profiles(ens, axis, workers=2, **where)
+        assert one.shape == (ens.replicas, len(lags))
+        assert lags.tobytes() == lags2.tobytes()
+        assert one.tobytes() == two.tobytes()
+    for mode in ("pointwise", "sup-space"):
+        assert same_estimate(
+            estimate_temporal_exponent(ens, mode=mode, workers=1),
+            estimate_temporal_exponent(ens, mode=mode, workers=2))
+    assert same_estimate(estimate_spatial_exponent(ens, workers=1),
+                         estimate_spatial_exponent(ens, workers=2))
 
 
 def test_verify_passes_inside_calibrated_region(small_heat_ensemble):
