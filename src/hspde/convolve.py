@@ -11,19 +11,18 @@ the step's left endpoint and projected onto the drift modes, and
 s_k = sqrt((1 - e^(-2 Re mu_k dt)) / (2 Re mu_k dt)) gives it the exact
 integrated variance gain_k^2 (1 - e^(-2 mu_k dt)) / (2 mu_k).
 
-The plan's ``scheme`` ("auto", "exact-diagonal" or "frozen-exponential")
-picks one of two labels that say what the recorded law means; "auto"
-takes exact-diagonal wherever it applies, and an explicit
-"exact-diagonal" is refused where it does not:
+One core runs every plan.  What its recorded law means is a property
+of the plan, decided once per plan from the route (below) and written to
+the ensemble's provenance as the scheme label:
 
 * exact-diagonal: the noise is uncorrelated across drift modes, so the
-  paths are exact in law at the grid times for any step count.  The core
-  decides this once per plan from its route (below): weights always,
-  dense when the system is self-adjoint and Phi^T Phi is diagonal,
-  per-step never.
+  paths are exact in law at the grid times for any step count: on the
+  weights route always, on the dense route when the system is
+  self-adjoint and Phi^T Phi is diagonal, on the per-step route never.
 * frozen-exponential: general G, frozen at each step's left endpoint.
+  The provenance's ``scheme_reason`` says why the plan is not
+  exact-diagonal (null when it is).
 
-Both run one core, so for diagonal G they produce bit-identical paths.
 The core picks the noise-to-mode route once per plan, the first that
 applies:
 
@@ -39,21 +38,20 @@ applies:
 The scale s is folded into the route's operator.  Replicas run in
 batches on the thread pool of ``hspde._threads``, the one parallel layer:
 BLAS runs one thread inside it, and so does the serial path of one
-worker or of ``simulate_from_increments``.  Each batch streams its
-increments through blocks of 256 steps: project the block, run the
-recursion in place, and synthesise the recorded rows with one matmul per
-replica, written into the output.  ``simulate`` draws a batch's
-increments in chunks of 2048 steps into one (R, N, 2048) buffer,
-refilled every 8 blocks from the batch's live generators;
-``simulate_from_increments`` slices the blocks from the caller's table
-(serially, labelled "from-increments").  A batch
-holds at most ceil(replicas / workers) replicas, and as many as keep one
-increment chunk, the block states and the per-step field within 256 MiB;
-a plan whose single replica exceeds that is refused before anything is
-drawn.  The recorded ensemble itself lies outside the budget.
-Every matmul acts on one replica with shapes fixed by the plan, and the
-rest is elementwise, so a replica's values do not depend on batching,
-worker count or the host's BLAS thread count, bit for bit;
+worker.  Each batch streams its increments through blocks of 256 steps:
+project the block, run the recursion in place, and synthesise the
+recorded rows with one matmul per replica, written into the output.
+``simulate`` draws a batch's increments in chunks of 2048 steps into one
+(R, N, 2048) buffer, refilled every 8 blocks from the batch's live
+generators; ``simulate_from_increments`` slices the blocks from the
+caller's table (labelled "from-increments").  A batch holds at most
+ceil(replicas / workers) replicas, and as many as keep one increment
+chunk, the block states and the per-step field within 256 MiB; a plan
+whose single replica exceeds that is refused before anything is drawn.
+The recorded ensemble itself lies outside the budget.  Every matmul
+acts on one replica with shapes fixed by the plan, and the rest is
+elementwise, so a replica's values do not depend on batching, worker
+count or the host's BLAS thread count, bit for bit;
 ``simulate_from_increments`` fed the same draws reproduces ``simulate``.
 
 Increments come from the per-(seed, replica, mode) streams of
@@ -121,8 +119,7 @@ class SimulationPlan:
     """Everything a simulation needs; replicas depend only on (seed, index).
 
     ``alpha`` is the fractional drift exponent (drift operator A^(alpha/2),
-    alpha = 2 the plain generator).  ``scheme`` is "auto",
-    "exact-diagonal" or "frozen-exponential".
+    alpha = 2 the plain generator).
     """
 
     system: EigenSystem
@@ -134,7 +131,6 @@ class SimulationPlan:
     steps: int = 1 << 13
     replicas: int = 64
     record: RecordSpec = field(default_factory=RecordSpec)
-    scheme: str = "auto"
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= 2.0):
@@ -143,8 +139,6 @@ class SimulationPlan:
             raise ValueError("T, steps and replicas must be positive")
         if self.steps % self.record.time_stride:
             raise ValueError("time_stride must divide steps")
-        if self.scheme not in ("auto", "exact-diagonal", "frozen-exponential"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.noise.domain.n_points != self.system.domain.n_points:
             raise ValueError("noise and system live on different grids")
 
@@ -208,10 +202,12 @@ def _record_layout(plan: SimulationPlan):
     return flat, shape, weight, rec_times
 
 
-def _provenance(plan: SimulationPlan, scheme: str, route: str) -> dict:
+def _provenance(plan: SimulationPlan, scheme: str, route: str,
+                reason: Optional[str]) -> dict:
     dom = plan.system.domain
     return {
         "scheme": scheme,
+        "scheme_reason": reason,
         "route": route,
         "seed": int(plan.seed),
         "alpha": float(plan.alpha),
@@ -257,28 +253,15 @@ def _diagonal_obstacle(system: EigenSystem, route: str,
         return None
     if route == "per-step":
         return ("G varies in time, so it does not diagonalise over the "
-                'drift eigenbasis; use scheme "frozen-exponential"')
+                "drift eigenbasis")
     if not system.is_selfadjoint:
-        return ("exact-diagonal scheme needs a self-adjoint system; "
-                'use scheme "frozen-exponential"')
+        return "exact-diagonal scheme needs a self-adjoint system"
     gram = operator.conj().T @ operator
     diag = np.abs(np.diagonal(gram))
     np.fill_diagonal(gram, 0.0)
     if np.abs(gram).max() > 1e-12 * diag.max():
-        return ("G does not diagonalise over the drift eigenbasis; "
-                'use scheme "frozen-exponential"')
+        return "G does not diagonalise over the drift eigenbasis"
     return None
-
-
-def _choose_scheme(core: "_Core", requested: str) -> str:
-    """Resolve "auto"; refuse "exact-diagonal" where it does not apply."""
-    if requested == "frozen-exponential":
-        return requested
-    if core.obstacle is None:
-        return "exact-diagonal"
-    if requested == "exact-diagonal":
-        raise ValueError(core.obstacle)
-    return "frozen-exponential"
 
 
 @dataclass(frozen=True)
@@ -453,20 +436,19 @@ class _Core:
             space_indices=flat_idx,
             space_shape=shape,
             space_weight=weight,
-            provenance=_provenance(self.plan, scheme, self.route),
+            provenance=_provenance(self.plan, scheme, self.route,
+                                   self.obstacle),
         )
 
 
 def simulate(plan: SimulationPlan, workers: Optional[int] = None) -> TrajectoryEnsemble:
-    """Run plan.scheme; "auto" takes the exact diagonal scheme where G
-    diagonalises and the frozen-exponential one otherwise.
+    """The plan's ensemble, labelled "exact-diagonal" where G diagonalises
+    over the drift eigenbasis and "frozen-exponential" otherwise.
 
-    Raises ValueError when plan.scheme is "exact-diagonal" and G does not
-    diagonalise over the drift eigenbasis.  ``workers`` threads run the
-    replica batches (default: one per CPU).
+    ``workers`` threads run the replica batches (default: one per CPU).
     """
     core = _Core.build(plan)
-    scheme = _choose_scheme(core, plan.scheme)
+    scheme = "exact-diagonal" if core.obstacle is None else "frozen-exponential"
     tg = plan.time_grid
 
     def draws(start: int, stop: int):
@@ -492,6 +474,7 @@ def simulate_from_increments(plan: SimulationPlan,
     time index n depends only on increments with step index < n, which is
     what makes spliced-future determinism checks meaningful.  Fed the
     draws ``simulate`` makes, it reproduces ``simulate`` bit for bit.
+    Replica batches run on one thread per CPU.
     """
     increments = np.asarray(increments, dtype=float)
     want = (plan.replicas, plan.noise.truncation, plan.steps)
@@ -501,7 +484,7 @@ def simulate_from_increments(plan: SimulationPlan,
     def slices(start: int, stop: int):
         return lambda b0, b1: increments[start:stop, :, b0:b1]
 
-    return _Core.build(plan).run("from-increments", slices, 1)
+    return _Core.build(plan).run("from-increments", slices, worker_count(None))
 
 
 def mean_mq_norm(ens: TrajectoryEnsemble, p: float, q: float) -> MqNormEstimate:

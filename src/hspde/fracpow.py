@@ -44,6 +44,9 @@ __all__ = [
     "domain_norm",
 ]
 
+#: terms of the geometric expansion added back for each integrand tail
+TAIL_TERMS = 8
+
 
 @dataclass(frozen=True)
 class FracPowerRequest:
@@ -59,15 +62,12 @@ class FracPowerRequest:
     cutoff_lo: float = 30.0
     cutoff_hi: float = 30.0
     tolerance: Optional[float] = None
-    tail_terms: int = 8
 
     def __post_init__(self):
         if self.nodes < 10:
             raise ValueError("need at least 10 quadrature nodes")
         if self.cutoff_lo <= 0 or self.cutoff_hi <= 0:
             raise ValueError("window cutoffs must be positive")
-        if self.tail_terms < 1:
-            raise ValueError("tail_terms must be at least 1")
 
 
 class QuadratureError(RuntimeError):
@@ -122,7 +122,7 @@ def _inverse_power_factors(lam: np.ndarray, z: complex, req: FracPowerRequest,
     es = np.exp(s)
     window = (w * np.exp((1.0 - z) * s)) @ (1.0 / (es[:, None] + lam[None, :]))
 
-    j = np.arange(req.tail_terms)[:, None]
+    j = np.arange(TAIL_TERMS)[:, None]
     lo = np.sum(
         (-1.0) ** j * lam[None, :] ** (-(j + 1))
         * np.exp(-req.cutoff_lo * (1.0 - z + j)) / (1.0 - z + j),
@@ -144,7 +144,7 @@ def _forward_power_factors(lam: np.ndarray, z: complex, req: FracPowerRequest,
         lam[None, :] / (es[:, None] + lam[None, :]) ** 2
     )
 
-    j = np.arange(req.tail_terms)[:, None]
+    j = np.arange(TAIL_TERMS)[:, None]
     lo = np.sum(
         (j + 1) * (-1.0) ** j * lam[None, :] ** (-(j + 1))
         * np.exp(-req.cutoff_lo * (1.0 + z + j)) / (1.0 + z + j),

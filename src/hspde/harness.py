@@ -30,7 +30,7 @@ Config schema (all sections JSON primitives)::
                   | {"kind": "scalar", "value", "m", "q"}
                   | {"kind": "table", "values", "m", "q"},
       "plan":     {"seed" (required), "alpha", "T", "steps", "replicas",
-                   "time_stride", "space_count", "scheme"},
+                   "time_stride", "space_count"},
       "query":    {"theorem", "d", "q", ...} | null,
       "sweep":    {"alpha": [...], "slack": 0.03} | null,
       "estimator": {"temporal_mode", "times", "point_index"},
@@ -38,6 +38,9 @@ Config schema (all sections JSON primitives)::
       "persist_trajectories": false,
       "note": "..."
     }
+
+Unknown keys, at the top level or in the plan, noise, sweep and
+estimator sections, are refused before any stage runs.
 """
 
 import copy
@@ -98,7 +101,14 @@ _TOP_KEYS = {
 }
 _PLAN_DEFAULTS = {
     "alpha": 2.0, "T": 1.0, "steps": 4096, "replicas": 8,
-    "time_stride": 1, "space_count": 64, "scheme": "auto",
+    "time_stride": 1, "space_count": 64,
+}
+# the keys each checked section may carry
+_SECTION_KEYS = {
+    "plan": {"seed", *_PLAN_DEFAULTS},
+    "noise": {"theta", "truncation"},
+    "sweep": {"alpha", "slack"},
+    "estimator": {"temporal_mode", "times", "point_index"},
 }
 
 
@@ -185,9 +195,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        unknown = set(raw) - _TOP_KEYS
+        unknown = sorted(set(raw) - _TOP_KEYS) + sorted(
+            f"{section}.{key}" for section, allowed in _SECTION_KEYS.items()
+            if isinstance(raw.get(section), dict)
+            for key in set(raw[section]) - allowed)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {unknown}")
         for section in ("domain", "noise", "plan"):
             if section not in raw or not isinstance(raw[section], dict):
                 raise ValueError(f"config needs a {section!r} section")
@@ -449,8 +462,7 @@ def run_experiment(config, workers: Optional[int] = None,
                               T=float(plan_args["T"]),
                               steps=int(plan_args["steps"]),
                               replicas=int(plan_args["replicas"]),
-                              record=record,
-                              scheme=str(plan_args.get("scheme", "auto")))
+                              record=record)
 
     def simulate_all():
         ensembles = {}

@@ -73,7 +73,7 @@ def single_mode_plan(replicas, steps=16, seed=1108, alpha=2.0):
 
 
 def small_plan(g, replicas=4, steps=32, seed=91, theta=0.5, modes=8, grid=32,
-               scheme="auto", stride=None, space=None):
+               stride=None, space=None):
     dom = SpectralDomain(1, grid, modes)
     system = build_laplacian_system(dom)
     noise = make_cameron_martin(dom, theta=theta, truncation=modes)
@@ -86,12 +86,14 @@ def small_plan(g, replicas=4, steps=32, seed=91, theta=0.5, modes=8, grid=32,
         steps=steps,
         replicas=replicas,
         record=RecordSpec(time_stride=stride or 1, space_count=space or grid),
-        scheme=scheme,
     )
 
 
-def with_scheme(plan, scheme):
-    return dataclasses.replace(plan, scheme=scheme)
+def exact(ens):
+    """``ens``, after checking that it was labelled exact in law."""
+    assert ens.provenance["scheme"] == "exact-diagonal"
+    assert ens.provenance["scheme_reason"] is None
+    return ens
 
 
 def mode_coefficients(ens, system):
@@ -108,7 +110,7 @@ def mode_coefficients(ens, system):
 def test_single_mode_variance_matches_ou_formula():
     # exact-in-law sampling: coarse steps must still hit the OU variance
     plan = single_mode_plan(replicas=6000, steps=8)
-    ens = simulate(with_scheme(plan, "exact-diagonal"))
+    ens = exact(simulate(plan))
     mu = np.pi**2
     c_end = mode_coefficients(ens, plan.system)[:, -1, 0]
     var_hat = c_end.var(ddof=1)
@@ -120,7 +122,7 @@ def test_single_mode_variance_matches_ou_formula():
 def test_em_oracle_agrees_with_scheme():
     mu = np.pi**2
     plan = single_mode_plan(replicas=4000, steps=8, seed=5)
-    ens = simulate(with_scheme(plan, "exact-diagonal"))
+    ens = exact(simulate(plan))
     c_end = mode_coefficients(ens, plan.system)[:, -1, 0]
     em_end = em_ou_endpoints(mu, 1.0, 5000, 4000, seed=1234)
     v_scheme = c_end.var(ddof=1)
@@ -139,7 +141,7 @@ def test_covariance_decays_at_semigroup_rate():
         T=1.0, steps=16, replicas=8000,
         record=RecordSpec(time_stride=1, space_count=64),
     )
-    ens = simulate(with_scheme(plan, "exact-diagonal"))
+    ens = exact(simulate(plan))
     coeffs = mode_coefficients(ens, plan.system)
     x, y = coeffs[:, 8, 0], coeffs[:, 16, 0]  # t = 0.5 and t = 1.0
     prods = x * y
@@ -177,23 +179,8 @@ def test_endpoint_values_look_gaussian():
 
 def test_zero_multiplier_gives_zero_paths():
     g = GProcess.multiplication(0.0, m=8.0, q=16.0)
-    ens = simulate(small_plan(g, replicas=3, scheme="frozen-exponential"))
+    ens = simulate(small_plan(g, replicas=3))
     assert np.all(ens.values == 0.0)
-
-
-def test_frozen_matches_exact_bitwise_for_identity():
-    plan = small_plan(GProcess.identity(), replicas=3)
-    a = simulate(with_scheme(plan, "exact-diagonal"))
-    b = simulate(with_scheme(plan, "frozen-exponential"))
-    assert np.array_equal(a.values, b.values)
-
-
-def test_frozen_matches_exact_bitwise_for_constant_multiplier():
-    g = GProcess.multiplication(1.7, m=8.0, q=16.0)
-    plan = small_plan(g, replicas=3)
-    a = simulate(with_scheme(plan, "exact-diagonal"))
-    b = simulate(with_scheme(plan, "frozen-exponential"))
-    assert np.array_equal(a.values, b.values)
 
 
 def test_identity_and_unit_multiplier_agree():
@@ -262,7 +249,9 @@ def test_semigroup_decay_after_noise_stops():
 
     g = GProcess.multiplication(gate, m=8.0, q=16.0, time_dependent=True)
     plan = small_plan(g, replicas=2, steps=64, modes=6, grid=24)
-    ens = simulate(with_scheme(plan, "frozen-exponential"))
+    ens = simulate(plan)
+    assert ens.provenance["scheme"] == "frozen-exponential"
+    assert "varies in time" in ens.provenance["scheme_reason"]
     coeffs = mode_coefficients(ens, plan.system)
     lam = np.real(plan.system.eigenvalues)
     c_half = coeffs[:, 32, :]
@@ -300,16 +289,21 @@ def test_same_plan_reproduces_bitwise():
 
 
 def test_auto_scheme_dispatch():
-    ens_id = simulate(small_plan(GProcess.identity(), replicas=1, steps=8))
-    assert ens_id.provenance["scheme"] == "exact-diagonal"
+    exact(simulate(small_plan(GProcess.identity(), replicas=1, steps=8)))
     ens_bump = simulate(small_plan(g_preset("bump", 8.0, 16.0), replicas=1, steps=8))
     assert ens_bump.provenance["scheme"] == "frozen-exponential"
 
 
 def test_exact_scheme_rejects_nondiagonal_g():
+    # the exact label is withheld, and the reason recorded, for both entries
     plan = small_plan(g_preset("bump", 8.0, 16.0), replicas=1, steps=8)
-    with pytest.raises(ValueError, match="frozen"):
-        simulate(with_scheme(plan, "exact-diagonal"))
+    ens = simulate(plan)
+    assert ens.provenance["scheme"] == "frozen-exponential"
+    reason = "G does not diagonalise over the drift eigenbasis"
+    assert ens.provenance["scheme_reason"] == reason
+    table = simulate_from_increments(plan, replica_increments(plan))
+    assert table.provenance["scheme"] == "from-increments"
+    assert table.provenance["scheme_reason"] == reason
 
 
 def test_exact_label_needs_uncorrelated_mode_noise():
@@ -318,20 +312,17 @@ def test_exact_label_needs_uncorrelated_mode_noise():
     # under white noise (theta = 0, full truncation) Phi is orthogonal
     system = diagonal_system([1.0, 4.0, 9.0])
 
-    def plan(theta, scheme="auto"):
+    def plan(theta):
         return SimulationPlan(
             system=system, noise=make_cameron_martin(system.domain, theta, 3),
             G=GProcess.identity(), seed=4, steps=8, replicas=2,
-            record=RecordSpec(space_count=3), scheme=scheme)
+            record=RecordSpec(space_count=3))
 
-    assert simulate(plan(0.5)).provenance["scheme"] == "frozen-exponential"
-    with pytest.raises(ValueError, match="frozen"):
-        simulate(plan(0.5, "exact-diagonal"))
-    white = simulate(plan(0.0, "exact-diagonal"))
-    assert white.provenance["scheme"] == "exact-diagonal"
-    assert simulate(plan(0.0)).provenance["scheme"] == "exact-diagonal"
-    assert np.array_equal(simulate(plan(0.0, "frozen-exponential")).values,
-                          white.values)
+    colored = simulate(plan(0.5)).provenance
+    assert colored["scheme"] == "frozen-exponential"
+    assert colored["route"] == "dense"
+    assert "does not diagonalise" in colored["scheme_reason"]
+    exact(simulate(plan(0.0)))
 
 
 # ----- predicted second moment ----------------------------------------------
@@ -465,10 +456,9 @@ def test_nonselfadjoint_paths_are_real():
     )
     ens = simulate(plan)
     assert ens.provenance["scheme"] == "frozen-exponential"
+    assert "self-adjoint" in ens.provenance["scheme_reason"]
     assert np.isrealobj(ens.values)
     assert np.isfinite(ens.values).all()
-    with pytest.raises(ValueError):
-        simulate(with_scheme(plan, "exact-diagonal"))
     with pytest.raises(ValueError):
         predicted_second_moment(plan)
 
@@ -633,8 +623,6 @@ def test_plan_validation():
         SimulationPlan(**good, alpha=2.5)
     with pytest.raises(ValueError, match="divide"):
         SimulationPlan(**good, steps=10, record=RecordSpec(time_stride=3))
-    with pytest.raises(ValueError, match="scheme"):
-        SimulationPlan(**good, scheme="magic")
     other = make_cameron_martin(SpectralDomain(1, 8, 4), 0.5, 4)
     with pytest.raises(ValueError, match="grid"):
         SimulationPlan(system=system, noise=other, G=GProcess.identity(), seed=1)

@@ -192,10 +192,20 @@ def test_seed_is_required(tmp_path):
         ExperimentConfig.from_dict(cfg)
 
 
-def test_unknown_config_keys_rejected(tmp_path):
-    cfg = small_config(tmp_path, typo_section={})
-    with pytest.raises(ValueError, match="typo_section"):
+@pytest.mark.parametrize("path", [
+    "typo_section", "plan.replcas", "plan.scheme", "noise.thetta",
+    "estimator.temporal_mdoe", "sweep.slak",
+])
+def test_unknown_config_keys_rejected(tmp_path, path):
+    cfg = small_config(tmp_path, estimator={"temporal_mode": "pointwise"},
+                       sweep={"alpha": [1.0, 2.0]})
+    section, _, key = path.rpartition(".")
+    (cfg[section] if section else cfg)[key] = 2
+    with pytest.raises(ValueError, match=rf"unknown config keys: \['{path}'\]"):
         ExperimentConfig.from_dict(cfg)
+    with pytest.raises(ValueError, match=path):
+        run_experiment(cfg)
+    assert not any(tmp_path.iterdir())  # refused before any stage ran
 
 
 def test_run_id_tracks_content(tmp_path):
