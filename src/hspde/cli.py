@@ -21,7 +21,6 @@ traceback first.
 """
 
 import argparse
-import os
 import sys
 import traceback
 from pathlib import Path
@@ -42,7 +41,7 @@ from .harness import (
     resolve_config,
     run_experiment,
 )
-from .regularity import RegularityQuery
+from .regularity import THEOREMS, RegularityQuery
 from .spectral import SpectralDomain, build_laplacian_system, \
     diagonal_system, synthesize
 from .trajio import _fmt
@@ -71,8 +70,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _add_query_flags(parser, required: bool) -> None:
-    parser.add_argument("--theorem", required=required,
-                        choices=["prop32", "remark33", "colored", "fractional"])
+    parser.add_argument("--theorem", required=required, choices=THEOREMS)
     parser.add_argument("--d", type=int, default=None)
     parser.add_argument("--q", type=float, default=None)
     parser.add_argument("--p", type=float, default=None)
@@ -109,9 +107,9 @@ def _add_config_flags(parser) -> None:
                              "beats both file and preset")
     parser.add_argument("--out-dir", default=None,
                         help="override the config's output_dir")
-    parser.add_argument("--workers", type=int, default=os.cpu_count(),
+    parser.add_argument("--workers", type=int, default=None,
                         help="worker threads of the simulation and the "
-                             "exponent fits (default: logical cores)")
+                             "exponent fits (default: one per CPU)")
 
 
 def _resolve(args, force_persist: bool = False) -> ExperimentConfig:

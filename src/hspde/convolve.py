@@ -109,8 +109,12 @@ class RecordSpec:
         if self.time_stride < 1 or self.space_count < 1:
             raise ValueError("record strides must be positive")
 
+    def space_stride(self, grid_size: int) -> int:
+        """Spacing, in grid points, of the recorded points on an axis."""
+        return max(1, int(round(grid_size / self.space_count)))
+
     def axis_indices(self, grid_size: int) -> np.ndarray:
-        stride = max(1, int(round(grid_size / self.space_count)))
+        stride = self.space_stride(grid_size)
         return np.arange(stride - 1, grid_size, stride)
 
 
@@ -196,7 +200,7 @@ def _record_layout(plan: SimulationPlan):
             [g.ravel() for g in grids], (dom.grid_size,) * d
         )
         shape = (len(ax_idx),) * d
-    stride = max(1, int(round(dom.grid_size / plan.record.space_count)))
+    stride = plan.record.space_stride(dom.grid_size)
     weight = (stride / (dom.grid_size + 1)) ** d
     rec_times = plan.time_grid[:: plan.record.time_stride]
     return flat, shape, weight, rec_times

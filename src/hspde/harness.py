@@ -39,16 +39,19 @@ Config schema (all sections JSON primitives)::
       "note": "..."
     }
 
-Unknown keys, at the top level or in the plan, noise, sweep and
-estimator sections, are refused before any stage runs.
+``_SECTIONS`` and ``_KINDS`` declare once the required and optional keys
+(with defaults) of each section, and of each ``operator`` and ``g`` kind
+beside its builder; ``domain`` and ``query`` take the fields of
+``SpectralDomain`` and ``RegularityQuery``.  ``from_dict`` refuses unknown
+keys and kinds, missing required keys and an unknown temporal mode before
+any stage runs; a bad value fails the stage that reads it.
 """
 
 import copy
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
-from fractions import Fraction
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -62,6 +65,7 @@ from .regularity import (
     RegularityQuery,
     _check_provenance,
     _confront_region,
+    _derived_integrability,
     _increment_profiles,
     estimate_spatial_exponent,
     estimate_temporal_exponent,
@@ -81,35 +85,81 @@ from .trajio import _fmt, export_trajectories_csv, load_trajectories, \
     save_trajectories
 
 __all__ = [
-    "ExperimentConfig",
-    "RunManifest",
-    "StageError",
-    "HypothesisError",
-    "resolve_config",
-    "run_experiment",
-    "estimates_from_run",
-    "export_plotdata",
-    "region_csv",
-    "list_presets",
-    "get_preset",
+    "ExperimentConfig", "RunManifest", "StageError", "HypothesisError",
+    "resolve_config", "run_experiment", "estimates_from_run",
+    "export_plotdata", "region_csv", "list_presets", "get_preset",
 ]
 
-_TOP_KEYS = {
-    "name", "description", "domain", "operator", "noise", "g", "plan",
-    "query", "sweep", "estimator", "output_dir", "persist_trajectories",
-    "note",
+def _field_keys(cls) -> tuple:
+    """(required keys, {optional key: default}) of a dataclass's fields."""
+    return ([f.name for f in fields(cls) if f.default is MISSING],
+            {f.name: f.default for f in fields(cls)
+             if f.default is not MISSING})
+
+
+# section -> (required keys, {optional key: default})
+_SECTIONS = {
+    "domain": _field_keys(SpectralDomain),
+    "noise": (["theta", "truncation"], {}),
+    "plan": (["seed"], {"alpha": 2.0, "T": 1.0, "steps": 4096, "replicas": 8,
+                        "time_stride": 1, "space_count": 64}),
+    "query": _field_keys(RegularityQuery),
+    "sweep": (["alpha"], {"slack": 0.03}),
+    "estimator": ([], {"temporal_mode": "pointwise", "times": None,
+                       "point_index": None}),
 }
-_PLAN_DEFAULTS = {
-    "alpha": 2.0, "T": 1.0, "steps": 4096, "replicas": 8,
-    "time_stride": 1, "space_count": 64,
+_TEMPORAL_MODES = ("pointwise", "sup-space")  # of estimator.temporal_mode
+# section -> kind -> (required keys, {optional key: default}, builder).  A
+# builder takes the kind's keys (an operator's the domain section first)
+# and looks its callees up in this module when called, so perfbench's
+# tracer patches here bind.
+_KINDS = {
+    "operator": {
+        "laplacian": ([], {"shift": 0.0}, lambda domain, shift:
+                      build_laplacian_system(SpectralDomain(**domain),
+                                             shift=float(shift))),
+        "varcoef": (["name"], {}, lambda domain, name:
+                    build_variable_coefficient_system(
+                        SpectralDomain(**domain), operator_preset(name))),
+        "diagonal": (["eigenvalues"], {}, lambda domain, eigenvalues:
+                     diagonal_system(np.asarray(eigenvalues, dtype=float))),
+    },
+    "g": {
+        "identity": ([], {}, GProcess.identity),
+        "preset": (["name", "m", "q"], {}, lambda name, m, q:
+                   g_preset(name, float(m), float(q))),
+        "scalar": (["value", "m", "q"], {}, lambda value, m, q:
+                   GProcess.multiplication(float(value), m=float(m),
+                                           q=float(q))),
+        "table": (["values", "m", "q"], {}, lambda values, m, q:
+                  GProcess.from_table(np.asarray(values, dtype=float),
+                                      m=float(m), q=float(q))),
+    },
 }
-# the keys each checked section may carry
-_SECTION_KEYS = {
-    "plan": {"seed", *_PLAN_DEFAULTS},
-    "noise": {"theta", "truncation"},
-    "sweep": {"alpha", "slack"},
-    "estimator": {"temporal_mode", "times", "point_index"},
-}
+
+
+def _keys(name: str, section: dict) -> tuple:
+    """(required keys, {optional key: default}) of config section ``name``;
+    those of ``operator`` and ``g`` follow the section's kind."""
+    if name not in _KINDS:
+        return _SECTIONS[name]
+    kind = section.get("kind")
+    if kind not in _KINDS[name]:
+        raise ValueError(f"unknown {name}.kind {kind!r}; "
+                         f"known: {sorted(_KINDS[name])}")
+    required, optional, _ = _KINDS[name][kind]
+    return ["kind", *required], optional
+
+
+def _resolved(name: str, section: dict) -> dict:
+    """Config section ``name`` over the defaults of its optional keys."""
+    return {**_keys(name, section)[1], **section}
+
+
+def _build(name: str, section: dict, *args):
+    """The object that an ``operator`` or ``g`` section describes."""
+    keys = _resolved(name, section)
+    return _KINDS[name][keys.pop("kind")][2](*args, **keys)
 
 
 class StageError(RuntimeError):
@@ -195,32 +245,34 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        unknown = sorted(set(raw) - _TOP_KEYS) + sorted(
-            f"{section}.{key}" for section, allowed in _SECTION_KEYS.items()
-            if isinstance(raw.get(section), dict)
-            for key in set(raw[section]) - allowed)
+        needed = ("domain", "noise", "plan")
+        for name in needed:
+            if not isinstance(raw.get(name), dict):
+                raise ValueError(f"config needs a {name!r} section")
+        sections = {name: dict(raw[name]) for name in (*_SECTIONS, *_KINDS)
+                    if raw.get(name) or name in needed}
+        top = {f.name for f in fields(cls)} | {"description"}
+        unknown, missing = sorted(set(raw) - top), []
+        for name, section in sections.items():
+            required, optional = _keys(name, section)
+            unknown += sorted(f"{name}.{key}" for key in section
+                              if key not in required and key not in optional)
+            missing += [f"{name}.{key}" for key in required
+                        if key not in section]
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
-        for section in ("domain", "noise", "plan"):
-            if section not in raw or not isinstance(raw[section], dict):
-                raise ValueError(f"config needs a {section!r} section")
-        plan = dict(_PLAN_DEFAULTS, **raw["plan"])
-        if "seed" not in plan:
-            raise ValueError("plan.seed is required; no silent entropy")
-        return cls(
-            domain=dict(raw["domain"]),
-            noise=dict(raw["noise"]),
-            plan=plan,
-            operator=dict(raw.get("operator") or {"kind": "laplacian"}),
-            g=dict(raw.get("g") or {"kind": "identity"}),
-            query=dict(raw["query"]) if raw.get("query") else None,
-            sweep=dict(raw["sweep"]) if raw.get("sweep") else None,
-            estimator=dict(raw.get("estimator") or {}),
-            output_dir=str(raw.get("output_dir", "runs")),
-            persist_trajectories=bool(raw.get("persist_trajectories", False)),
-            note=str(raw.get("note", "")),
-            name=str(raw.get("name", "custom")),
-        )
+        if missing:
+            raise ValueError(f"missing config keys: {missing}")
+        mode = _resolved("estimator",
+                         sections.get("estimator", {}))["temporal_mode"]
+        if mode not in _TEMPORAL_MODES:
+            raise ValueError(f"unknown estimator.temporal_mode {mode!r}; "
+                             f"known: {list(_TEMPORAL_MODES)}")
+        sections["plan"] = _resolved("plan", sections["plan"])
+        # the other fields are scalars, cast to their declared types
+        return cls(**sections, **{f.name: f.type(raw[f.name])
+                                  for f in fields(cls)
+                                  if f.type in (str, bool) and f.name in raw})
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -252,16 +304,9 @@ class RunManifest:
     note: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "config": self.config,
-            "versions": self.versions,
-            "derived": self.derived,
-            "stages": self.stages,
-            "outputs": self.outputs,
-            "verdict": self.verdict,
-            "note": self.note,
-        }
+        out = asdict(self)
+        del out["timings"]
+        return out
 
 
 def _versions() -> dict:
@@ -285,57 +330,20 @@ def _query_params(query: RegularityQuery) -> str:
 
 def region_csv(query: RegularityQuery, n_points: int = 33) -> str:
     """Boundary polyline as plot-ready CSV text."""
-    rows = region_boundary(query, n_points=n_points)
     params = _query_params(query)
-    lines = ["beta,gamma_max,theorem,params"]
-    for beta, gamma in rows:
-        lines.append(f"{_fmt(beta)},{_fmt(gamma)},{query.theorem},{params}")
+    lines = ["beta,gamma_max,theorem,params"] + [
+        f"{_fmt(beta)},{_fmt(gamma)},{query.theorem},{params}"
+        for beta, gamma in region_boundary(query, n_points=n_points)]
     return "\n".join(lines) + "\n"
-
-
-def _build_system(config: ExperimentConfig):
-    op = config.operator
-    kind = op.get("kind", "laplacian")
-    if kind == "diagonal":
-        system = diagonal_system(np.asarray(op["eigenvalues"], dtype=float))
-        return system.domain, system
-    domain = SpectralDomain(**config.domain)
-    if kind == "laplacian":
-        return domain, build_laplacian_system(domain,
-                                              shift=float(op.get("shift", 0.0)))
-    if kind == "varcoef":
-        return domain, build_variable_coefficient_system(
-            domain, operator_preset(op["name"]))
-    raise ValueError(f"unknown operator kind {kind!r}")
-
-
-def _build_g(config: ExperimentConfig) -> GProcess:
-    g = config.g
-    kind = g.get("kind", "identity")
-    if kind == "identity":
-        return GProcess.identity()
-    if kind == "preset":
-        return g_preset(g["name"], float(g["m"]), float(g["q"]))
-    if kind == "scalar":
-        return GProcess.multiplication(float(g["value"]), m=float(g["m"]),
-                                       q=float(g["q"]))
-    if kind == "table":
-        return GProcess.from_table(np.asarray(g["values"], dtype=float),
-                                   m=float(g["m"]), q=float(g["q"]))
-    raise ValueError(f"unknown g kind {kind!r}")
-
-
-def _build_query(config: ExperimentConfig) -> Optional[RegularityQuery]:
-    if config.query is None:
-        return None
-    return RegularityQuery(**config.query)
 
 
 def _derived_p(query: RegularityQuery) -> Optional[float]:
     if query.theorem != "colored":
         return None
-    inv = 0.5 - float(query.theta) / query.d + 1.0 / float(query.m)
-    return 1.0 / inv if inv > 0 else None
+    try:
+        return float(_derived_integrability(query))
+    except ValueError:
+        return None
 
 
 def _derived_block(system, query) -> dict:
@@ -357,15 +365,16 @@ def _derived_block(system, query) -> dict:
 
 
 def _fit_ensemble(ens, estimator: dict, workers: Optional[int]) -> dict:
-    """The three exponent fits of one ensemble, keyed by table mode, each
-    taking its replicas' profiles on ``workers`` threads."""
+    """The three exponent fits of one ensemble under ``estimator``, keyed by
+    table mode, each taking its replicas' profiles on ``workers`` threads."""
+    estimator = _resolved("estimator", estimator)
     return {
         "pointwise": estimate_temporal_exponent(
-            ens, mode="pointwise", point_index=estimator.get("point_index"),
+            ens, mode="pointwise", point_index=estimator["point_index"],
             workers=workers),
         "sup-space": estimate_temporal_exponent(ens, mode="sup-space",
                                                 workers=workers),
-        "pooled": estimate_spatial_exponent(ens, times=estimator.get("times"),
+        "pooled": estimate_spatial_exponent(ens, times=estimator["times"],
                                             workers=workers),
     }
 
@@ -431,11 +440,12 @@ def run_experiment(config, workers: Optional[int] = None,
 
     # ---- build ----
     def build():
-        domain, system = _build_system(config)
-        noise = make_cameron_martin(domain, float(config.noise["theta"]),
+        system = _build("operator", config.operator, config.domain)
+        noise = make_cameron_martin(system.domain,
+                                    float(config.noise["theta"]),
                                     int(config.noise["truncation"]))
-        G = _build_g(config)
-        query = _build_query(config)
+        G = _build("g", config.g)
+        query = RegularityQuery(**config.query) if config.query else None
         if query is not None and query.theorem == "colored":
             p = _derived_p(query)
             report = validate_noise_hypotheses(G, noise, p=p, d=query.d)
@@ -443,32 +453,27 @@ def run_experiment(config, workers: Optional[int] = None,
                 bad = [c["name"] for c in report["clauses"] if not c["ok"]]
                 raise HypothesisError(
                     f"noise hypotheses violated: {'; '.join(bad)}")
-        return domain, system, noise, G, query
+        return system, noise, G, query
 
-    domain, system, noise, G, query = run_stage("build", build)
+    system, noise, G, query = run_stage("build", build)
     manifest.derived = _derived_block(system, query)
 
+    plan = config.plan
     alphas = list(config.sweep["alpha"]) if config.sweep \
-        else [float(config.plan["alpha"])]
-    plan_args = dict(config.plan)
-    plan_args.pop("alpha", None)
-    record = RecordSpec(time_stride=int(plan_args.pop("time_stride")),
-                        space_count=int(plan_args.pop("space_count")))
+        else [float(plan["alpha"])]
+    record = RecordSpec(time_stride=int(plan["time_stride"]),
+                        space_count=int(plan["space_count"]))
 
     # ---- simulate ----
     def make_plan(alpha):
         return SimulationPlan(system=system, noise=noise, G=G,
-                              seed=int(plan_args["seed"]), alpha=float(alpha),
-                              T=float(plan_args["T"]),
-                              steps=int(plan_args["steps"]),
-                              replicas=int(plan_args["replicas"]),
-                              record=record)
+                              seed=int(plan["seed"]), alpha=float(alpha),
+                              T=float(plan["T"]), steps=int(plan["steps"]),
+                              replicas=int(plan["replicas"]), record=record)
 
     def simulate_all():
-        ensembles = {}
-        for alpha in alphas:
-            ensembles[alpha] = simulate(make_plan(alpha), workers=workers)
-        return ensembles
+        return {alpha: simulate(make_plan(alpha), workers=workers)
+                for alpha in alphas}
 
     ensembles = run_stage("simulate", simulate_all)
 
@@ -504,10 +509,8 @@ def run_experiment(config, workers: Optional[int] = None,
     # ---- verify ----
     def verify():
         if config.sweep:
-            mode = config.estimator.get("temporal_mode", "pointwise")
-            if mode not in ("pointwise", "sup-space"):
-                raise ValueError(f"unknown estimator.temporal_mode {mode!r}")
-            slack = float(config.sweep.get("slack", 0.03))
+            mode = _resolved("estimator", config.estimator)["temporal_mode"]
+            slack = float(_resolved("sweep", config.sweep)["slack"])
             betas = [fits[a][mode].value for a in alphas]
             steps_ok = [betas[i + 1] >= betas[i] - slack
                         for i in range(len(betas) - 1)]
@@ -548,8 +551,7 @@ def run_experiment(config, workers: Optional[int] = None,
 
 
 def _load_run(run_dir) -> dict:
-    run_dir = Path(run_dir)
-    manifest_path = run_dir / "manifest.json"
+    manifest_path = Path(run_dir) / "manifest.json"
     if not manifest_path.is_file():
         raise FileNotFoundError(f"unknown run id: no manifest under {run_dir}")
     return json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -583,14 +585,12 @@ def _increment_profile_csv(ens) -> str:
 def estimates_from_run(run_dir, workers: Optional[int] = None) -> str:
     """Recompute the estimate table from a run's persisted trajectories,
     on ``workers`` threads (default: one per CPU)."""
-    manifest = _load_run(run_dir)
-    estimator = manifest["config"].get("estimator") or {}
-    fallback = manifest["config"]["plan"].get("alpha", 2.0)
+    estimator = _load_run(run_dir)["config"]["estimator"]
     fits = []
     for path in _trajectory_files(Path(run_dir)):
         ens = load_trajectories(str(path))
-        alpha = float(ens.provenance.get("alpha", fallback))
-        fits.append((alpha, _fit_ensemble(ens, estimator, workers)))
+        fits.append((float(ens.provenance["alpha"]),
+                     _fit_ensemble(ens, estimator, workers)))
     return _estimates_csv(fits)
 
 

@@ -190,15 +190,25 @@ def test_seed_is_required(tmp_path):
     del cfg["plan"]["seed"]
     with pytest.raises(ValueError, match="seed"):
         ExperimentConfig.from_dict(cfg)
+    cfg["plan"] = {}
+    with pytest.raises(ValueError, match="seed"):
+        ExperimentConfig.from_dict(cfg)
+
+
+def every_section_config(out_dir):
+    return small_config(out_dir, estimator={"temporal_mode": "pointwise"},
+                        sweep={"alpha": [1.0, 2.0]},
+                        operator={"kind": "laplacian"},
+                        g={"kind": "preset", "name": "bump", "m": 8, "q": 16})
 
 
 @pytest.mark.parametrize("path", [
     "typo_section", "plan.replcas", "plan.scheme", "noise.thetta",
-    "estimator.temporal_mdoe", "sweep.slak",
+    "estimator.temporal_mdoe", "sweep.slak", "operator.shfit", "g.nmae",
+    "domain.grid_sise", "query.thetaa",
 ])
 def test_unknown_config_keys_rejected(tmp_path, path):
-    cfg = small_config(tmp_path, estimator={"temporal_mode": "pointwise"},
-                       sweep={"alpha": [1.0, 2.0]})
+    cfg = every_section_config(tmp_path)
     section, _, key = path.rpartition(".")
     (cfg[section] if section else cfg)[key] = 2
     with pytest.raises(ValueError, match=rf"unknown config keys: \['{path}'\]"):
@@ -206,6 +216,42 @@ def test_unknown_config_keys_rejected(tmp_path, path):
     with pytest.raises(ValueError, match=path):
         run_experiment(cfg)
     assert not any(tmp_path.iterdir())  # refused before any stage ran
+
+
+@pytest.mark.parametrize("path, value, message", [
+    ("operator.kind", "lapalcian", "unknown operator.kind 'lapalcian'"),
+    ("g.kind", "bmup", "unknown g.kind 'bmup'"),
+    ("g.m", None, r"missing config keys: \['g.m'\]"),
+    ("noise.truncation", None, r"missing config keys: \['noise.truncation'\]"),
+    ("estimator.temporal_mode", "sup_space",
+     "unknown estimator.temporal_mode 'sup_space'"),
+])
+def test_config_errors_refused_before_any_stage(tmp_path, path, value,
+                                                message):
+    cfg = every_section_config(tmp_path)
+    section, _, key = path.rpartition(".")
+    if value is None:
+        del cfg[section][key]
+    else:
+        cfg[section][key] = value
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict(cfg)
+    with pytest.raises(ValueError, match=path):
+        run_experiment(cfg)
+    assert not any(tmp_path.iterdir())
+
+
+def test_preset_run_ids_are_pinned():
+    # the run id hashes the stored config, so it pins manifest.json too
+    assert {name: ExperimentConfig.from_dict(get_preset(name)).run_id
+            for name, _ in list_presets()} == {
+        "laplacian-d1": "laplacian-d1-45b35f93e7",
+        "laplacian-d2": "laplacian-d2-28b88d089f",
+        "varcoef-d1": "varcoef-d1-832209c130",
+        "heat-white-d1-baseline": "heat-white-d1-baseline-056698cc40",
+        "colored-d1-thm31": "colored-d1-thm31-0338a1a124",
+        "fractional-alpha-sweep": "fractional-alpha-sweep-77ed373049",
+    }
 
 
 def test_run_id_tracks_content(tmp_path):
@@ -334,10 +380,9 @@ def test_sweep_produces_monotonicity_verdict(tmp_path):
 def test_sweep_verdict_needs_a_temporal_mode(tmp_path):
     cfg = small_config(tmp_path, query=None, sweep={"alpha": [1.0, 2.0]},
                        estimator={"temporal_mode": "pooled"})
-    cfg["plan"].update({"steps": 512, "replicas": 2})
-    with pytest.raises(StageError, match="temporal_mode") as err:
+    with pytest.raises(ValueError, match="temporal_mode"):
         run_experiment(cfg)
-    assert err.value.stage == "verify"
+    assert not any(tmp_path.iterdir())  # refused before any stage ran
 
 
 def test_pipeline_can_stop_early(tmp_path):
