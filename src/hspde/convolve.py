@@ -237,7 +237,11 @@ def _provenance(plan: SimulationPlan, scheme: str, route: str,
 
 def _rows_agree(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
     """max |a - b| <= tol, taken over slabs of 32 rows so that no full-size
-    temporary is made; a max is exact, so this is the same test."""
+    temporary is made; a max is exact, so this is the same test.  Two views
+    of the same elements of one buffer agree at once."""
+    if (a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
+            and (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides)):
+        return True
     return all(np.abs(a[i:i + 32] - b[i:i + 32]).max() <= tol
                for i in range(0, len(a), 32))
 
@@ -303,8 +307,10 @@ class _Core:
         modes_rec = system.modes[:, layout[0]]
         n = noise.truncation
         lift = None
-        # only Laplacians can share the noise's sine basis; this is the one
-        # K x n_points basis comparison a plan makes
+        # only Laplacians can share the noise's sine basis.  The memoised
+        # Laplacian hands both the same array, which agrees at once; an
+        # equal basis held apart (another cutoff or a shift) is compared
+        # element-wise, the one N x n_points comparison a plan makes
         if (G.kind == "identity" and system.family == "laplacian"
                 and n <= system.mode_count
                 and _rows_agree(noise.basis_functions[:n], system.modes[:n],

@@ -42,9 +42,12 @@ Config schema (all sections JSON primitives)::
 ``_SECTIONS`` and ``_KINDS`` declare once the required and optional keys
 (with defaults) of each section, and of each ``operator`` and ``g`` kind
 beside its builder; ``domain`` and ``query`` take the fields of
-``SpectralDomain`` and ``RegularityQuery``.  ``from_dict`` refuses unknown
-keys and kinds, missing required keys and an unknown temporal mode before
-any stage runs; a bad value fails the stage that reads it.
+``SpectralDomain`` and ``RegularityQuery``.  ``from_dict`` refuses, before
+any stage runs or any directory is made: a section that is not an object
+(``query`` and ``sweep`` may be null), unknown keys and kinds, missing
+required keys, an unknown temporal mode, and a non-integer ``plan`` seed,
+step count, replica count or record stride/count.  Any other bad value
+fails the stage that reads it.
 """
 
 import copy
@@ -109,6 +112,8 @@ _SECTIONS = {
                        "point_index": None}),
 }
 _TEMPORAL_MODES = ("pointwise", "sup-space")  # of estimator.temporal_mode
+# plan keys whose values must be JSON integers (not bools)
+_PLAN_INTEGERS = ("seed", "steps", "replicas", "time_stride", "space_count")
 # section -> kind -> (required keys, {optional key: default}, builder).  A
 # builder takes the kind's keys (an operator's the domain section first)
 # and looks its callees up in this module when called, so perfbench's
@@ -249,6 +254,13 @@ class ExperimentConfig:
         for name in needed:
             if not isinstance(raw.get(name), dict):
                 raise ValueError(f"config needs a {name!r} section")
+        nullable = {f.name for f in fields(cls) if f.default is None}
+        for name in (*_SECTIONS, *_KINDS):
+            value = raw.get(name)
+            if name in raw and not isinstance(value, dict) \
+                    and not (value is None and name in nullable):
+                raise ValueError(f"config section {name!r} must be an "
+                                 f"object, got {value!r}")
         sections = {name: dict(raw[name]) for name in (*_SECTIONS, *_KINDS)
                     if raw.get(name) or name in needed}
         top = {f.name for f in fields(cls)} | {"description"}
@@ -269,6 +281,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown estimator.temporal_mode {mode!r}; "
                              f"known: {list(_TEMPORAL_MODES)}")
         sections["plan"] = _resolved("plan", sections["plan"])
+        not_int = [f"plan.{key}={sections['plan'][key]!r}"
+                   for key in _PLAN_INTEGERS
+                   if type(sections["plan"][key]) is not int]
+        if not_int:
+            raise ValueError("config keys need integer values, got "
+                             + ", ".join(not_int))
         # the other fields are scalars, cast to their declared types
         return cls(**sections, **{f.name: f.type(raw[f.name])
                                   for f in fields(cls)

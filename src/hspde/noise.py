@@ -49,7 +49,9 @@ class CameronMartinSpec:
     ``basis_functions[k]`` is the L^2-orthonormal sine mode on the grid and
     ``weights[k] = (1 + lam_k)^(-theta/2)`` the factor that turns it into an
     H-orthonormal representative.  ``synthesis`` maps H-coefficient vectors
-    to grid functions.
+    to grid functions.  ``lap_eigenvalues`` and ``basis_functions`` are
+    read-only views of the memoised Laplacian system's arrays, shared with
+    a Laplacian drift on the same grid and cutoff.
     """
 
     domain: SpectralDomain
@@ -81,7 +83,10 @@ def make_cameron_martin(
 
     The basis always comes from the Dirichlet Laplacian on the same grid
     (independently of whatever generator drives the drift), with modes
-    ordered by ascending Laplacian eigenvalue.
+    ordered by ascending Laplacian eigenvalue.  It is a view of the first
+    ``truncation`` modes of ``build_laplacian_system``'s memoised system,
+    not a copy: an unshifted Laplacian drift on the grid with
+    min(M, ceil(truncation^(1/d))) modes per axis reads the same array.
     """
     per_axis = int(math.ceil(truncation ** (1.0 / domain.dimension)))
     per_axis = min(per_axis, domain.grid_size)
@@ -97,8 +102,8 @@ def make_cameron_martin(
         domain=domain,
         theta=float(theta),
         truncation=int(truncation),
-        lap_eigenvalues=lap.eigenvalues[:truncation].copy(),
-        basis_functions=lap.modes[:truncation].copy(),
+        lap_eigenvalues=lap.eigenvalues[:truncation],
+        basis_functions=lap.modes[:truncation],
     )
 
 

@@ -9,7 +9,8 @@ coefficients.
 Two constructions are provided:
 
 * ``build_laplacian_system`` -- the Dirichlet Laplacian on (0,1)^d with its
-  exact eigenpairs (tensor sine modes) sampled on a uniform interior grid.
+  exact eigenpairs (tensor sine modes) sampled on a uniform interior grid;
+  memoised, with read-only arrays that the drift and the noise space share.
 * ``build_variable_coefficient_system`` -- a 1d operator
   -a(xi) u'' + b(xi) u' + (c(xi) + shift) u discretised by central finite
   differences and diagonalised densely, with left/right eigenvector pairs.
@@ -21,6 +22,7 @@ weight the sampled sine modes are exactly orthonormal.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from itertools import product
@@ -198,7 +200,18 @@ def build_laplacian_system(domain: SpectralDomain, shift: float = 0.0) -> EigenS
     the modes are 2^(d/2) prod_i sin(k_i pi xi_i) sampled on the grid,
     ordered by ascending eigenvalue.  The sampled modes are exactly
     orthonormal in the weighted grid inner product.
+
+    The system is memoised per (domain, shift): an equal call, with the
+    shift passed or defaulted, returns the same object, so the drift and
+    the noise space (``make_cameron_martin``) share one mode table.  Its
+    arrays are therefore read-only.  The last system built stays alive
+    after its callers drop it, until a call with another key replaces it.
     """
+    return _laplacian_system(domain, shift)
+
+
+@functools.lru_cache(maxsize=1)
+def _laplacian_system(domain: SpectralDomain, shift: float) -> EigenSystem:
     if shift < 0:
         raise ValueError("shift must be nonnegative")
     d, k_ax = domain.dimension, domain.mode_cutoff
@@ -208,11 +221,13 @@ def build_laplacian_system(domain: SpectralDomain, shift: float = 0.0) -> EigenS
     indices, lam = indices[order], lam[order]
 
     ax = domain.axis_points
-    # one axis worth of sampled sines, rows k = 1..K
-    sines = np.sqrt(2.0) * np.sin(np.outer(np.arange(1, k_ax + 1), np.pi * ax))
+    # one axis worth of sampled sines, rows k = 1..K, computed in place
+    sines = np.outer(np.arange(1, k_ax + 1), np.pi * ax)
+    np.sin(sines, out=sines)
+    sines *= np.sqrt(2.0)
     n_modes = len(indices)
     if d == 1:
-        modes = sines[indices[:, 0] - 1]
+        modes = sines  # ascending k is ascending eigenvalue
     else:
         modes = np.ones((n_modes, domain.n_points))
         for axis in range(d):
@@ -227,6 +242,8 @@ def build_laplacian_system(domain: SpectralDomain, shift: float = 0.0) -> EigenS
 
     if lam[0] <= 0:
         raise ValueError("shifted Laplacian spectrum must be positive")
+    lam.flags.writeable = False
+    modes.flags.writeable = False
     return EigenSystem(
         domain=domain,
         eigenvalues=lam,

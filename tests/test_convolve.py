@@ -511,6 +511,26 @@ def test_replica_values_independent_of_batching(case, route):
         assert np.array_equal(alone.values[0], one.values[r])
 
 
+def test_weights_route_compares_a_basis_held_apart():
+    # the noise space shares the unshifted drift's modes; a shifted drift
+    # holds its own copy, which the route compares element-wise
+    dom = SpectralDomain(1, 32, 12)
+    noise = make_cameron_martin(dom, theta=0.5, truncation=12)
+    for shift in (0.0, 5.0):
+        system = build_laplacian_system(dom, shift=shift)
+        assert np.shares_memory(noise.basis_functions, system.modes) \
+            == (shift == 0.0)
+        plan = SimulationPlan(system=system, noise=noise,
+                              G=GProcess.identity(), seed=73, steps=16,
+                              replicas=1)
+        assert convolve._Core.build(plan).route == "weights"
+    # a basis that differs beyond 1e-12 leaves the route
+    moved = dataclasses.replace(noise,
+                                basis_functions=noise.basis_functions + 1e-9)
+    plan = dataclasses.replace(plan, noise=moved)
+    assert convolve._Core.build(plan).route == "dense"
+
+
 def field_path_reference(plan, increments, space_indices):
     """Step-by-step oracle: synthesise each step's increments on the grid,
     multiply by g(t_n), project onto the drift modes, then advance the OU

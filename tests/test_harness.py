@@ -1,6 +1,7 @@
 import collections
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -239,6 +240,40 @@ def test_config_errors_refused_before_any_stage(tmp_path, path, value,
     with pytest.raises(ValueError, match=path):
         run_experiment(cfg)
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", None), ("steps", 2048.0), ("replicas", True),
+    ("time_stride", "1"), ("space_count", 64.5),
+])
+def test_plan_integers_refused_before_any_stage(tmp_path, key, value):
+    cfg = every_section_config(tmp_path)
+    cfg["plan"][key] = value
+    message = re.escape(f"need integer values, got plan.{key}={value!r}")
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict(cfg)
+    with pytest.raises(ValueError, match=f"plan.{key}"):
+        run_experiment(cfg)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("section, value", [
+    ("sweep", [1.0, 2.0]), ("query", "prop32"), ("estimator", None),
+    ("operator", "laplacian"), ("g", []),
+])
+def test_sections_must_be_objects(tmp_path, section, value):
+    cfg = every_section_config(tmp_path)
+    cfg[section] = value
+    message = f"config section '{section}' must be an object"
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict(cfg)
+    with pytest.raises(ValueError, match=message):
+        run_experiment(cfg)
+    assert not any(tmp_path.iterdir())
+    # no query and no sweep: both may be null
+    cfg = dict(every_section_config(tmp_path), query=None, sweep=None)
+    config = ExperimentConfig.from_dict(cfg)
+    assert config.query is None and config.sweep is None
 
 
 def test_preset_run_ids_are_pinned():
@@ -691,6 +726,16 @@ def test_cli_stage_error_exits_4(tmp_path, capsys):
     code, _, err = run_cli(["run", "--config", str(cfg_path)], capsys)
     assert code == 4
     assert "build" in err
+
+
+def test_cli_non_integer_seed_exits_4_before_any_directory(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(["run", "--preset", "laplacian-d1",
+                            "--set", "plan.seed=null"], capsys)
+    assert code == 4
+    assert "plan.seed" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_verbose_adds_the_traceback(tmp_path, capsys):

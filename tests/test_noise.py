@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hspde import noise
-from hspde.spectral import SpectralDomain
+from hspde import noise, spectral
+from hspde.spectral import SpectralDomain, build_laplacian_system
 from hspde.noise import (
     CameronMartinSpec,
     GProcess,
@@ -182,6 +182,24 @@ def test_g_table_lookup(dom):
     assert np.allclose(G.values_at(dom, 1, 0.5), 2.0)
     # past the table end the last row holds (time-constant tail)
     assert np.allclose(G.values_at(dom, 9, 0.9), 2.0)
+
+
+@pytest.mark.parametrize("drift_dom, truncation", [
+    (SpectralDomain(1, 63, 32), 32), (SpectralDomain(2, 15, 4), 14),
+])
+def test_noise_basis_is_a_view_of_the_drift_modes(drift_dom, truncation):
+    system = build_laplacian_system(drift_dom)
+    spec = make_cameron_martin(drift_dom, theta=0.5, truncation=truncation)
+    assert np.shares_memory(spec.basis_functions, system.modes)
+    assert np.shares_memory(spec.lap_eigenvalues, system.eigenvalues)
+    assert not spec.basis_functions.flags.writeable
+    # the shared values are those of a build that misses the cache
+    spectral._laplacian_system.cache_clear()
+    fresh = build_laplacian_system(drift_dom)
+    assert fresh is not system
+    assert spec.basis_functions.tobytes() == fresh.modes[:truncation].tobytes()
+    assert spec.lap_eigenvalues.tobytes() == \
+        fresh.eigenvalues[:truncation].tobytes()
 
 
 def test_truncation_beyond_grid_rejected():

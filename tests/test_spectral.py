@@ -86,6 +86,31 @@ def test_laplacian_shift():
     assert sys.effective_shift == 5.0
 
 
+def test_laplacian_system_is_memoised_and_read_only():
+    dom = SpectralDomain(2, 15, 3)
+    sys = build_laplacian_system(dom)
+    for arr in (sys.eigenvalues, sys.modes, sys.dual_modes):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    # an equal domain, the shift passed or defaulted: the same object
+    assert build_laplacian_system(SpectralDomain(2, 15, 3), shift=0.0) is sys
+    assert build_laplacian_system(dom, 0.0) is sys
+    shifted = build_laplacian_system(dom, shift=5.0)
+    assert shifted is not sys and shifted.effective_shift == 5.0
+    assert build_laplacian_system(dom, 5.0) is shifted
+
+
+def test_laplacian_d1_modes_are_the_sine_table_bitwise():
+    # the table computed in place equals sqrt(2) * sin(k pi xi) formed anew
+    dom = SpectralDomain(1, 255, 200)
+    table = np.sqrt(2.0) * np.sin(np.outer(np.arange(1, 201),
+                                           np.pi * dom.axis_points))
+    sys = build_laplacian_system(dom)
+    assert sys.modes.tobytes() == table.tobytes()
+    assert sys.dual_modes is sys.modes
+
+
 @pytest.mark.parametrize("d,m,k", [(1, 63, 32), (2, 15, 6), (3, 7, 3)])
 def test_mode_orthonormality(d, m, k):
     dom = SpectralDomain(d, m, k)
