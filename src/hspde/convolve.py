@@ -26,9 +26,10 @@ the ensemble's provenance as the scheme label:
 The core picks the noise-to-mode route once per plan, the first that
 applies:
 
-* weights: identity G over the shared sine basis.  xi_k = w_k dW_k with
-  the noise-space weights w, and only the N noise modes are propagated
-  (the others never receive noise).
+* weights: identity G, and the noise modes are the Laplacian drift's
+  leading modes (the same multi-indices on the same grid).
+  xi_k = w_k dW_k with the noise-space weights w, and only the N noise
+  modes are propagated (the others never receive noise).
 * dense: static G.  One (N, K) matrix
   Phi = weight * ((synthesis * g) @ conj(dual_modes)^T) maps increments
   to modes, xi_n = Phi^T dW_n.
@@ -40,13 +41,19 @@ batches on the thread pool of ``hspde._threads``, the one parallel layer:
 BLAS runs one thread inside it, and so does the serial path of one
 worker.  Each batch streams its increments through blocks of 256 steps:
 project the block, run the recursion in place, and synthesise the
-recorded rows with one matmul per replica, written into the output.
+recorded rows per replica, written into the output.  In d = 1 synthesis
+is one matmul with the propagated modes at the recorded points.  In
+d >= 2 (a Laplacian) the mode states fill their places in the K^d tensor
+of multi-indices, zero where a mode is not propagated, and the per-axis
+(K, P) sine factor at the recorded axis points is applied one axis at a
+time; no dense mode table is read.
 ``simulate`` draws a batch's increments in chunks of 2048 steps into one
 (R, N, 2048) buffer, refilled every 8 blocks from the batch's live
 generators; ``simulate_from_increments`` slices the blocks from the
 caller's table (labelled "from-increments").  A batch holds at most
 ceil(replicas / workers) replicas, and as many as keep one increment
-chunk, the block states and the per-step field within 256 MiB; a plan
+chunk, the block states, the per-step field and the d >= 2 synthesis
+tensor within 256 MiB; a plan
 whose single replica exceeds that is refused before anything is drawn.
 The recorded ensemble itself lies outside the budget.  Every matmul
 acts on one replica with shapes fixed by the plan, and the rest is
@@ -235,17 +242,6 @@ def _provenance(plan: SimulationPlan, scheme: str, route: str,
     }
 
 
-def _rows_agree(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    """max |a - b| <= tol, taken over slabs of 32 rows so that no full-size
-    temporary is made; a max is exact, so this is the same test.  Two views
-    of the same elements of one buffer agree at once."""
-    if (a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
-            and (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides)):
-        return True
-    return all(np.abs(a[i:i + 32] - b[i:i + 32]).max() <= tol
-               for i in range(0, len(a), 32))
-
-
 def _diagonal_obstacle(system: EigenSystem, route: str,
                        operator: np.ndarray) -> Optional[str]:
     """Why the noise of a plan is not diagonal over the drift eigenbasis;
@@ -282,8 +278,12 @@ class _Core:
     (n_points, K) projection that follows ``lift`` (the noise synthesis)
     and the multiplier on "per-step".  The "weights" route propagates only
     the N noise modes; the others never receive noise and stay at zero.
-    ``obstacle`` is None when the plan is exact-diagonal, else the reason
-    it is not (see ``_diagonal_obstacle``).
+    ``modes_rec`` synthesises the recorded points: the propagated modes
+    there, (modes, P), in d = 1; in d >= 2 the per-axis sine factor (K, P)
+    at the recorded axis points, with ``scatter`` the flat places of the
+    propagated modes in the K^d multi-index tensor.  ``obstacle`` is None
+    when the plan is exact-diagonal, else the reason it is not (see
+    ``_diagonal_obstacle``).
     """
 
     plan: SimulationPlan
@@ -291,7 +291,8 @@ class _Core:
     operator: np.ndarray
     lift: Optional[np.ndarray]
     decay: np.ndarray  # e^(-mu dt) over the propagated modes
-    modes_rec: np.ndarray  # propagated modes at the recorded points
+    modes_rec: np.ndarray
+    scatter: Optional[np.ndarray]
     layout: tuple  # _record_layout(plan)
     obstacle: Optional[str]
 
@@ -304,20 +305,19 @@ class _Core:
         re = np.real(mu)
         # s(dt), the exact-variance scale
         scale = np.sqrt(-np.expm1(-2.0 * re * dt) / (2.0 * re * dt))
-        modes_rec = system.modes[:, layout[0]]
         n = noise.truncation
         lift = None
-        # only Laplacians can share the noise's sine basis.  The memoised
-        # Laplacian hands both the same array, which agrees at once; an
-        # equal basis held apart (another cutoff or a shift) is compared
-        # element-wise, the one N x n_points comparison a plan makes
+        # the noise modes are the drift's leading modes when both are sine
+        # modes with the same leading multi-indices; the plan has already
+        # checked that both grids have as many points, so equal index
+        # shapes mean one dimension and one grid
         if (G.kind == "identity" and system.family == "laplacian"
                 and n <= system.mode_count
-                and _rows_agree(noise.basis_functions[:n], system.modes[:n],
-                                1e-12)):
+                and np.array_equal(noise.laplacian.basis.indices[:n],
+                                   system.basis.indices[:n])):
             route = "weights"
             operator = noise.weights * scale[:n]
-            decay, modes_rec = decay[:n], modes_rec[:n]
+            decay = decay[:n]
         elif G.time_dependent:
             route = "per-step"
             lift = noise.synthesis
@@ -328,8 +328,17 @@ class _Core:
             lifted = noise.synthesis if g is None else noise.synthesis * g[None, :]
             operator = system.weight * (lifted @ np.conj(system.dual_modes).T)
             operator *= scale
+        dom = system.domain
+        factor = system.basis.axis_values(plan.record.axis_indices(dom.grid_size))
+        if dom.dimension == 1:
+            modes_rec, scatter = factor[: decay.size], None
+        else:
+            modes_rec = factor
+            scatter = np.ravel_multi_index(
+                (system.basis.indices[: decay.size] - 1).T,
+                (dom.mode_cutoff,) * dom.dimension)
         return cls(plan, route, operator, lift, decay,
-                   np.ascontiguousarray(modes_rec), layout,
+                   np.ascontiguousarray(modes_rec), scatter, layout,
                    _diagonal_obstacle(system, route, operator))
 
     @property
@@ -351,6 +360,12 @@ class _Core:
         per_replica = (8 * plan.noise.truncation * min(DRAW_STEPS, plan.steps)
                        + self.dtype.itemsize * (blk + 2) * self.decay.size)
         shared = 0 if self.lift is None else 8 * blk * self.lift.shape[1]
+        if self.scatter is not None:
+            # the K^d tensor and the partial products of one replica's block
+            k, p = self.modes_rec.shape
+            d = plan.system.domain.dimension
+            shared += self.dtype.itemsize * blk * (
+                k**d + sum(p ** (a + 1) * k ** (d - 1 - a) for a in range(d - 1)))
         if per_replica + shared > BATCH_BYTES:
             raise ValueError(
                 f"one replica needs {per_replica + shared} bytes of "
@@ -392,7 +407,11 @@ class _Core:
         xi = np.empty((r_b, min(BLOCK_STEPS, steps), self.decay.size),
                       dtype=self.dtype)
         carry, tmp = np.empty_like(xi[:, 0]), np.empty_like(xi[:, 0])
-        complex_path = np.iscomplexobj(xi)
+        # the multi-index tensor of d >= 2; places of modes not propagated
+        # are never written and stay zero
+        tensor = None if self.scatter is None else np.zeros(
+            (xi.shape[1], self.modes_rec.shape[0] ** plan.system.domain.dimension),
+            dtype=self.dtype)
         out[:, 0] = 0.0
         row = 1
         for b0 in range(0, steps, BLOCK_STEPS):
@@ -409,11 +428,28 @@ class _Core:
             rows = blk[:, (-b0 - 1) % stride:: stride]
             stop = row + rows.shape[1]
             for r in range(r_b):
-                if complex_path:
-                    out[r, row:stop] = _realify(rows[r] @ self.modes_rec)
-                else:
-                    np.matmul(rows[r], self.modes_rec, out=out[r, row:stop])
+                self._synthesize(rows[r], out[r, row:stop], tensor)
             row = stop
+
+    def _synthesize(self, states: np.ndarray, out: np.ndarray,
+                    tensor: Optional[np.ndarray]) -> None:
+        """Recorded values ``out`` (B, recorded points) of one replica's
+        mode states ``states`` (B, propagated modes)."""
+        if self.scatter is None:
+            if np.iscomplexobj(states):
+                out[...] = _realify(states @ self.modes_rec)
+            else:
+                np.matmul(states, self.modes_rec, out=out)
+            return
+        # d >= 2: contract the tensor's leading axes one at a time with the
+        # sine factor, then its last axis straight into ``out``
+        k, p = self.modes_rec.shape
+        d = self.plan.system.domain.dimension
+        x = tensor[: len(states)]
+        x[:, self.scatter] = states
+        for a in range(d - 1):
+            x = np.matmul(self.modes_rec.T, x.reshape(-1, k, k ** (d - 1 - a)))
+        np.matmul(x.reshape(-1, k), self.modes_rec, out=out.reshape(-1, p))
 
     def _project(self, block: np.ndarray, blk: np.ndarray, b0: int) -> None:
         """Noise of the steps of ``block`` (R, N, B) in drift coordinates,

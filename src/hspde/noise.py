@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .spectral import SpectralDomain, build_laplacian_system
+from .spectral import EigenSystem, SpectralDomain, build_laplacian_system
 
 __all__ = [
     "CameronMartinSpec",
@@ -49,22 +49,32 @@ class CameronMartinSpec:
     ``basis_functions[k]`` is the L^2-orthonormal sine mode on the grid and
     ``weights[k] = (1 + lam_k)^(-theta/2)`` the factor that turns it into an
     H-orthonormal representative.  ``synthesis`` maps H-coefficient vectors
-    to grid functions.  ``lap_eigenvalues`` and ``basis_functions`` are
-    read-only views of the memoised Laplacian system's arrays, shared with
-    a Laplacian drift on the same grid and cutoff.
+    to grid functions.  The basis is the first ``truncation`` modes of
+    ``laplacian``, the memoised Laplacian system: ``lap_eigenvalues`` and
+    ``basis_functions`` are read-only views of its arrays, shared with a
+    Laplacian drift on the same grid and cutoff, and ``basis_functions``
+    builds that system's dense mode table on first read.  On the weights
+    route the simulation core reads only ``laplacian.basis.indices``.
     """
 
     domain: SpectralDomain
     theta: float
     truncation: int
-    lap_eigenvalues: np.ndarray = field(repr=False)
-    basis_functions: np.ndarray = field(repr=False)
+    laplacian: EigenSystem = field(repr=False)
 
     def __post_init__(self):
         if self.theta < 0:
             raise ValueError("theta must be nonnegative")
         if self.truncation < 1:
             raise ValueError("truncation must be positive")
+
+    @property
+    def lap_eigenvalues(self) -> np.ndarray:
+        return self.laplacian.eigenvalues[: self.truncation]
+
+    @property
+    def basis_functions(self) -> np.ndarray:
+        return self.laplacian.modes[: self.truncation]
 
     @property
     def weights(self) -> np.ndarray:
@@ -83,10 +93,13 @@ def make_cameron_martin(
 
     The basis always comes from the Dirichlet Laplacian on the same grid
     (independently of whatever generator drives the drift), with modes
-    ordered by ascending Laplacian eigenvalue.  It is a view of the first
-    ``truncation`` modes of ``build_laplacian_system``'s memoised system,
-    not a copy: an unshifted Laplacian drift on the grid with
-    min(M, ceil(truncation^(1/d))) modes per axis reads the same array.
+    ordered by ascending Laplacian eigenvalue: the first ``truncation``
+    modes of ``build_laplacian_system``'s memoised system with
+    min(M, ceil(truncation^(1/d))) modes per axis.  Building it makes no
+    mode table; an unshifted Laplacian drift with that cutoff is the same
+    system and shares its table.  In d = 1 the first N modes of any
+    cutoff are the same sines, so the simulation core sends the noise
+    straight to the drift's leading modes whatever the drift's cutoff.
     """
     per_axis = int(math.ceil(truncation ** (1.0 / domain.dimension)))
     per_axis = min(per_axis, domain.grid_size)
@@ -102,8 +115,7 @@ def make_cameron_martin(
         domain=domain,
         theta=float(theta),
         truncation=int(truncation),
-        lap_eigenvalues=lap.eigenvalues[:truncation],
-        basis_functions=lap.modes[:truncation],
+        laplacian=lap,
     )
 
 

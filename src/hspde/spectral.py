@@ -9,8 +9,11 @@ coefficients.
 Two constructions are provided:
 
 * ``build_laplacian_system`` -- the Dirichlet Laplacian on (0,1)^d with its
-  exact eigenpairs (tensor sine modes) sampled on a uniform interior grid;
-  memoised, with read-only arrays that the drift and the noise space share.
+  exact eigenpairs (tensor sine modes) on a uniform interior grid; memoised,
+  and kept factored: a multi-index table, and one-axis sines computed at
+  whichever axis points are asked for, so the mode values at recorded
+  points are read directly.  The dense mode table is built on first read,
+  once, read-only, and the drift and the noise space share it.
 * ``build_variable_coefficient_system`` -- a 1d operator
   -a(xi) u'' + b(xi) u' + (c(xi) + shift) u discretised by central finite
   differences and diagonalised densely, with left/right eigenvector pairs.
@@ -23,8 +26,9 @@ weight the sampled sine modes are exactly orthonormal.
 from __future__ import annotations
 
 import functools
+import threading
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Union
 
@@ -162,6 +166,76 @@ def _sample(coeff: Coefficient, xi: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class DenseModes:
+    """Mode and dual tables held as arrays, as the FD and synthetic systems
+    (d = 1) compute them."""
+
+    modes: np.ndarray
+    dual_modes: np.ndarray
+
+    def axis_values(self, axis_indices: np.ndarray) -> np.ndarray:
+        """The modes at the grid points ``axis_indices``, (modes, points)."""
+        return self.modes[:, axis_indices]
+
+
+class SineModes:
+    """The Dirichlet Laplacian's modes on the grid, kept factored.
+
+    Mode n is 2^(d/2) prod_i sin(k_i pi xi_i) over the multi-index
+    k = ``indices[n]`` (rows in eigenvalue order, entries 1..K).
+    ``axis_values`` samples the one-axis factors sqrt(2) sin(k pi xi_j)
+    at any axis indices j, and ``values_at`` the modes on any sub-raster,
+    bit for bit as the dense table holds them (numpy's sin gives an element
+    the same bits wherever it sits in the array).  That table (``modes``,
+    also ``dual_modes``) is built on its first read, once, and is read-only.
+    """
+
+    def __init__(self, domain: SpectralDomain, indices: np.ndarray):
+        self.domain = domain
+        self.indices = indices
+        self._table = None
+        self._lock = threading.Lock()
+
+    def axis_values(self, axis_indices: np.ndarray) -> np.ndarray:
+        """sqrt(2) sin(k pi xi_j), k = 1..K, at the axis indices j: (K, P).
+
+        In d = 1, where ascending k is ascending eigenvalue, these are the
+        modes at the grid points ``axis_indices``.
+        """
+        ax = self.domain.axis_points[axis_indices]
+        sines = np.outer(np.arange(1, self.domain.mode_cutoff + 1), np.pi * ax)
+        np.sin(sines, out=sines)
+        sines *= np.sqrt(2.0)
+        return sines
+
+    def values_at(self, axis_indices: np.ndarray) -> np.ndarray:
+        """The modes on the sub-raster ``axis_indices``^d, C order:
+        (modes, P^d), the product taken axis by axis."""
+        sines = self.axis_values(axis_indices)
+        if self.domain.dimension == 1:
+            return sines
+        n = len(self.indices)
+        out = sines[self.indices[:, 0] - 1]
+        for axis in range(1, self.domain.dimension):
+            out = (out[:, :, None]
+                   * sines[self.indices[:, axis] - 1][:, None, :]).reshape(n, -1)
+        return out
+
+    @property
+    def modes(self) -> np.ndarray:
+        """The dense (modes, grid points) table, built on first read."""
+        if self._table is None:
+            with self._lock:
+                if self._table is None:
+                    table = self.values_at(np.arange(self.domain.grid_size))
+                    table.flags.writeable = False
+                    self._table = table
+        return self._table
+
+    dual_modes = modes
+
+
+@dataclass(frozen=True)
 class EigenSystem:
     """Diagonalised generator on a grid.
 
@@ -169,16 +243,24 @@ class EigenSystem:
     ``dual_modes[k]`` the matching left eigenvector, normalised so that
     weight * <dual_k, mode_j> = delta_kj.  ``eigenvalues`` are ascending in
     real part and all have positive real part (the constructor shifts the
-    spectrum and records ``effective_shift`` when needed).
+    spectrum and records ``effective_shift`` when needed).  ``basis`` holds
+    the modes: dense tables, or the Laplacian's factored ``SineModes``.
     """
 
     domain: SpectralDomain
     eigenvalues: np.ndarray
-    modes: np.ndarray
-    dual_modes: np.ndarray
+    basis: Union[DenseModes, SineModes] = field(repr=False)
     is_selfadjoint: bool
     family: str  # "laplacian", "fd1d" or "diagonal"
     effective_shift: float
+
+    @property
+    def modes(self) -> np.ndarray:
+        return self.basis.modes
+
+    @property
+    def dual_modes(self) -> np.ndarray:
+        return self.basis.dual_modes
 
     @property
     def mode_count(self) -> int:
@@ -197,15 +279,18 @@ def build_laplacian_system(domain: SpectralDomain, shift: float = 0.0) -> EigenS
     """Dirichlet Laplacian (+ shift) on (0,1)^d with exact eigenpairs.
 
     Eigenvalues are shift + pi^2 |k|^2 over multi-indices k in {1..K}^d and
-    the modes are 2^(d/2) prod_i sin(k_i pi xi_i) sampled on the grid,
-    ordered by ascending eigenvalue.  The sampled modes are exactly
-    orthonormal in the weighted grid inner product.
+    the modes are 2^(d/2) prod_i sin(k_i pi xi_i) on the grid, ordered by
+    ascending eigenvalue.  The sampled modes are exactly orthonormal in
+    the weighted grid inner product.
 
-    The system is memoised per (domain, shift): an equal call, with the
-    shift passed or defaulted, returns the same object, so the drift and
-    the noise space (``make_cameron_martin``) share one mode table.  Its
-    arrays are therefore read-only.  The last system built stays alive
-    after its callers drop it, until a call with another key replaces it.
+    The modes are kept factored (``SineModes``): mode values at recorded
+    points come from the per-axis sines, and the dense table is built only
+    when something reads ``modes``.  The system is memoised per (domain,
+    shift): an equal call, with the shift passed or defaulted, returns the
+    same object, so the drift and the noise space (``make_cameron_martin``)
+    share one mode table.  Its arrays are therefore read-only.  The last
+    system built stays alive after its callers drop it, until a call with
+    another key replaces it.
     """
     return _laplacian_system(domain, shift)
 
@@ -219,36 +304,14 @@ def _laplacian_system(domain: SpectralDomain, shift: float) -> EigenSystem:
     lam = shift + np.pi**2 * np.sum(indices.astype(float) ** 2, axis=1)
     order = np.argsort(lam, kind="stable")
     indices, lam = indices[order], lam[order]
-
-    ax = domain.axis_points
-    # one axis worth of sampled sines, rows k = 1..K, computed in place
-    sines = np.outer(np.arange(1, k_ax + 1), np.pi * ax)
-    np.sin(sines, out=sines)
-    sines *= np.sqrt(2.0)
-    n_modes = len(indices)
-    if d == 1:
-        modes = sines  # ascending k is ascending eigenvalue
-    else:
-        modes = np.ones((n_modes, domain.n_points))
-        for axis in range(d):
-            # tensorise axis by axis on the C-order raster
-            shape = [1] * d
-            shape[axis] = domain.grid_size
-            for row, idx in enumerate(indices):
-                modes[row] *= np.broadcast_to(
-                    sines[idx[axis] - 1].reshape(shape),
-                    (domain.grid_size,) * d,
-                ).ravel()
-
     if lam[0] <= 0:
         raise ValueError("shifted Laplacian spectrum must be positive")
     lam.flags.writeable = False
-    modes.flags.writeable = False
+    indices.flags.writeable = False
     return EigenSystem(
         domain=domain,
         eigenvalues=lam,
-        modes=modes,
-        dual_modes=modes,
+        basis=SineModes(domain, indices),
         is_selfadjoint=True,
         family="laplacian",
         effective_shift=float(shift),
@@ -337,8 +400,7 @@ def build_variable_coefficient_system(
     return EigenSystem(
         domain=domain,
         eigenvalues=lam,
-        modes=modes,
-        dual_modes=dual_modes,
+        basis=DenseModes(modes, dual_modes),
         is_selfadjoint=bool(symmetric),
         family="fd1d",
         effective_shift=float(spec.shift + extra),
@@ -363,8 +425,7 @@ def diagonal_system(eigenvalues) -> EigenSystem:
     return EigenSystem(
         domain=dom,
         eigenvalues=lam,
-        modes=modes,
-        dual_modes=modes,
+        basis=DenseModes(modes, modes),
         is_selfadjoint=True,
         family="diagonal",
         effective_shift=0.0,

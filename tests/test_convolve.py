@@ -23,7 +23,7 @@ from hspde.spectral import (
 )
 from hspde.noise import GProcess, make_cameron_martin, g_preset
 from hspde.presets import operator_preset
-from hspde import convolve
+from hspde import convolve, spectral
 from hspde.convolve import (
     RecordSpec,
     SimulationPlan,
@@ -368,13 +368,7 @@ def second_moment_reference(plan, steps):
                                          ("separable:sin", "per-step")])
 def test_predicted_second_moment_matches_field_path_oracle(case, route):
     if case == "d2-extra-noise":
-        # 12 noise modes over a 3x3 drift set: rows of Phi are zero
-        dom = SpectralDomain(2, 15, 3)
-        plan = SimulationPlan(
-            system=build_laplacian_system(dom),
-            noise=make_cameron_martin(dom, theta=1.5, truncation=12),
-            G=GProcess.identity(), seed=2, T=0.25, steps=8, replicas=1,
-            record=RecordSpec(space_count=8))
+        plan = core_plan(case, replicas=1, steps=8, stride=1)
     else:
         plan = small_plan(g_preset(case, 8.0, 16.0), replicas=1, steps=64)
     assert convolve._Core.build(plan).route == route
@@ -466,11 +460,24 @@ def test_nonselfadjoint_paths_are_real():
 # ----- one core: routes and batching ----------------------------------------
 
 
+D_PLANS = {"d2": ((2, 15, 4), 10), "d2-extra-noise": ((2, 15, 3), 12),
+           "d3": ((3, 7, 3), 20)}
+
+
 def core_plan(case, replicas=3, steps=600, stride=3):
-    """Plans over the three noise-to-mode routes, real and complex."""
+    """Plans over the three noise-to-mode routes, real and complex, and the
+    per-axis synthesis of d >= 2."""
     if case == "complex":
         dom, system = nonnormal_system()
         noise = make_cameron_martin(dom, theta=0.5, truncation=6)
+    elif case in D_PLANS:
+        # d2: 10 of the 16 modes of a 4x4 index set.  d2-extra-noise: 12
+        # noise modes from a 4x4 set over a 3x3 drift set, so they are not
+        # the drift's leading modes and rows of Phi are zero.  d3: 20 of 27
+        dom_args, truncation = D_PLANS[case]
+        dom = SpectralDomain(*dom_args)
+        system = build_laplacian_system(dom)
+        noise = make_cameron_martin(dom, theta=1.5, truncation=truncation)
     else:
         dom = SpectralDomain(1, 32, 12)
         if case in ("drifted", "smooth-varcoef"):
@@ -478,7 +485,8 @@ def core_plan(case, replicas=3, steps=600, stride=3):
         else:
             system = build_laplacian_system(dom)
         noise = make_cameron_martin(dom, theta=0.5, truncation=10)
-    g = GProcess.identity() if case in ("identity", "drifted", "complex") \
+    identity = ("identity", "drifted", "complex", *D_PLANS)
+    g = GProcess.identity() if case in identity \
         else g_preset("separable:sin" if case == "separable:sin" else "bump",
                       8.0, 16.0)
     return SimulationPlan(
@@ -495,7 +503,8 @@ def replica_increments(plan):
 
 @pytest.mark.parametrize("case, route", [
     ("identity", "weights"), ("bump", "dense"), ("separable:sin", "per-step"),
-    ("drifted", "dense"), ("complex", "dense"),
+    ("drifted", "dense"), ("complex", "dense"), ("d2", "weights"),
+    ("d2-extra-noise", "dense"),
 ])
 def test_replica_values_independent_of_batching(case, route):
     # 600 steps span three 256-step blocks; stride 3 records across them
@@ -513,22 +522,71 @@ def test_replica_values_independent_of_batching(case, route):
 
 def test_weights_route_compares_a_basis_held_apart():
     # the noise space shares the unshifted drift's modes; a shifted drift
-    # holds its own copy, which the route compares element-wise
+    # holds a basis of its own, whose multi-indices the route compares
     dom = SpectralDomain(1, 32, 12)
     noise = make_cameron_martin(dom, theta=0.5, truncation=12)
     for shift in (0.0, 5.0):
         system = build_laplacian_system(dom, shift=shift)
-        assert np.shares_memory(noise.basis_functions, system.modes) \
-            == (shift == 0.0)
+        assert (noise.laplacian is system) == (shift == 0.0)
         plan = SimulationPlan(system=system, noise=noise,
                               G=GProcess.identity(), seed=73, steps=16,
                               replicas=1)
         assert convolve._Core.build(plan).route == "weights"
-    # a basis that differs beyond 1e-12 leaves the route
-    moved = dataclasses.replace(noise,
-                                basis_functions=noise.basis_functions + 1e-9)
-    plan = dataclasses.replace(plan, noise=moved)
-    assert convolve._Core.build(plan).route == "dense"
+    # noise modes that are not the drift's leading modes leave the route;
+    # noise modes (1,4), (4,1) and (2,4) reach no drift mode
+    plan = core_plan("d2-extra-noise", replicas=2, steps=300, stride=1)
+    core = convolve._Core.build(plan)
+    assert core.route == "dense"
+    rows = np.abs(core.operator).max(axis=1)
+    assert np.flatnonzero(rows < 1e-12 * rows.max()).tolist() == [8, 9, 11]
+    incs = replica_increments(plan)
+    got = simulate_from_increments(plan, incs)
+    want = field_path_reference(plan, incs, got.space_indices)
+    assert np.abs(got.values - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_weights_route_reads_no_dense_mode_table():
+    # fresh systems: the sweep grid with fewer noise modes than drift modes,
+    # so the noise system has another cutoff, and a d = 2 plan
+    spectral._laplacian_system.cache_clear()
+    dom = SpectralDomain(1, 4095, 2048)
+    sweep = SimulationPlan(
+        system=build_laplacian_system(dom),
+        noise=make_cameron_martin(dom, theta=0.2, truncation=2000),
+        G=GProcess.identity(), seed=3000, alpha=1.5, T=0.5, steps=300,
+        replicas=2, record=RecordSpec(space_count=128))
+    assert sweep.noise.laplacian is not sweep.system
+    for plan in (sweep, core_plan("d2")):
+        ens = simulate(plan, workers=2)
+        assert ens.provenance["route"] == "weights"
+        for system in (plan.system, plan.noise.laplacian):
+            assert system.basis._table is None
+    # the sweep's recorded values are read off the dense table's own bits
+    core = convolve._Core.build(sweep)
+    dense = sweep.system.modes[: sweep.noise.truncation, core.layout[0]]
+    assert core.modes_rec.tobytes() == np.ascontiguousarray(dense).tobytes()
+    spectral._laplacian_system.cache_clear()
+
+
+@pytest.mark.parametrize("case", ["d2", "d2-extra-noise", "d3"])
+def test_separable_synthesis_matches_dense_synthesis(case):
+    # stride 3 over three 256-step blocks; d2 and d3 propagate a partial
+    # multi-index set, d2-extra-noise all 9 modes in eigenvalue order
+    plan = core_plan(case)
+    core = convolve._Core.build(plan)
+    assert core.scatter is not None
+    rec = plan.system.modes[: core.decay.size, core.layout[0]]
+    dense = dataclasses.replace(core, scatter=None,
+                                modes_rec=np.ascontiguousarray(rec))
+    incs = replica_increments(plan)
+
+    def slices(start, stop):
+        return lambda b0, b1: incs[start:stop, :, b0:b1]
+
+    got = core.run("separable", slices, 1).values
+    want = dense.run("dense", slices, 1).values
+    assert np.abs(want).max() > 0
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def field_path_reference(plan, increments, space_indices):
@@ -556,7 +614,7 @@ def field_path_reference(plan, increments, space_indices):
 
 
 @pytest.mark.parametrize("case", [
-    "identity", "bump", "smooth-varcoef", "separable:sin", "complex",
+    "identity", "bump", "smooth-varcoef", "separable:sin", "complex", "d3",
 ])
 def test_routes_match_field_path_oracle(case):
     plan = core_plan(case, replicas=2, steps=300, stride=1)

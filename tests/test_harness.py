@@ -596,18 +596,18 @@ PINNED_TEXT = {
     "d2": {
         "estimates": (
             "alpha,kind,mode,value,fit_r2,lag_lo,lag_hi,replicas\n"
-            "2,temporal,pointwise,0.088885047892667685,0.5252046733054232,0.015625,0.25,3\n"
-            "2,temporal,sup-space,0.061166379592814075,0.41029013189359176,0.015625,0.25,3\n"
-            "2,spatial,pooled,0.56930152934061273,1,0.1111111111111111,0.22222222222222221,3\n"
+            "2,temporal,pointwise,0.088885047892667629,0.52520467330542253,0.015625,0.25,3\n"
+            "2,temporal,sup-space,0.061166379592814124,0.41029013189359098,0.015625,0.25,3\n"
+            "2,spatial,pooled,0.56930152934061318,1,0.1111111111111111,0.22222222222222221,3\n"
         ),
         "increments": (
             "axis,lag,median_max_increment\n"
-            "time,0.015625,0.46666794549832674\n"
-            "time,0.03125,0.50636401260743646\n"
-            "time,0.0625,0.54032651417542232\n"
+            "time,0.015625,0.4666679454983268\n"
+            "time,0.03125,0.50636401260743669\n"
+            "time,0.0625,0.54032651417542221\n"
             "time,0.125,0.61508153670436161\n"
-            "time,0.25,0.55993465428747147\n"
-            "space,0.1111111111111111,0.27426856074896538\n"
+            "time,0.25,0.55993465428747136\n"
+            "space,0.1111111111111111,0.27426856074896533\n"
             "space,0.22222222222222221,0.38287699525016827\n"
         ),
     },

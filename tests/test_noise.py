@@ -188,9 +188,16 @@ def test_g_table_lookup(dom):
     (SpectralDomain(1, 63, 32), 32), (SpectralDomain(2, 15, 4), 14),
 ])
 def test_noise_basis_is_a_view_of_the_drift_modes(drift_dom, truncation):
+    spectral._laplacian_system.cache_clear()
     system = build_laplacian_system(drift_dom)
     spec = make_cameron_martin(drift_dom, theta=0.5, truncation=truncation)
-    assert np.shares_memory(spec.basis_functions, system.modes)
+    assert spec.laplacian is system
+    # neither build made the dense table; the noise's first read makes the
+    # one table that the drift then reads
+    assert system.basis._table is None
+    basis = spec.basis_functions
+    assert np.shares_memory(basis, system.basis._table)
+    assert system.modes is system.basis._table
     assert np.shares_memory(spec.lap_eigenvalues, system.eigenvalues)
     assert not spec.basis_functions.flags.writeable
     # the shared values are those of a build that misses the cache

@@ -355,7 +355,8 @@ def test_estimates_invariant_under_scaling():
 
 def test_max_increments_match_fresh_differences():
     # the column slabs must give the per-lag expression's bits, also for
-    # series wider than one slab and with several trailing axes
+    # series wider than one slab, with several trailing axes, and taller
+    # than 8192 rows, whose slabs are 8 columns wide and the last partial
     rng = np.random.default_rng(5)
     lags = [1, 2, 4, 8, 16, 32]
     nan_wide = rng.standard_normal((70, 150))
@@ -365,7 +366,8 @@ def test_max_increments_match_fresh_differences():
                    rng.standard_normal((300, 9))[:, 4],
                    rng.standard_normal((300, 150)),
                    rng.standard_normal((300, 200))[:, ::3],
-                   rng.standard_normal((70, 9, 11)), nan_wide):
+                   rng.standard_normal((70, 9, 11)), nan_wide,
+                   rng.standard_normal((8300, 21))):
         want = [np.abs(series[lag:] - series[:-lag]).max() for lag in lags]
         assert np.array_equal(_max_increments(series, lags), want,
                               equal_nan=True)

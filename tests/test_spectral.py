@@ -1,7 +1,12 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from hspde import spectral
 from hspde.spectral import (
     SpectralDomain,
     EllipticOperatorSpec,
@@ -109,6 +114,81 @@ def test_laplacian_d1_modes_are_the_sine_table_bitwise():
     sys = build_laplacian_system(dom)
     assert sys.modes.tobytes() == table.tobytes()
     assert sys.dual_modes is sys.modes
+
+
+def tensor_loop_modes(dom, indices):
+    """The dense table as the build made it row by row: ones, then each
+    axis's sine factor broadcast along that axis and multiplied in."""
+    sines = np.sqrt(2.0) * np.sin(np.outer(np.arange(1, dom.mode_cutoff + 1),
+                                           np.pi * dom.axis_points))
+    modes = np.ones((len(indices), dom.n_points))
+    for axis in range(dom.dimension):
+        shape = [1] * dom.dimension
+        shape[axis] = dom.grid_size
+        for row, idx in enumerate(indices):
+            modes[row] *= np.broadcast_to(sines[idx[axis] - 1].reshape(shape),
+                                          (dom.grid_size,) * dom.dimension).ravel()
+    return modes
+
+
+@pytest.mark.parametrize("d,m,k", [(2, 15, 6), (3, 7, 3)])
+def test_lazy_table_is_the_tensor_loop_bitwise(d, m, k):
+    dom = SpectralDomain(d, m, k)
+    sys = build_laplacian_system(dom)
+    assert sys.modes.tobytes() == tensor_loop_modes(dom, sys.basis.indices).tobytes()
+
+
+@pytest.mark.parametrize("d,m,k,shift", [
+    (1, 63, 32, 0.0), (1, 255, 200, 2.5), (2, 15, 6, 0.0), (2, 31, 8, 1.0),
+    (3, 7, 3, 0.0), (3, 9, 4, 4.0),
+])
+def test_recorded_mode_values_are_the_dense_columns_bitwise(d, m, k, shift):
+    # the factors give, on any sub-raster, the dense table's own bits
+    sys = build_laplacian_system(SpectralDomain(d, m, k), shift=shift)
+    for stride in (1, 2, 3, 8):
+        ax = np.arange(stride - 1, m, stride)
+        flat = np.ravel_multi_index(np.meshgrid(*([ax] * d), indexing="ij"),
+                                    (m,) * d).ravel()
+        got = sys.basis.values_at(ax)
+        assert got.tobytes() == np.ascontiguousarray(sys.modes[:, flat]).tobytes()
+        if d == 1:
+            assert got.tobytes() == sys.basis.axis_values(ax).tobytes()
+
+
+def test_lazy_table_is_built_once_under_concurrent_readers(monkeypatch):
+    spectral._laplacian_system.cache_clear()
+    sys_ = build_laplacian_system(SpectralDomain(2, 15, 3))
+    assert sys_.basis._table is None  # the build itself makes no table
+    builds, tables = [], []
+    real = spectral.SineModes.values_at
+
+    def slow_build(basis, axis_indices):
+        builds.append(None)
+        time.sleep(0.05)  # readers arriving meanwhile must wait, not rebuild
+        return real(basis, axis_indices)
+
+    monkeypatch.setattr(spectral.SineModes, "values_at", slow_build)
+    start = threading.Barrier(4, timeout=60)
+
+    def read(name):
+        start.wait()
+        tables.append(getattr(sys_, name))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(name,))
+                   for name in ("modes", "dual_modes") * 2]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(builds) == 1
+    assert len(tables) == 4 and all(t is tables[0] for t in tables)
+    assert not tables[0].flags.writeable
 
 
 @pytest.mark.parametrize("d,m,k", [(1, 63, 32), (2, 15, 6), (3, 7, 3)])
