@@ -45,8 +45,9 @@ beside its builder; ``domain`` and ``query`` take the fields of
 ``SpectralDomain`` and ``RegularityQuery``.  ``from_dict`` refuses, before
 any stage runs or any directory is made: a section that is not an object
 (``query`` and ``sweep`` may be null), unknown keys and kinds, missing
-required keys, an unknown temporal mode, and a non-integer ``plan`` seed,
-step count, replica count or record stride/count.  Any other bad value
+required keys, an unknown temporal mode, a non-integer ``plan`` seed,
+step count, replica count or record stride/count, and a ``sweep.alpha``
+that is not a list of at least two distinct numbers.  Any other bad value
 fails the stage that reads it.
 """
 
@@ -287,6 +288,16 @@ class ExperimentConfig:
         if not_int:
             raise ValueError("config keys need integer values, got "
                              + ", ".join(not_int))
+        if "sweep" in sections:
+            alphas = sections["sweep"]["alpha"]
+            numbers = isinstance(alphas, (list, tuple)) and all(
+                isinstance(a, (int, float)) and not isinstance(a, bool)
+                for a in alphas)
+            if not numbers or len(alphas) < 2 \
+                    or len(set(alphas)) < len(alphas):
+                raise ValueError("config key sweep.alpha needs a list of at "
+                                 "least two distinct numbers, got "
+                                 f"{alphas!r}")
         # the other fields are scalars, cast to their declared types
         return cls(**sections, **{f.name: f.type(raw[f.name])
                                   for f in fields(cls)
@@ -356,12 +367,8 @@ def region_csv(query: RegularityQuery, n_points: int = 33) -> str:
 
 
 def _derived_p(query: RegularityQuery) -> Optional[float]:
-    if query.theorem != "colored":
-        return None
-    try:
-        return float(_derived_integrability(query))
-    except ValueError:
-        return None
+    return float(_derived_integrability(query)) \
+        if query.theorem == "colored" else None
 
 
 def _derived_block(system, query) -> dict:
@@ -465,7 +472,7 @@ def run_experiment(config, workers: Optional[int] = None,
         G = _build("g", config.g)
         query = RegularityQuery(**config.query) if config.query else None
         if query is not None and query.theorem == "colored":
-            p = _derived_p(query)
+            p = float(_derived_integrability(query))
             report = validate_noise_hypotheses(G, noise, p=p, d=query.d)
             if not report["ok"]:
                 bad = [c["name"] for c in report["clauses"] if not c["ok"]]
@@ -575,9 +582,11 @@ def _load_run(run_dir) -> dict:
     return json.loads(manifest_path.read_text(encoding="utf-8"))
 
 
-def _trajectory_files(run_dir: Path) -> list:
-    """The sidecars of a run's persisted trajectories, sorted; at least one."""
-    traj = sorted(run_dir.glob("trajectories*.json"))
+def _trajectory_files(run_dir: Path, manifest: dict) -> list:
+    """The sidecars of a run's persisted trajectories, in the order its
+    manifest lists them (the run's alpha order); at least one."""
+    traj = [run_dir / name for name in manifest["outputs"]
+            if name.startswith("trajectories") and name.endswith(".json")]
     if not traj:
         raise FileNotFoundError(
             "run has no persisted trajectories; re-run with "
@@ -603,9 +612,10 @@ def _increment_profile_csv(ens) -> str:
 def estimates_from_run(run_dir, workers: Optional[int] = None) -> str:
     """Recompute the estimate table from a run's persisted trajectories,
     on ``workers`` threads (default: one per CPU)."""
-    estimator = _load_run(run_dir)["config"]["estimator"]
+    manifest = _load_run(run_dir)
+    estimator = manifest["config"]["estimator"]
     fits = []
-    for path in _trajectory_files(Path(run_dir)):
+    for path in _trajectory_files(Path(run_dir), manifest):
         ens = load_trajectories(str(path))
         fits.append((float(ens.provenance["alpha"]),
                      _fit_ensemble(ens, estimator, workers)))
@@ -628,7 +638,7 @@ def export_plotdata(run_dir, kind: str, out_path=None, max_replicas=None):
         return region_csv(RegularityQuery(**query_dict))
     if kind not in ("increments", "trajectory"):
         raise ValueError(f"unknown export kind {kind!r}")
-    ens = load_trajectories(_trajectory_files(run_dir)[0])
+    ens = load_trajectories(_trajectory_files(run_dir, manifest)[0])
     if kind == "increments":
         return _increment_profile_csv(ens)
     out_path = Path(out_path or run_dir / "trajectory-export.csv")

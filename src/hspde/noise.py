@@ -50,11 +50,10 @@ class CameronMartinSpec:
     ``weights[k] = (1 + lam_k)^(-theta/2)`` the factor that turns it into an
     H-orthonormal representative.  ``synthesis`` maps H-coefficient vectors
     to grid functions.  The basis is the first ``truncation`` modes of
-    ``laplacian``, the memoised Laplacian system: ``lap_eigenvalues`` and
-    ``basis_functions`` are read-only views of its arrays, shared with a
-    Laplacian drift on the same grid and cutoff, and ``basis_functions``
-    builds that system's dense mode table on first read.  On the weights
-    route the simulation core reads only ``laplacian.basis.indices``.
+    ``laplacian``, a Laplacian system on the same grid: ``lap_eigenvalues``
+    and ``basis_functions`` read its eigenvalues and its dense mode table,
+    which ``basis_functions`` computes on each read.  On the weights route
+    the simulation core reads only ``laplacian.basis.indices``.
     """
 
     domain: SpectralDomain
@@ -94,12 +93,11 @@ def make_cameron_martin(
     The basis always comes from the Dirichlet Laplacian on the same grid
     (independently of whatever generator drives the drift), with modes
     ordered by ascending Laplacian eigenvalue: the first ``truncation``
-    modes of ``build_laplacian_system``'s memoised system with
-    min(M, ceil(truncation^(1/d))) modes per axis.  Building it makes no
-    mode table; an unshifted Laplacian drift with that cutoff is the same
-    system and shares its table.  In d = 1 the first N modes of any
-    cutoff are the same sines, so the simulation core sends the noise
-    straight to the drift's leading modes whatever the drift's cutoff.
+    modes of ``build_laplacian_system`` with min(M, ceil(truncation^(1/d)))
+    modes per axis.  Building it makes no mode table.  In d = 1 the first N
+    modes of any cutoff are the same sines, so the simulation core sends
+    the noise straight to the drift's leading modes whatever the drift's
+    cutoff.
     """
     per_axis = int(math.ceil(truncation ** (1.0 / domain.dimension)))
     per_axis = min(per_axis, domain.grid_size)
@@ -248,8 +246,7 @@ class _WienerStreams:
 
 
 def sample_wiener_increments(
-    spec: CameronMartinSpec, time_grid: np.ndarray, seed: int, replica: int,
-    out: Optional[np.ndarray] = None,
+    spec: CameronMartinSpec, time_grid: np.ndarray, seed: int, replica: int
 ) -> np.ndarray:
     """Increment table of the cylindrical process, shape (truncation, steps).
 
@@ -257,15 +254,10 @@ def sample_wiener_increments(
     across modes and steps.  Stream k is derived from
     SeedSequence(seed, spawn_key=(replica, k)) over a counter-based
     generator, so the table is reproducible per (seed, replica, mode) with
-    no cross-stream coordination.  ``out``, a C-contiguous float array of
-    that shape, receives the table in place of a new array.
+    no cross-stream coordination.
     """
     streams = _WienerStreams(spec, time_grid, seed, range(replica, replica + 1))
-    shape = (spec.truncation, streams.steps)
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape or out.dtype != np.float64:
-        raise ValueError(f"out must be a float64 array of shape {shape}")
+    out = np.empty((spec.truncation, streams.steps))
     streams.fill(out[None])
     return out
 

@@ -9,11 +9,11 @@ coefficients.
 Two constructions are provided:
 
 * ``build_laplacian_system`` -- the Dirichlet Laplacian on (0,1)^d with its
-  exact eigenpairs (tensor sine modes) on a uniform interior grid; memoised,
-  and kept factored: a multi-index table, and one-axis sines computed at
-  whichever axis points are asked for, so the mode values at recorded
-  points are read directly.  The dense mode table is built on first read,
-  once, read-only, and the drift and the noise space share it.
+  exact eigenpairs (tensor sine modes) on a uniform interior grid, kept
+  factored: a multi-index table, and one-axis sines computed at whichever
+  axis points are asked for, so the mode values at recorded points are
+  read directly.  The dense mode table is computed on each read of
+  ``modes``; nothing is cached.
 * ``build_variable_coefficient_system`` -- a 1d operator
   -a(xi) u'' + b(xi) u' + (c(xi) + shift) u discretised by central finite
   differences and diagonalised densely, with left/right eigenvector pairs.
@@ -25,8 +25,6 @@ weight the sampled sine modes are exactly orthonormal.
 
 from __future__ import annotations
 
-import functools
-import threading
 import warnings
 from dataclasses import dataclass, field
 from itertools import product
@@ -178,6 +176,7 @@ class DenseModes:
         return self.modes[:, axis_indices]
 
 
+@dataclass(frozen=True)
 class SineModes:
     """The Dirichlet Laplacian's modes on the grid, kept factored.
 
@@ -187,14 +186,11 @@ class SineModes:
     at any axis indices j, and ``values_at`` the modes on any sub-raster,
     bit for bit as the dense table holds them (numpy's sin gives an element
     the same bits wherever it sits in the array).  That table (``modes``,
-    also ``dual_modes``) is built on its first read, once, and is read-only.
+    also ``dual_modes``) is computed anew on each read.
     """
 
-    def __init__(self, domain: SpectralDomain, indices: np.ndarray):
-        self.domain = domain
-        self.indices = indices
-        self._table = None
-        self._lock = threading.Lock()
+    domain: SpectralDomain
+    indices: np.ndarray
 
     def axis_values(self, axis_indices: np.ndarray) -> np.ndarray:
         """sqrt(2) sin(k pi xi_j), k = 1..K, at the axis indices j: (K, P).
@@ -223,14 +219,8 @@ class SineModes:
 
     @property
     def modes(self) -> np.ndarray:
-        """The dense (modes, grid points) table, built on first read."""
-        if self._table is None:
-            with self._lock:
-                if self._table is None:
-                    table = self.values_at(np.arange(self.domain.grid_size))
-                    table.flags.writeable = False
-                    self._table = table
-        return self._table
+        """The dense (modes, grid points) table."""
+        return self.values_at(np.arange(self.domain.grid_size))
 
     dual_modes = modes
 
@@ -283,20 +273,11 @@ def build_laplacian_system(domain: SpectralDomain, shift: float = 0.0) -> EigenS
     ascending eigenvalue.  The sampled modes are exactly orthonormal in
     the weighted grid inner product.
 
-    The modes are kept factored (``SineModes``): mode values at recorded
-    points come from the per-axis sines, and the dense table is built only
-    when something reads ``modes``.  The system is memoised per (domain,
-    shift): an equal call, with the shift passed or defaulted, returns the
-    same object, so the drift and the noise space (``make_cameron_martin``)
-    share one mode table.  Its arrays are therefore read-only.  The last
-    system built stays alive after its callers drop it, until a call with
-    another key replaces it.
+    The modes are kept factored (``SineModes``): the build makes the
+    multi-index table only, mode values at recorded points come from the
+    per-axis sines, and the dense table is computed when something reads
+    ``modes``.
     """
-    return _laplacian_system(domain, shift)
-
-
-@functools.lru_cache(maxsize=1)
-def _laplacian_system(domain: SpectralDomain, shift: float) -> EigenSystem:
     if shift < 0:
         raise ValueError("shift must be nonnegative")
     d, k_ax = domain.dimension, domain.mode_cutoff
@@ -306,8 +287,6 @@ def _laplacian_system(domain: SpectralDomain, shift: float) -> EigenSystem:
     indices, lam = indices[order], lam[order]
     if lam[0] <= 0:
         raise ValueError("shifted Laplacian spectrum must be positive")
-    lam.flags.writeable = False
-    indices.flags.writeable = False
     return EigenSystem(
         domain=domain,
         eigenvalues=lam,

@@ -521,13 +521,12 @@ def test_replica_values_independent_of_batching(case, route):
 
 
 def test_weights_route_compares_a_basis_held_apart():
-    # the noise space shares the unshifted drift's modes; a shifted drift
-    # holds a basis of its own, whose multi-indices the route compares
+    # the noise space and the drift, shifted or not, hold bases of their
+    # own, whose multi-indices the route compares
     dom = SpectralDomain(1, 32, 12)
     noise = make_cameron_martin(dom, theta=0.5, truncation=12)
     for shift in (0.0, 5.0):
         system = build_laplacian_system(dom, shift=shift)
-        assert (noise.laplacian is system) == (shift == 0.0)
         plan = SimulationPlan(system=system, noise=noise,
                               G=GProcess.identity(), seed=73, steps=16,
                               replicas=1)
@@ -545,27 +544,38 @@ def test_weights_route_compares_a_basis_held_apart():
     assert np.abs(got.values - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_weights_route_reads_no_dense_mode_table():
-    # fresh systems: the sweep grid with fewer noise modes than drift modes,
-    # so the noise system has another cutoff, and a d = 2 plan
-    spectral._laplacian_system.cache_clear()
+def test_weights_route_reads_no_dense_mode_table(monkeypatch):
+    # count the full-grid mode tables that Laplacian bases compute
+    full = []
+    values_at = spectral.SineModes.values_at
+
+    def counted(basis, axis_indices):
+        if len(axis_indices) == basis.domain.grid_size:
+            full.append(basis.domain)
+        return values_at(basis, axis_indices)
+
+    monkeypatch.setattr(spectral.SineModes, "values_at", counted)
+    # the sweep grid with fewer noise modes than drift modes, so the noise
+    # system has another cutoff, and a d = 2 plan
     dom = SpectralDomain(1, 4095, 2048)
     sweep = SimulationPlan(
         system=build_laplacian_system(dom),
         noise=make_cameron_martin(dom, theta=0.2, truncation=2000),
         G=GProcess.identity(), seed=3000, alpha=1.5, T=0.5, steps=300,
         replicas=2, record=RecordSpec(space_count=128))
-    assert sweep.noise.laplacian is not sweep.system
     for plan in (sweep, core_plan("d2")):
         ens = simulate(plan, workers=2)
         assert ens.provenance["route"] == "weights"
-        for system in (plan.system, plan.noise.laplacian):
-            assert system.basis._table is None
+    assert full == []
+    # the dense route reads one table of the drift and one of the noise
+    bump = core_plan("bump", replicas=1, steps=24)
+    assert simulate(bump, workers=1).provenance["route"] == "dense"
+    assert len(full) == 2
+    assert set(full) == {bump.system.domain, bump.noise.laplacian.domain}
     # the sweep's recorded values are read off the dense table's own bits
     core = convolve._Core.build(sweep)
     dense = sweep.system.modes[: sweep.noise.truncation, core.layout[0]]
     assert core.modes_rec.tobytes() == np.ascontiguousarray(dense).tobytes()
-    spectral._laplacian_system.cache_clear()
 
 
 @pytest.mark.parametrize("case", ["d2", "d2-extra-noise", "d3"])

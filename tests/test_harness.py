@@ -26,6 +26,7 @@ from hspde.harness import (
 from hspde.presets import get_preset, list_presets, operator_preset
 from hspde.regularity import RegularityQuery
 from hspde.spectral import EllipticOperatorSpec
+from hspde.trajio import load_trajectories
 
 CONTRACT_PRESETS = [
     "laplacian-d1",
@@ -226,6 +227,10 @@ def test_unknown_config_keys_rejected(tmp_path, path):
     ("noise.truncation", None, r"missing config keys: \['noise.truncation'\]"),
     ("estimator.temporal_mode", "sup_space",
      "unknown estimator.temporal_mode 'sup_space'"),
+    *(("sweep.alpha", alphas,
+       "sweep.alpha needs a list of at least two distinct numbers")
+      for alphas in ([], [1.0], [1.0, 1], [1.0, True], "1.0,2.0", 2.0,
+                     [1.0, "2.0"])),
 ])
 def test_config_errors_refused_before_any_stage(tmp_path, path, value,
                                                 message):
@@ -370,6 +375,20 @@ def test_trajectories_only_persisted_on_request(completed_run, tmp_path):
     assert (persisted / "trajectories.json").is_file()
     recomputed = estimates_from_run(persisted)
     assert recomputed == (persisted / "estimates.csv").read_text()
+
+
+def test_sweep_read_back_follows_the_run_order(tmp_path):
+    # "trajectories-alpha-1.5" sorts before "trajectories-alpha-1" by name;
+    # the read-back takes the run's own alpha order from the manifest
+    cfg = small_config(tmp_path, query=None, persist_trajectories=True,
+                       sweep={"alpha": [1.0, 1.5, 2.0]})
+    cfg["plan"].update({"steps": 512, "replicas": 2})
+    run_dir = tmp_path / run_experiment(cfg, workers=1).run_id
+    assert estimates_from_run(run_dir, workers=1).encode() == \
+        (run_dir / "estimates.csv").read_bytes()
+    first = load_trajectories(str(run_dir / "trajectories-alpha-1.json"))
+    assert export_plotdata(run_dir, kind="increments") == \
+        harness._increment_profile_csv(first)
 
 
 def test_stage_error_names_stage_and_keeps_partial_manifest(tmp_path):
@@ -736,6 +755,18 @@ def test_cli_non_integer_seed_exits_4_before_any_directory(
     assert code == 4
     assert "plan.seed" in err
     assert not any(tmp_path.iterdir())
+
+
+def test_cli_colored_query_without_integrability_exits_4(
+        tmp_path, capsys, monkeypatch):
+    # 1/p = 1/2 - theta/d + 1/m is not positive: no derived integrability
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(["run", "--preset", "colored-d1-thm31",
+                            "--set", "query.theta=0.7",
+                            "--set", "noise.theta=0.7"], capsys)
+    assert code == 4
+    assert "stage 'build' failed: theta too large for the derived " \
+        "integrability" in err
 
 
 def test_cli_verbose_adds_the_traceback(tmp_path, capsys):

@@ -1,12 +1,7 @@
-import sys
-import threading
-import time
-
 import numpy as np
 import pytest
 import scipy.linalg
 
-from hspde import spectral
 from hspde.spectral import (
     SpectralDomain,
     EllipticOperatorSpec,
@@ -91,21 +86,6 @@ def test_laplacian_shift():
     assert sys.effective_shift == 5.0
 
 
-def test_laplacian_system_is_memoised_and_read_only():
-    dom = SpectralDomain(2, 15, 3)
-    sys = build_laplacian_system(dom)
-    for arr in (sys.eigenvalues, sys.modes, sys.dual_modes):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 0.0
-    # an equal domain, the shift passed or defaulted: the same object
-    assert build_laplacian_system(SpectralDomain(2, 15, 3), shift=0.0) is sys
-    assert build_laplacian_system(dom, 0.0) is sys
-    shifted = build_laplacian_system(dom, shift=5.0)
-    assert shifted is not sys and shifted.effective_shift == 5.0
-    assert build_laplacian_system(dom, 5.0) is shifted
-
-
 def test_laplacian_d1_modes_are_the_sine_table_bitwise():
     # the table computed in place equals sqrt(2) * sin(k pi xi) formed anew
     dom = SpectralDomain(1, 255, 200)
@@ -113,7 +93,7 @@ def test_laplacian_d1_modes_are_the_sine_table_bitwise():
                                            np.pi * dom.axis_points))
     sys = build_laplacian_system(dom)
     assert sys.modes.tobytes() == table.tobytes()
-    assert sys.dual_modes is sys.modes
+    assert sys.dual_modes.tobytes() == table.tobytes()
 
 
 def tensor_loop_modes(dom, indices):
@@ -153,42 +133,6 @@ def test_recorded_mode_values_are_the_dense_columns_bitwise(d, m, k, shift):
         assert got.tobytes() == np.ascontiguousarray(sys.modes[:, flat]).tobytes()
         if d == 1:
             assert got.tobytes() == sys.basis.axis_values(ax).tobytes()
-
-
-def test_lazy_table_is_built_once_under_concurrent_readers(monkeypatch):
-    spectral._laplacian_system.cache_clear()
-    sys_ = build_laplacian_system(SpectralDomain(2, 15, 3))
-    assert sys_.basis._table is None  # the build itself makes no table
-    builds, tables = [], []
-    real = spectral.SineModes.values_at
-
-    def slow_build(basis, axis_indices):
-        builds.append(None)
-        time.sleep(0.05)  # readers arriving meanwhile must wait, not rebuild
-        return real(basis, axis_indices)
-
-    monkeypatch.setattr(spectral.SineModes, "values_at", slow_build)
-    start = threading.Barrier(4, timeout=60)
-
-    def read(name):
-        start.wait()
-        tables.append(getattr(sys_, name))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=read, args=(name,))
-                   for name in ("modes", "dual_modes") * 2]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(60)
-            assert not thread.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(builds) == 1
-    assert len(tables) == 4 and all(t is tables[0] for t in tables)
-    assert not tables[0].flags.writeable
 
 
 @pytest.mark.parametrize("d,m,k", [(1, 63, 32), (2, 15, 6), (3, 7, 3)])
