@@ -11,9 +11,11 @@ reproduces every persisted output, ``manifest.json`` included, byte for
 byte.  Wall-clock stage timings go to ``timings.json`` beside them; it is
 not a deterministic output and is not listed in the manifest.
 
-Each ensemble is fitted once, in the estimate stage.  Region verdicts
-take the ``sup-space`` and ``pooled`` rows of the estimate table, so
-``estimator.times`` shapes both the table and the verdict;
+The pipeline takes one alpha at a time: it simulates the alpha's
+ensemble, persists it when asked, fits it once and releases it before the
+next alpha is simulated, so a sweep holds at most one ensemble.  Region
+verdicts take the ``sup-space`` and ``pooled`` rows of the estimate
+table, so ``estimator.times`` shapes both the table and the verdict;
 ``estimator.temporal_mode`` steers sweep verdicts only.
 
 Config schema (all sections JSON primitives)::
@@ -55,7 +57,7 @@ import copy
 import hashlib
 import json
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -169,10 +171,14 @@ def _build(name: str, section: dict, *args):
 
 
 class StageError(RuntimeError):
-    """A pipeline stage failed; carries the stage name."""
+    """A pipeline stage failed; carries the stage name.  The message names
+    the alpha of a stage that runs once per alpha."""
 
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"stage {stage!r} failed: {cause}")
+    def __init__(self, stage: str, cause: Exception,
+                 alpha: Optional[float] = None):
+        at = "" if alpha is None else f" at alpha {_fmt(alpha)}"
+        self.status = f"failed{at}: {cause}"  # the manifest's stage entry
+        super().__init__(f"stage {stage!r} {self.status}")
         self.stage = stage
         self.cause = cause
 
@@ -421,11 +427,22 @@ def run_experiment(config, workers: Optional[int] = None,
                    until: str = "verify") -> RunManifest:
     """Execute build -> simulate -> estimate -> verify and persist results.
 
-    ``config`` is an ExperimentConfig or a raw dict.  Any stage failure
-    aborts with the stage name after writing the partial manifest; a
-    hypothesis violation surfaces as HypothesisError.  ``until`` stops the
-    pipeline early after the named stage ("simulate", "estimate" or the
-    default "verify").  ``workers`` threads (default: one per CPU) run the
+    ``config`` is an ExperimentConfig or a raw dict.  After the build, the
+    run takes the alphas in ``sweep.alpha`` order (or ``plan.alpha``
+    alone): each alpha's ensemble is simulated by one ``simulate`` call,
+    persisted when ``persist_trajectories`` is set, fitted, and released
+    before the next alpha is simulated.  Only the fits and the first
+    alpha's provenance outlive this loop; ``estimates.csv`` is written
+    once, after it.  The simulate, persist-trajectories and estimate
+    stages time the sum over alphas and read "ok" once they passed for
+    every alpha.
+
+    Any stage failure aborts with the stage name, and the alpha of a
+    per-alpha stage, after writing the partial manifest, where a stage
+    that ran for some alphas only reads "incomplete"; a hypothesis
+    violation surfaces as HypothesisError.  ``until`` stops the pipeline
+    early after the named stage ("simulate", "estimate" or the default
+    "verify").  ``workers`` threads (default: one per CPU) run the
     simulation's replica batches and the fits' replica profiles; with
     ``workers=1`` the run starts no thread.
     """
@@ -448,19 +465,29 @@ def run_experiment(config, workers: Optional[int] = None,
         if "manifest.json" not in manifest.outputs:
             manifest.outputs.append("manifest.json")
 
-    def run_stage(stage, fn):
+    def run_stage(stage, fn, alpha=None, done=True):
+        """Run ``fn`` as ``stage``, or as its part for ``alpha``.  A stage's
+        time sums over its parts; it reads "ok" once its ``done`` part has
+        passed.  On failure, a stage that has not run every part reads
+        "incomplete"."""
         t0 = time.perf_counter()
         try:
             result = fn()
         except Exception as err:
-            manifest.stages[stage] = f"failed: {err}"
-            manifest.timings[stage] = time.perf_counter() - t0
+            error = StageError(stage, err, alpha)
+            manifest.stages[stage] = error.status
+            manifest.timings[stage] = manifest.timings.get(stage, 0.0) \
+                + time.perf_counter() - t0
+            for name in manifest.timings:
+                manifest.stages.setdefault(name, "incomplete")
             persist_manifest()
             if isinstance(err, HypothesisError):
                 raise
-            raise StageError(stage, err) from err
-        manifest.stages[stage] = "ok"
-        manifest.timings[stage] = time.perf_counter() - t0
+            raise error from err
+        manifest.timings[stage] = manifest.timings.get(stage, 0.0) \
+            + time.perf_counter() - t0
+        if done:
+            manifest.stages[stage] = "ok"
         return result
 
     # ---- build ----
@@ -489,43 +516,45 @@ def run_experiment(config, workers: Optional[int] = None,
     record = RecordSpec(time_stride=int(plan["time_stride"]),
                         space_count=int(plan["space_count"]))
 
-    # ---- simulate ----
     def make_plan(alpha):
         return SimulationPlan(system=system, noise=noise, G=G,
                               seed=int(plan["seed"]), alpha=float(alpha),
                               T=float(plan["T"]), steps=int(plan["steps"]),
                               replicas=int(plan["replicas"]), record=record)
 
-    def simulate_all():
-        return {alpha: simulate(make_plan(alpha), workers=workers)
-                for alpha in alphas}
-
-    ensembles = run_stage("simulate", simulate_all)
-
-    if config.persist_trajectories:
-        def persist_traj():
-            for alpha, ens in ensembles.items():
-                tag = "trajectories" if len(alphas) == 1 \
-                    else f"trajectories-alpha-{_fmt(alpha)}"
-                save_trajectories(ens, str(out_dir / tag))
-                manifest.outputs.extend([f"{tag}.bin", f"{tag}.json"])
-        run_stage("persist-trajectories", persist_traj)
+    # ---- simulate, persist and estimate, one alpha at a time ----
+    fits = {}
+    for i, alpha in enumerate(alphas):
+        last = i == len(alphas) - 1
+        ens = run_stage("simulate", lambda: simulate(make_plan(alpha),
+                                                     workers=workers),
+                        alpha, last)
+        if i == 0:  # no values: verify reads only the provenance
+            first = replace(ens, values=ens.values[:0].copy())
+        if config.persist_trajectories:
+            tag = "trajectories" if len(alphas) == 1 \
+                else f"trajectories-alpha-{_fmt(alpha)}"
+            run_stage("persist-trajectories",
+                      lambda: save_trajectories(ens, str(out_dir / tag)),
+                      alpha, last)
+            manifest.outputs.extend([f"{tag}.bin", f"{tag}.json"])
+        if until != "simulate":
+            fits[alpha] = run_stage(
+                "estimate",
+                lambda: _fit_ensemble(ens, config.estimator, workers),
+                alpha, done=False)
+        del ens  # before the next alpha's ensemble is simulated
 
     if until == "simulate":
         persist_manifest()
         return manifest
 
-    # ---- estimate ----
-    def estimate_all():
-        fits = {alpha: _fit_ensemble(ens, config.estimator, workers)
-                for alpha, ens in ensembles.items()}
-        (out_dir / "estimates.csv").write_text(
-            _estimates_csv((alpha, fits[alpha]) for alpha in alphas),
-            encoding="utf-8")
+    def write_estimates():
+        (out_dir / "estimates.csv").write_text(_estimates_csv(fits.items()),
+                                               encoding="utf-8")
         manifest.outputs.append("estimates.csv")
-        return fits
 
-    fits = run_stage("estimate", estimate_all)
+    run_stage("estimate", write_estimates)
 
     if until == "estimate":
         persist_manifest()
@@ -536,12 +565,13 @@ def run_experiment(config, workers: Optional[int] = None,
         if config.sweep:
             mode = _resolved("estimator", config.estimator)["temporal_mode"]
             slack = float(_resolved("sweep", config.sweep)["slack"])
-            betas = [fits[a][mode].value for a in alphas]
+            ascending = sorted(alphas)
+            betas = [fits[a][mode].value for a in ascending]
             steps_ok = [betas[i + 1] >= betas[i] - slack
                         for i in range(len(betas) - 1)]
             return {
                 "kind": "alpha-sweep",
-                "alphas": [float(a) for a in alphas],
+                "alphas": [float(a) for a in ascending],
                 "beta_hats": betas,
                 "temporal_mode": mode,
                 "slack": slack,
@@ -549,7 +579,7 @@ def run_experiment(config, workers: Optional[int] = None,
                 "passed": bool(all(steps_ok)),
             }
         if query is not None:
-            _check_provenance(ensembles[alphas[0]], query, strict=False)
+            _check_provenance(first, query, strict=False)
             by_mode = fits[alphas[0]]
             payload = _confront_region(query, by_mode["sup-space"],
                                        by_mode["pooled"]).as_dict()
