@@ -99,14 +99,17 @@ def one_blas_thread():
 
 
 def worker_count(workers: Optional[int]) -> int:
-    """``workers``, or one per CPU when it is None (or 0)."""
+    """``workers``, or one per CPU this process may use when it is None (or
+    0): its CPU affinity where the platform has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return workers or len(os.sched_getaffinity(0))
     return workers or os.cpu_count() or 1
 
 
 def map_threads(fn: Callable, items: Iterable,
                 workers: Optional[int] = None) -> list:
     """``[fn(x) for x in items]`` on up to ``workers`` threads (default:
-    one per CPU), in order, with OpenBLAS at one thread throughout.
+    one per usable CPU), in order, with OpenBLAS at one thread throughout.
 
     One worker, or one item, runs in the calling thread and starts no
     thread.  The first exception raised by ``fn`` propagates after the

@@ -109,7 +109,7 @@ def _add_config_flags(parser) -> None:
                         help="override the config's output_dir")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker threads of the simulation and the "
-                             "exponent fits (default: one per CPU)")
+                             "exponent fits (default: one per usable CPU)")
 
 
 def _resolve(args, force_persist: bool = False) -> ExperimentConfig:

@@ -8,8 +8,10 @@ tables, region tables, verdicts and a run manifest under
 ``output_dir/<run_id>``.  The run id is a content hash of the resolved
 config, so re-running the same experiment lands in the same directory and
 reproduces every persisted output, ``manifest.json`` included, byte for
-byte.  Wall-clock stage timings go to ``timings.json`` beside them; it is
-not a deterministic output and is not listed in the manifest.
+byte; a re-run first deletes the files its predecessor's manifest lists,
+and the manifest lists every deterministic output, itself included.
+Wall-clock stage timings go to ``timings.json``, which is not listed.
+Simulation and fits default to one thread per CPU the process may use.
 
 The pipeline takes one alpha at a time: it simulates the alpha's
 ensemble, persists it when asked, fits it once and releases it before the
@@ -48,16 +50,19 @@ beside its builder; ``domain`` and ``query`` take the fields of
 any stage runs or any directory is made: a section that is not an object
 (``query`` and ``sweep`` may be null), unknown keys and kinds, missing
 required keys, an unknown temporal mode, a non-integer ``plan`` seed,
-step count, replica count or record stride/count, and a ``sweep.alpha``
+step count, replica count or record stride/count, an
+``estimator.point_index`` or ``estimator.times`` list that is not an
+integer index into the recorded points or times, and a ``sweep.alpha``
 that is not a list of at least two distinct numbers.  Any other bad value
 fails the stage that reads it.
 """
 
+import contextlib
 import copy
 import hashlib
 import json
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -71,8 +76,10 @@ from .regularity import (
     RegularityQuery,
     _check_provenance,
     _confront_region,
+    _confront_sweep,
     _derived_integrability,
     _increment_profiles,
+    _refuse_out_of_range,
     estimate_spatial_exponent,
     estimate_temporal_exponent,
     exponent_budget,
@@ -87,8 +94,8 @@ from .spectral import (
     build_variable_coefficient_system,
     diagonal_system,
 )
-from .trajio import _fmt, export_trajectories_csv, load_trajectories, \
-    save_trajectories
+from .trajio import _fmt, _json, export_trajectories_csv, \
+    load_trajectories, save_trajectories
 
 __all__ = [
     "ExperimentConfig", "RunManifest", "StageError", "HypothesisError",
@@ -282,18 +289,28 @@ class ExperimentConfig:
             raise ValueError(f"unknown config keys: {unknown}")
         if missing:
             raise ValueError(f"missing config keys: {missing}")
-        mode = _resolved("estimator",
-                         sections.get("estimator", {}))["temporal_mode"]
+        estimator = _resolved("estimator", sections.get("estimator", {}))
+        mode = estimator["temporal_mode"]
         if mode not in _TEMPORAL_MODES:
             raise ValueError(f"unknown estimator.temporal_mode {mode!r}; "
                              f"known: {list(_TEMPORAL_MODES)}")
-        sections["plan"] = _resolved("plan", sections["plan"])
-        not_int = [f"plan.{key}={sections['plan'][key]!r}"
-                   for key in _PLAN_INTEGERS
-                   if type(sections["plan"][key]) is not int]
+        plan = sections["plan"] = _resolved("plan", sections["plan"])
+        not_int = [f"plan.{key}={plan[key]!r}" for key in _PLAN_INTEGERS
+                   if type(plan[key]) is not int]
         if not_int:
             raise ValueError("config keys need integer values, got "
                              + ", ".join(not_int))
+        point = estimator["point_index"]
+        times = estimator["times"] if isinstance(estimator["times"], list) \
+            else None  # a number counts the default times
+        if point is not None or times is not None:
+            dom = SpectralDomain(**sections["domain"])
+            axis = RecordSpec(plan["time_stride"], plan["space_count"]) \
+                .axis_indices(dom.grid_size)
+            _refuse_out_of_range("estimator.point_index", point,
+                                 len(axis) ** dom.dimension)
+            _refuse_out_of_range("estimator.times", times,
+                                 plan["steps"] // plan["time_stride"] + 1)
         if "sweep" in sections:
             alphas = sections["sweep"]["alpha"]
             numbers = isinstance(alphas, (list, tuple)) and all(
@@ -372,11 +389,6 @@ def region_csv(query: RegularityQuery, n_points: int = 33) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _derived_p(query: RegularityQuery) -> Optional[float]:
-    return float(_derived_integrability(query)) \
-        if query.theorem == "colored" else None
-
-
 def _derived_block(system, query) -> dict:
     out = {"effective_shift": float(system.effective_shift),
            "operator_family": system.family}
@@ -384,7 +396,8 @@ def _derived_block(system, query) -> dict:
         return out
     budget = exponent_budget(query)
     out["budget"] = float(budget)
-    out["derived_p"] = _derived_p(query)
+    out["derived_p"] = float(_derived_integrability(query)) \
+        if query.theorem == "colored" else None
     if budget > 0 and query.theorem != "remark33":
         beta = budget / 2
         gamma = gamma_ceiling(query, beta) / 2
@@ -423,28 +436,41 @@ def _estimates_csv(fits) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _clear_run(run_dir: Path) -> None:
+    """Delete the files an earlier manifest in ``run_dir`` lists, then it and
+    ``timings.json``; a listed name must be a plain file name."""
+    listed = _load_run(run_dir)["outputs"] \
+        if (run_dir / "manifest.json").is_file() else []
+    bad = [name for name in listed if not isinstance(name, str)
+           or name in ("", "..") or Path(name).name != name]
+    if bad:
+        raise ValueError(f"earlier manifest lists non-plain file names {bad}")
+    for name in (*listed, "manifest.json", "timings.json"):
+        (run_dir / name).unlink(missing_ok=True)
+
+
 def run_experiment(config, workers: Optional[int] = None,
                    until: str = "verify") -> RunManifest:
     """Execute build -> simulate -> estimate -> verify and persist results.
 
-    ``config`` is an ExperimentConfig or a raw dict.  After the build, the
-    run takes the alphas in ``sweep.alpha`` order (or ``plan.alpha``
-    alone): each alpha's ensemble is simulated by one ``simulate`` call,
-    persisted when ``persist_trajectories`` is set, fitted, and released
-    before the next alpha is simulated.  Only the fits and the first
-    alpha's provenance outlive this loop; ``estimates.csv`` is written
-    once, after it.  The simulate, persist-trajectories and estimate
-    stages time the sum over alphas and read "ok" once they passed for
-    every alpha.
+    ``config`` is an ExperimentConfig or a raw dict.  A re-run first
+    deletes the files its predecessor's manifest lists.  The run takes the
+    alphas in ``sweep.alpha`` order (or ``plan.alpha`` alone): each
+    alpha's ensemble is simulated by one ``simulate`` call, persisted when
+    ``persist_trajectories`` is set, fitted, and released before the next
+    alpha is simulated; ``estimates.csv`` is written once, after the loop.
+    The simulate, persist-trajectories and estimate stages time the sum
+    over alphas and read "ok" once they passed for every alpha.
+    ``manifest.json`` lists every deterministic output, itself included.
 
     Any stage failure aborts with the stage name, and the alpha of a
     per-alpha stage, after writing the partial manifest, where a stage
     that ran for some alphas only reads "incomplete"; a hypothesis
     violation surfaces as HypothesisError.  ``until`` stops the pipeline
     early after the named stage ("simulate", "estimate" or the default
-    "verify").  ``workers`` threads (default: one per CPU) run the
-    simulation's replica batches and the fits' replica profiles; with
-    ``workers=1`` the run starts no thread.
+    "verify").  ``workers`` threads (default: one per CPU the process may
+    use) run the simulation's replica batches and the fits' replica
+    profiles; with ``workers=1`` the run starts no thread.
     """
     if until not in ("simulate", "estimate", "verify"):
         raise ValueError(f"unknown pipeline stage {until!r}")
@@ -452,46 +478,45 @@ def run_experiment(config, workers: Optional[int] = None,
         config = ExperimentConfig.from_dict(config)
     out_dir = Path(config.output_dir) / config.run_id
     out_dir.mkdir(parents=True, exist_ok=True)
+    _clear_run(out_dir)
     manifest = RunManifest(run_id=config.run_id, config=config.to_dict(),
                            versions=_versions(), note=config.note)
 
-    def persist_manifest():
-        path = out_dir / "manifest.json"
-        path.write_text(json.dumps(manifest.as_dict(), indent=1,
-                                   sort_keys=True) + "\n", encoding="utf-8")
-        (out_dir / "timings.json").write_text(
-            json.dumps(manifest.timings, indent=1, sort_keys=True) + "\n",
-            encoding="utf-8")
-        if "manifest.json" not in manifest.outputs:
-            manifest.outputs.append("manifest.json")
+    def emit(name: str, text: str, listed: bool = True) -> None:
+        """Write run file ``name``; list it in the manifest if ``listed``."""
+        (out_dir / name).write_text(text, encoding="utf-8")
+        if listed:
+            manifest.outputs.append(name)
 
-    def run_stage(stage, fn, alpha=None, done=True):
-        """Run ``fn`` as ``stage``, or as its part for ``alpha``.  A stage's
-        time sums over its parts; it reads "ok" once its ``done`` part has
-        passed.  On failure, a stage that has not run every part reads
-        "incomplete"."""
+    def persist_manifest():
+        manifest.outputs.append("manifest.json")  # before it is serialised
+        emit("manifest.json", _json(manifest.as_dict()), listed=False)
+        emit("timings.json", _json(manifest.timings), listed=False)
+
+    @contextlib.contextmanager
+    def stage(name: str, alpha=None, done: bool = True):
+        """Time the body as stage ``name``, or its part for ``alpha``; the
+        "ok" and "incomplete" rules are those of ``run_experiment``."""
         t0 = time.perf_counter()
         try:
-            result = fn()
+            yield
         except Exception as err:
-            error = StageError(stage, err, alpha)
-            manifest.stages[stage] = error.status
-            manifest.timings[stage] = manifest.timings.get(stage, 0.0) \
+            error = StageError(name, err, alpha)
+            manifest.stages[name] = error.status
+            manifest.timings[name] = manifest.timings.get(name, 0.0) \
                 + time.perf_counter() - t0
-            for name in manifest.timings:
-                manifest.stages.setdefault(name, "incomplete")
+            for other in manifest.timings:
+                manifest.stages.setdefault(other, "incomplete")
             persist_manifest()
             if isinstance(err, HypothesisError):
                 raise
             raise error from err
-        manifest.timings[stage] = manifest.timings.get(stage, 0.0) \
+        manifest.timings[name] = manifest.timings.get(name, 0.0) \
             + time.perf_counter() - t0
         if done:
-            manifest.stages[stage] = "ok"
-        return result
+            manifest.stages[name] = "ok"
 
-    # ---- build ----
-    def build():
+    with stage("build"):
         system = _build("operator", config.operator, config.domain)
         noise = make_cameron_martin(system.domain,
                                     float(config.noise["theta"]),
@@ -505,102 +530,56 @@ def run_experiment(config, workers: Optional[int] = None,
                 bad = [c["name"] for c in report["clauses"] if not c["ok"]]
                 raise HypothesisError(
                     f"noise hypotheses violated: {'; '.join(bad)}")
-        return system, noise, G, query
-
-    system, noise, G, query = run_stage("build", build)
     manifest.derived = _derived_block(system, query)
 
     plan = config.plan
     alphas = list(config.sweep["alpha"]) if config.sweep \
         else [float(plan["alpha"])]
-    record = RecordSpec(time_stride=int(plan["time_stride"]),
-                        space_count=int(plan["space_count"]))
 
-    def make_plan(alpha):
-        return SimulationPlan(system=system, noise=noise, G=G,
-                              seed=int(plan["seed"]), alpha=float(alpha),
-                              T=float(plan["T"]), steps=int(plan["steps"]),
-                              replicas=int(plan["replicas"]), record=record)
-
-    # ---- simulate, persist and estimate, one alpha at a time ----
     fits = {}
     for i, alpha in enumerate(alphas):
         last = i == len(alphas) - 1
-        ens = run_stage("simulate", lambda: simulate(make_plan(alpha),
-                                                     workers=workers),
-                        alpha, last)
-        if i == 0:  # no values: verify reads only the provenance
-            first = replace(ens, values=ens.values[:0].copy())
+        with stage("simulate", alpha, last):
+            ens = simulate(SimulationPlan(
+                system=system, noise=noise, G=G, seed=plan["seed"],
+                alpha=float(alpha), T=float(plan["T"]), steps=plan["steps"],
+                replicas=plan["replicas"], record=RecordSpec(
+                    plan["time_stride"], plan["space_count"])),
+                workers=workers)
+        provenance = ens.provenance  # verify reads it; a region has 1 alpha
         if config.persist_trajectories:
             tag = "trajectories" if len(alphas) == 1 \
                 else f"trajectories-alpha-{_fmt(alpha)}"
-            run_stage("persist-trajectories",
-                      lambda: save_trajectories(ens, str(out_dir / tag)),
-                      alpha, last)
+            with stage("persist-trajectories", alpha, last):
+                save_trajectories(ens, str(out_dir / tag))
             manifest.outputs.extend([f"{tag}.bin", f"{tag}.json"])
         if until != "simulate":
-            fits[alpha] = run_stage(
-                "estimate",
-                lambda: _fit_ensemble(ens, config.estimator, workers),
-                alpha, done=False)
+            with stage("estimate", alpha, done=False):
+                fits[alpha] = _fit_ensemble(ens, config.estimator, workers)
         del ens  # before the next alpha's ensemble is simulated
 
-    if until == "simulate":
-        persist_manifest()
-        return manifest
-
-    def write_estimates():
-        (out_dir / "estimates.csv").write_text(_estimates_csv(fits.items()),
-                                               encoding="utf-8")
-        manifest.outputs.append("estimates.csv")
-
-    run_stage("estimate", write_estimates)
-
-    if until == "estimate":
-        persist_manifest()
-        return manifest
-
-    # ---- verify ----
-    def verify():
-        if config.sweep:
-            mode = _resolved("estimator", config.estimator)["temporal_mode"]
-            slack = float(_resolved("sweep", config.sweep)["slack"])
-            ascending = sorted(alphas)
-            betas = [fits[a][mode].value for a in ascending]
-            steps_ok = [betas[i + 1] >= betas[i] - slack
-                        for i in range(len(betas) - 1)]
-            return {
-                "kind": "alpha-sweep",
-                "alphas": [float(a) for a in ascending],
-                "beta_hats": betas,
-                "temporal_mode": mode,
-                "slack": slack,
-                "steps_ok": steps_ok,
-                "passed": bool(all(steps_ok)),
-            }
-        if query is not None:
-            _check_provenance(first, query, strict=False)
-            by_mode = fits[alphas[0]]
-            payload = _confront_region(query, by_mode["sup-space"],
-                                       by_mode["pooled"]).as_dict()
-            payload["kind"] = "region"
-            payload["theorem"] = query.theorem
-            payload["params"] = _query_params(query)
-            return payload
-        return None
-
-    verdict = run_stage("verify", verify)
-    manifest.verdict = verdict
-    if verdict is not None:
-        (out_dir / "verdict.json").write_text(
-            json.dumps(verdict, indent=1, sort_keys=True) + "\n",
-            encoding="utf-8")
-        manifest.outputs.append("verdict.json")
-    if query is not None and exponent_budget(query) > 0:
-        (out_dir / "region.csv").write_text(region_csv(query),
-                                            encoding="utf-8")
-        manifest.outputs.append("region.csv")
-
+    if until != "simulate":
+        with stage("estimate"):
+            emit("estimates.csv", _estimates_csv(fits.items()))
+    if until == "verify":
+        with stage("verify"):
+            if config.sweep:
+                estimator = _resolved("estimator", config.estimator)
+                manifest.verdict = _confront_sweep(
+                    fits, estimator["temporal_mode"],
+                    _resolved("sweep", config.sweep)["slack"])
+            elif query is not None:
+                _check_provenance(provenance, query, strict=False)
+                by_mode = fits[alphas[0]]
+                manifest.verdict = {
+                    **_confront_region(query, by_mode["sup-space"],
+                                       by_mode["pooled"]).as_dict(),
+                    "kind": "region", "theorem": query.theorem,
+                    "params": _query_params(query)}
+        if manifest.verdict is not None:
+            emit("verdict.json", _json(manifest.verdict))
+        if query is not None and exponent_budget(query) > 0:
+            emit("region.csv", region_csv(query))
     persist_manifest()
     return manifest
 

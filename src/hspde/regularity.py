@@ -4,20 +4,21 @@ The temporal/spatial regularity theory consumed here takes the form of a
 linear budget in the (beta, gamma) plane: a pair of Hölder exponents
 (beta in time, gamma in space) is admissible when
 
-    beta + gamma / slope < budget,
+    beta + gamma / slope < budget = 1/2 - 1/q - (2d / slope) / p,
 
-with slope and budget depending on the setting:
+one formula, with slope alpha (2 outside ``fractional``) and p the
+integrability the statement works in.  Its four cases:
 
-* ``prop32``     white noise, plain second-order drift: slope 2,
-                 budget 1/2 - 1/q - d/p.
+* ``prop32``     white noise, plain second-order drift: slope 2, the
+                 query's p, budget 1/2 - 1/q - d/p.
 * ``remark33``   time-interpolation refinement with smoothing parameter
-                 theta: slope 2, budget (1 + theta)/2 - 1/q - d/4.
+                 theta: slope 2, 1/p = 1/4 - theta/(2d), budget
+                 (1 + theta)/2 - 1/q - d/4.
 * ``colored``    smoothed noise with Cameron-Martin exponent theta and
-                 integrability m: slope 2,
+                 integrability m: Prop. 3.2 at 1/p = 1/2 - theta/d + 1/m,
                  budget theta + 1/2 - d(1/2 + 1/m) - 1/q.
-* ``fractional`` drift exponent alpha in (0, 2]: slope alpha, budget
-                 1/2 - 1/q - 2d/(alpha p); alpha = 2 coincides with
-                 prop32.
+* ``fractional`` drift exponent alpha in (0, 2]: slope alpha, the query's
+                 p, budget 1/2 - 1/q - 2d/(alpha p).
 
 All region arithmetic is exact over rationals (inputs pass through
 ``Fraction``), and the inequalities stay strict: boundary points are
@@ -98,8 +99,8 @@ class RegularityQuery:
     """Which regularity statement to query, with its exponents.
 
     ``p`` is required for the white-noise and fractional settings; the
-    smoothed-noise budgets do not involve it (the selection step derives
-    its own working integrability from theta and m).
+    smoothed-noise settings ignore it and derive their own integrability
+    from theta (and m).
     """
 
     theorem: str
@@ -142,19 +143,20 @@ def _slope(query: RegularityQuery) -> Fraction:
     return _frac(query.alpha) if query.theorem == "fractional" else Fraction(2)
 
 
+def _inverse_integrability(query: RegularityQuery) -> Fraction:
+    """1/p for the integrability of the query's statement; may be <= 0."""
+    if query.theorem in ("prop32", "fractional"):
+        return 1 / _frac(query.p)
+    theta_d = _frac(query.theta) / query.d
+    if query.theorem == "colored":
+        return Fraction(1, 2) - theta_d + 1 / _frac(query.m)
+    return Fraction(1, 4) - theta_d / 2  # remark33
+
+
 def exponent_budget(query: RegularityQuery) -> Fraction:
     """Largest beta on the region's beta axis (exact rational)."""
-    d, q = Fraction(query.d), _frac(query.q)
-    half = Fraction(1, 2)
-    if query.theorem == "prop32":
-        return half - 1 / q - d / _frac(query.p)
-    if query.theorem == "remark33":
-        return half * (1 + _frac(query.theta)) - 1 / q - d / 4
-    if query.theorem == "colored":
-        return _frac(query.theta) + half - d * (half + 1 / _frac(query.m)) - 1 / q
-    # fractional
-    a = _frac(query.alpha)
-    return half - 1 / q - 2 * d / (a * _frac(query.p))
+    return (Fraction(1, 2) - 1 / _frac(query.q)
+            - 2 * query.d / _slope(query) * _inverse_integrability(query))
 
 
 def gamma_ceiling(query: RegularityQuery, beta: Rational) -> Fraction:
@@ -209,9 +211,8 @@ def _interval_midpoint(lo: Fraction, hi: Fraction, what: str) -> Fraction:
 
 
 def _derived_integrability(query: RegularityQuery) -> Fraction:
-    # working integrability exponent implied by the smoothing theta:
-    # 1/p = 1/2 - theta/d + 1/m
-    inv = Fraction(1, 2) - _frac(query.theta) / query.d + 1 / _frac(query.m)
+    """The integrability p the query's statement works in."""
+    inv = _inverse_integrability(query)
     if inv <= 0:
         raise ValueError("theta too large for the derived integrability")
     return 1 / inv
@@ -226,31 +227,21 @@ def select_sigma_delta(query: RegularityQuery, beta: Rational,
     """
     if not admissible(query, beta, gamma):
         raise ValueError("(beta, gamma) is not admissible for this query")
-    b, g = _frac(beta), _frac(gamma)
-    d, q = Fraction(query.d), _frac(query.q)
-    half = Fraction(1, 2)
     if query.theorem == "remark33":
         raise ValueError(
             "parameter selection is defined for the prop32, colored and "
             "fractional settings only"
         )
-    if query.theorem == "fractional":
-        a, p = _frac(query.alpha), _frac(query.p)
-        sig_lo = d / (a * p)
-        sig_hi = half - (d / p + g) / a - 1 / q - b
-        sigma = _interval_midpoint(sig_lo, sig_hi, "sigma")
-        del_lo = (d / p + g) / a
-        del_hi = half - 1 / q - b - sigma
-        delta = _interval_midpoint(del_lo, del_hi, "delta")
-    else:
-        p = _frac(query.p) if query.theorem == "prop32" \
-            else _derived_integrability(query)
-        sig_lo = d / (2 * p)
-        sig_hi = half - 1 / q - d / (2 * p) - g / 2 - b
-        sigma = _interval_midpoint(sig_lo, sig_hi, "sigma")
-        del_lo = d / (2 * p) + g / 2
-        del_hi = half - 1 / q - b - sigma
-        delta = _interval_midpoint(del_lo, del_hi, "delta")
+    b, g = _frac(beta), _frac(gamma)
+    d, q = Fraction(query.d), _frac(query.q)
+    half = Fraction(1, 2)
+    a, p = _slope(query), _derived_integrability(query)
+    sig_lo = d / (a * p)
+    sig_hi = half - (d / p + g) / a - 1 / q - b
+    sigma = _interval_midpoint(sig_lo, sig_hi, "sigma")
+    del_lo = (d / p + g) / a
+    del_hi = half - 1 / q - b - sigma
+    delta = _interval_midpoint(del_lo, del_hi, "delta")
     if not b + delta + sigma + 1 / q < half:
         raise RuntimeError("internal inconsistency: selection broke the budget")
     return ParameterSelection(
@@ -363,6 +354,14 @@ def _uniform_step(coords: np.ndarray, what: str) -> float:
     return float(gaps[0])
 
 
+def _refuse_out_of_range(what: str, indices, size: int) -> None:
+    """Refuse ``indices`` (None: none) outside [0, size); numpy wraps -1."""
+    given = np.atleast_1d([] if indices is None else indices).tolist()
+    bad = [i for i in given if type(i) is not int or not 0 <= i < size]
+    if bad:
+        raise ValueError(f"{what} {bad}: not an index into [0, {size})")
+
+
 def _increment_profiles(ens: TrajectoryEnsemble, axis: str,
                         point_index: Optional[int] = None, times=None,
                         workers: Optional[int] = None):
@@ -376,7 +375,10 @@ def _increment_profiles(ens: TrajectoryEnsemble, axis: str,
     replicas are mapped on ``workers`` threads (default: one per CPU); a
     max is exact, so the profiles do not depend on the worker count.
     Returns (lags (L,) in time or space units, profiles (replicas, L)).
+    A point or time that is not an integer index into the record is refused.
     """
+    _refuse_out_of_range("point_index", point_index, ens.values.shape[2])
+    _refuse_out_of_range("times", times, ens.values.shape[1])
     if axis == "time":
         step = _uniform_step(ens.time_grid, "time grid")
         kept = _kept_lags(ens.values.shape[1])
@@ -515,9 +517,9 @@ class RegionVerdict:
         }
 
 
-def _check_provenance(ens: TrajectoryEnsemble, query: RegularityQuery,
+def _check_provenance(provenance: Optional[dict], query: RegularityQuery,
                       strict: bool) -> None:
-    prov = ens.provenance or {}
+    prov = provenance or {}
     d = prov.get("dimension")
     if d is not None and d != query.d:
         raise ValueError(f"ensemble is {d}-dimensional, query says d={query.d}")
@@ -552,7 +554,7 @@ def verify_region(
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
-    _check_provenance(ens, query, strict_provenance)
+    _check_provenance(ens.provenance, query, strict_provenance)
     fits = (None, None)
     if exponent_budget(query) > 0:
         fits = (estimate_temporal_exponent(ens, mode="sup-space"),
@@ -608,3 +610,15 @@ def _confront_region(query: RegularityQuery,
             "gamma_lag_range": list(s_est.lag_range),
         },
     )
+
+
+def _confront_sweep(fits: dict, mode: str, slack: float) -> dict:
+    """The alpha-sweep verdict of ``{alpha: {mode: estimate}}``: in ascending
+    alpha, no ``mode`` beta_hat falls more than ``slack`` below the last."""
+    slack, ascending = float(slack), sorted(fits)
+    betas = [fits[a][mode].value for a in ascending]
+    steps_ok = [betas[i + 1] >= betas[i] - slack
+                for i in range(len(betas) - 1)]
+    return {"kind": "alpha-sweep", "alphas": [float(a) for a in ascending],
+            "beta_hats": betas, "temporal_mode": mode, "slack": slack,
+            "steps_ok": steps_ok, "passed": bool(all(steps_ok))}

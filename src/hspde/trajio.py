@@ -30,6 +30,11 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+def _json(obj) -> str:
+    """``obj`` as the package's JSON text: indent 1, sorted keys, newline."""
+    return json.dumps(obj, indent=1, sort_keys=True) + "\n"
+
+
 def _stem(path: str) -> str:
     root, ext = os.path.splitext(path)
     return root if ext in (".bin", ".json") else path
@@ -54,8 +59,7 @@ def save_trajectories(ens: TrajectoryEnsemble, path: str) -> str:
         "provenance": ens.provenance,
     }
     with open(stem + ".json", "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json(manifest))
     return stem
 
 

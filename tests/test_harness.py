@@ -233,6 +233,9 @@ def test_unknown_config_keys_rejected(tmp_path, path):
        "sweep.alpha needs a list of at least two distinct numbers")
       for alphas in ([], [1.0], [1.0, 1], [1.0, True], "1.0,2.0", 2.0,
                      [1.0, "2.0"])),
+    # numpy would wrap a negative index
+    ("estimator.point_index", -1, r"point_index \[-1\]: not an index"),
+    ("estimator.times", [-1, 5], r"times \[-1\]: not an index"),
 ])
 def test_config_errors_refused_before_any_stage(tmp_path, path, value,
                                                 message):
@@ -247,6 +250,24 @@ def test_config_errors_refused_before_any_stage(tmp_path, path, value,
     with pytest.raises(ValueError, match=path):
         run_experiment(cfg)
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("plan, inside, outside", [
+    ({}, {"point_index": 63}, {"point_index": 64}),
+    ({"space_count": 16}, {"point_index": 15}, {"point_index": 16}),
+    ({}, {"times": [0, 2048]}, {"times": [2049]}),
+    ({"time_stride": 2}, {"times": [0, 1024]}, {"times": [1025]}),
+    ({}, {"times": 5000}, {"times": [5000]}),  # a number counts times
+    ({}, {"point_index": 0}, {"point_index": 1.5}),
+    ({}, {"times": [0]}, {"times": [True]}),
+])
+def test_estimator_indices_follow_the_record(tmp_path, plan, inside,
+                                             outside):
+    cfg = small_config(tmp_path)
+    cfg["plan"].update(plan)
+    ExperimentConfig.from_dict(dict(cfg, estimator=inside))
+    with pytest.raises(ValueError, match="not an index into"):
+        ExperimentConfig.from_dict(dict(cfg, estimator=outside))
 
 
 @pytest.mark.parametrize("key, value", [
@@ -345,6 +366,8 @@ def test_rerun_writes_identical_manifest(tmp_path):
     manifest = run_experiment(cfg)
     run_dir = tmp_path / manifest.run_id
     first = (run_dir / "manifest.json").read_bytes()
+    # the persisted manifest is the returned one: it lists itself
+    assert json.loads(first) == manifest.as_dict()
     run_experiment(cfg)
     assert (run_dir / "manifest.json").read_bytes() == first
     # wall-clock timings live beside the manifest, outside the outputs
@@ -457,7 +480,8 @@ def test_sweep_verdict_compares_alphas_ascending(tmp_path):
     assert verdict["passed"] is False
 
 
-def test_later_alpha_failure_leaves_an_honest_manifest(tmp_path, monkeypatch):
+def _fail_at_second_alpha(monkeypatch):
+    """Make ``harness.simulate`` raise on its second call."""
     calls = []
 
     def failing(plan, **kwargs):
@@ -468,6 +492,10 @@ def test_later_alpha_failure_leaves_an_honest_manifest(tmp_path, monkeypatch):
 
     simulate = harness.simulate
     monkeypatch.setattr(harness, "simulate", failing)
+
+
+def test_later_alpha_failure_leaves_an_honest_manifest(tmp_path, monkeypatch):
+    _fail_at_second_alpha(monkeypatch)
     cfg = small_config(tmp_path, query=None, persist_trajectories=True,
                        sweep={"alpha": [1.0, 1.5, 2.0]})
     cfg["plan"].update({"steps": 512, "replicas": 2})
@@ -485,8 +513,41 @@ def test_later_alpha_failure_leaves_an_honest_manifest(tmp_path, monkeypatch):
     assert manifest["stages"]["estimate"] == "incomplete"
     assert set(timings) == set(manifest["stages"])
     assert manifest["outputs"] == ["trajectories-alpha-1.bin",
-                                   "trajectories-alpha-1.json"]
+                                   "trajectories-alpha-1.json",
+                                   "manifest.json"]
     assert not (run_dir / "estimates.csv").exists()
+
+
+def test_failed_rerun_leaves_none_of_the_earlier_outputs(tmp_path,
+                                                         monkeypatch):
+    cfg = small_config(tmp_path, persist_trajectories=True,
+                       sweep={"alpha": [1.0, 1.5, 2.0]})
+    cfg["plan"].update({"steps": 512, "replicas": 2})
+    run_dir = tmp_path / run_experiment(cfg, workers=1).run_id
+    assert {"estimates.csv", "verdict.json", "region.csv"} \
+        <= set(os.listdir(run_dir))
+    _fail_at_second_alpha(monkeypatch)
+    with pytest.raises(StageError, match="at alpha 1.5"):
+        run_experiment(cfg, workers=1)
+    outputs = json.loads((run_dir / "manifest.json").read_text())["outputs"]
+    assert outputs == ["trajectories-alpha-1.bin",
+                       "trajectories-alpha-1.json", "manifest.json"]
+    assert sorted(os.listdir(run_dir)) == sorted(outputs + ["timings.json"])
+
+
+@pytest.mark.parametrize("name", ["../victim.txt", "/abs/victim.txt",
+                                  "sub/victim.txt", "..", "", 7])
+def test_rerun_refuses_a_manifest_listing_other_than_file_names(tmp_path,
+                                                                 name):
+    cfg = small_config(tmp_path)
+    run_dir = tmp_path / ExperimentConfig.from_dict(cfg).run_id
+    run_dir.mkdir()
+    (tmp_path / "victim.txt").write_text("kept")
+    (run_dir / "manifest.json").write_text(json.dumps({"outputs": [name]}))
+    with pytest.raises(ValueError, match="non-plain file names"):
+        run_experiment(cfg)
+    assert (tmp_path / "victim.txt").read_text() == "kept"
+    assert os.listdir(run_dir) == ["manifest.json"]
 
 
 def test_pipeline_holds_one_ensemble_at_a_time(tmp_path, monkeypatch):

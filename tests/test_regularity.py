@@ -262,6 +262,25 @@ def test_points_below_the_ceiling_are_admissible(point):
     assert admissible(query, beta, gamma)
 
 
+def _closed_form_budget(query):
+    """The four per-theorem budgets of the module docstring, written out."""
+    d, q, half = query.d, Fraction(query.q), Fraction(1, 2)
+    if query.theorem == "prop32":
+        return half - 1 / q - d / Fraction(query.p)
+    if query.theorem == "remark33":
+        return half * (1 + Fraction(query.theta)) - 1 / q - Fraction(d, 4)
+    if query.theorem == "colored":
+        return (Fraction(query.theta) + half
+                - d * (half + 1 / Fraction(query.m)) - 1 / q)
+    return half - 1 / q - 2 * d / (Fraction(query.alpha) * Fraction(query.p))
+
+
+@PROPERTY
+@given(queries())
+def test_budget_is_each_closed_form(query):
+    assert exponent_budget(query) == _closed_form_budget(query)
+
+
 @PROPERTY
 @given(interior_points())
 def test_selection_keeps_the_budget(point):
@@ -417,6 +436,16 @@ def test_estimator_preconditions():
     bent.space_points = (bent.space_points**2).reshape(-1, 1)
     with pytest.raises(ValueError, match="uniform"):
         estimate_spatial_exponent(bent)
+    # numpy would wrap a negative index and fail late on a large one
+    wide = inject(np.random.default_rng(0).standard_normal((2, 129, 65)))
+    for index in (-1, 65):
+        with pytest.raises(ValueError, match=rf"point_index \[{index}\]"):
+            estimate_temporal_exponent(wide, point_index=index)
+    for times in ([-2, 100], [128, 129]):
+        with pytest.raises(ValueError, match=r"times \[(-2|129)\]"):
+            estimate_spatial_exponent(wide, times=times)
+    estimate_temporal_exponent(wide, point_index=64)
+    estimate_spatial_exponent(wide, times=[0, 128])
 
 
 def test_estimate_metadata_fields():

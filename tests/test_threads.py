@@ -5,6 +5,7 @@ the caller had is back once the last pinned call returns or raises, and a
 replica's values do not depend on the caller's BLAS thread count.
 """
 
+import os
 import sys
 import threading
 
@@ -63,6 +64,18 @@ def test_map_threads_keeps_order_and_runs_serially_on_one_worker(monkeypatch):
     monkeypatch.setattr(_threads, "ThreadPoolExecutor", no_pool)
     assert _threads.map_threads(str, range(3), 1) == ["0", "1", "2"]
     assert _threads.map_threads(str, [5], 4) == ["5"]
+
+
+def test_default_worker_count_is_the_cpus_this_process_may_use(monkeypatch):
+    # a process pinned to one CPU of a larger host starts one worker
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert _threads.worker_count(None) == _threads.worker_count(0) == 1
+    assert _threads.worker_count(3) == 3
+    # without an affinity call the CPU count stands in
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _threads.worker_count(None) == 8
 
 
 def test_pin_is_restored_after_simulate_returns(blas_at_two, monkeypatch):
