@@ -47,18 +47,21 @@ d >= 2 (a Laplacian) the mode states fill their places in the K^d tensor
 of multi-indices, zero where a mode is not propagated, and the per-axis
 (K, P) sine factor at the recorded axis points is applied one axis at a
 time; no dense mode table is read.
-``simulate`` draws a batch's increments in chunks of 2048 steps into one
-(R, N, 2048) buffer, refilled every 8 blocks from the batch's live
+``simulate`` draws a batch's increments in chunks of 1024 steps into one
+(R, N, 1024) buffer, refilled every 4 blocks from the batch's live
 generators; ``simulate_from_increments`` slices the blocks from the
-caller's table (labelled "from-increments").  A batch holds at most
-ceil(replicas / workers) replicas, and as many as keep one increment
-chunk, the block states, the per-step field and the d >= 2 synthesis
-tensor within 256 MiB; a plan
-whose single replica exceeds that is refused before anything is drawn.
-The recorded ensemble itself lies outside the budget.  Every matmul
-acts on one replica with shapes fixed by the plan, and the rest is
-elementwise, so a replica's values do not depend on batching, worker
-count or the host's BLAS thread count, bit for bit;
+caller's table (labelled "from-increments").  One budget of 256 MiB
+covers the whole pool: the batches in flight together keep their
+increment chunks, block states, per-step fields and d >= 2 synthesis
+tensors within it.  A batch holds at most ceil(replicas / threads)
+replicas, and as many as fit its thread's share of the budget; when one
+replica exceeds its share at the requested worker count, fewer threads
+run.  A plan whose single replica exceeds the whole budget is refused
+before anything is drawn.  The batch's generator objects (about 1.4 KB
+per stream on numpy 2.4) and the recorded ensemble lie outside the
+model.  Every matmul acts on one replica with shapes fixed by the plan,
+and the rest is elementwise, so a replica's values do not depend on
+batching, worker count or the host's BLAS thread count, bit for bit;
 ``simulate_from_increments`` fed the same draws reproduces ``simulate``.
 
 Increments come from the per-(seed, replica, mode) streams of
@@ -93,9 +96,14 @@ __all__ = [
 
 #: steps per block of the projection / recursion / synthesis stream
 BLOCK_STEPS = 256
-#: steps per chunk of increments ``simulate`` draws; a multiple of BLOCK_STEPS
-DRAW_STEPS = 8 * BLOCK_STEPS
-#: buffer budget of one replica batch
+#: steps per chunk of increments ``simulate`` draws; a multiple of BLOCK_STEPS.
+#: Each (replica, mode, chunk) is one ``standard_normal`` call, which hands
+#: the GIL to the other workers.  On a 2-CPU host one alpha of the
+#: fractional-alpha-sweep plan (2 replicas, 2 workers) took 1-9% longer at
+#: 1024 steps than at 2048, 10-20% longer at 512 and 1.7x as long at 256;
+#: 1024 halves the chunk buffers for the smallest of these costs
+DRAW_STEPS = 4 * BLOCK_STEPS
+#: buffer budget of the whole thread pool: every batch in flight together
 BATCH_BYTES = 256 << 20
 
 
@@ -345,9 +353,15 @@ class _Core:
     def dtype(self) -> np.dtype:
         return np.result_type(self.operator, self.decay, self.modes_rec)
 
-    def batch_size(self, workers: int) -> int:
-        """Replicas per batch: their buffers fit BATCH_BYTES, and no worker
-        is left without a batch (at most ceil(replicas / workers)).
+    def pool(self, workers: int) -> tuple[int, int]:
+        """(threads, replicas per batch) for up to ``workers`` threads, so
+        that the batches in flight together fit BATCH_BYTES.
+
+        Each thread runs one batch at a time, whose buffers are the
+        ``shared`` ones plus ``per_replica`` for each of its replicas.  The
+        pool runs as many threads as can hold one replica each, at most
+        ``workers``; a batch takes at most ceil(replicas / threads)
+        replicas, and as many as fit its thread's share of the budget.
 
         Raises ValueError, with the byte estimate, when one replica's
         buffers alone exceed BATCH_BYTES.  The recorded output is not a
@@ -366,13 +380,15 @@ class _Core:
             d = plan.system.domain.dimension
             shared += self.dtype.itemsize * blk * (
                 k**d + sum(p ** (a + 1) * k ** (d - 1 - a) for a in range(d - 1)))
-        if per_replica + shared > BATCH_BYTES:
+        unit = shared + per_replica
+        if unit > BATCH_BYTES:
             raise ValueError(
-                f"one replica needs {per_replica + shared} bytes of "
-                f"simulation buffers, over the batch budget of "
-                f"{BATCH_BYTES} bytes; use fewer noise or drift modes")
-        fit = (BATCH_BYTES - shared) // per_replica
-        return int(min(fit, -(-plan.replicas // max(workers, 1))))
+                f"one replica needs {unit} bytes of simulation buffers, over "
+                f"the buffer budget of {BATCH_BYTES} bytes; use fewer noise "
+                f"or drift modes")
+        threads = min(max(workers, 1), BATCH_BYTES // unit)
+        fit = (BATCH_BYTES // threads - shared) // per_replica
+        return threads, int(min(fit, -(-plan.replicas // threads)))
 
     def new_output(self) -> np.ndarray:
         flat_idx, _, _, rec_times = self.layout
@@ -386,7 +402,7 @@ class _Core:
         blocks (b0, b1), gives their (R, N, b1 - b0) increments.
         """
         plan = self.plan
-        batch = self.batch_size(workers)
+        threads, batch = self.pool(workers)
         out = self.new_output()
 
         def run_batch(start: int) -> None:
@@ -394,7 +410,7 @@ class _Core:
             self.integrate(sources(start, stop), out[start:stop])
 
         # batches write disjoint replica slices of `out`
-        map_threads(run_batch, range(0, plan.replicas, batch), workers)
+        map_threads(run_batch, range(0, plan.replicas, batch), threads)
         return self.ensemble(out, label)
 
     def integrate(self, block, out: np.ndarray) -> None:

@@ -52,9 +52,10 @@ any stage runs or any directory is made: a section that is not an object
 required keys, an unknown temporal mode, a non-integer ``plan`` seed,
 step count, replica count or record stride/count, an
 ``estimator.point_index`` or ``estimator.times`` list that is not an
-integer index into the recorded points or times, and a ``sweep.alpha``
-that is not a list of at least two distinct numbers.  Any other bad value
-fails the stage that reads it.
+integer index into the recorded points or times, an ``estimator.times``
+that selects no time (an empty list, or a count that is not a positive
+integer), and a ``sweep.alpha`` that is not a list of at least two
+distinct numbers.  Any other bad value fails the stage that reads it.
 """
 
 import contextlib
@@ -79,6 +80,7 @@ from .regularity import (
     _confront_sweep,
     _derived_integrability,
     _increment_profiles,
+    _refuse_no_times,
     _refuse_out_of_range,
     estimate_spatial_exponent,
     estimate_temporal_exponent,
@@ -301,6 +303,7 @@ class ExperimentConfig:
             raise ValueError("config keys need integer values, got "
                              + ", ".join(not_int))
         point = estimator["point_index"]
+        _refuse_no_times("estimator.times", estimator["times"])
         times = estimator["times"] if isinstance(estimator["times"], list) \
             else None  # a number counts the default times
         if point is not None or times is not None:

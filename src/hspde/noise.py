@@ -17,7 +17,7 @@ Wiener increments are drawn one stream per H-basis vector, keyed by
 (seed, replica, mode) through a counter-based generator, so replicas can be
 produced in any order or in parallel without coordination.  A stream can
 be drawn in chunks: ``simulate`` keeps a batch's generators alive and
-fills 2048 steps at a time, which gives the same values, bit for bit, as
+fills 1024 steps at a time, which gives the same values, bit for bit, as
 ``sample_wiener_increments`` drawing the whole table at once.
 """
 
@@ -242,7 +242,7 @@ class _WienerStreams:
         for gens, table in zip(self.generators, out):
             for gen, row in zip(gens, table):
                 gen.standard_normal(out=row)
-                row *= self.root
+        out *= self.root
 
 
 def sample_wiener_increments(

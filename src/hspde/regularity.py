@@ -455,7 +455,22 @@ def estimate_temporal_exponent(
     return _fit_profiles(lags, profiles, "temporal")
 
 
+def _refuse_no_times(what: str, times) -> None:
+    """Refuse a ``times`` selection (None: the default) that selects no
+    time: an empty list, or a count that is not a positive integer."""
+    if times is None:
+        return
+    if not np.isscalar(times):
+        if len(times) == 0:
+            raise ValueError(f"{what} []: selects no time")
+    elif isinstance(times, bool) or not isinstance(times, (int, np.integer)) \
+            or times < 1:
+        raise ValueError(f"{what} {times!r}: selects no time; a count of "
+                         "times must be a positive integer")
+
+
 def _default_times(n_times: int, times) -> np.ndarray:
+    _refuse_no_times("times", times)
     if times is None:
         times = 32
     if np.isscalar(times):
@@ -469,8 +484,9 @@ def estimate_spatial_exponent(
 ) -> ExponentEstimate:
     """Dyadic max-increment fit of the space Hölder exponent.
 
-    ``times`` selects recorded time indices (default: 32 from the upper
-    half of the horizon, where the law is closest to stationary).  Each
+    ``times`` selects recorded time indices, or counts times spread over
+    the upper half of the horizon, where the law is closest to stationary
+    (default: 32 of them); a selection of no time is refused.  Each
     replica contributes a single fit: the max-increment statistic pools
     every selected time section, mirroring how the sup-space temporal
     mode pools recorded points, and the estimate is the median over

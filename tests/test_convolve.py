@@ -642,7 +642,7 @@ def test_routes_match_field_path_oracle(case):
 def test_draw_chunks_join_bitwise(case, route):
     # a partial last chunk, and a record stride that does not divide the
     # chunk, so recorded rows straddle every chunk boundary
-    steps = 2 * convolve.DRAW_STEPS + 300
+    steps = 2 * convolve.DRAW_STEPS + 304
     plan = core_plan(case, steps=steps, stride=7)
     assert steps % 7 == 0 and convolve.DRAW_STEPS % 7
     one = simulate(plan, workers=1)
@@ -670,16 +670,53 @@ def test_batch_size_budget_and_cap(monkeypatch):
     # computed from the buffer model, nothing of this size is allocated
     core = convolve._Core.build(budget_plan(1 << 16))
     assert convolve.BATCH_BYTES // BUDGET_PER_REPLICA > 100
-    assert core.batch_size(1) == 100
+    assert core.pool(1) == (1, 100)
     monkeypatch.setattr(convolve, "BATCH_BYTES", 7 * BUDGET_PER_REPLICA + 1)
-    assert core.batch_size(1) == 7
-    assert core.batch_size(20) == 5  # ceil(100 / 20) < 7
+    assert core.pool(1) == (1, 7)
+    # the budget covers the pool: 7 threads of one replica, not 20 batches
+    assert core.pool(20) == (7, 1)
     # only one chunk of increments counts, so longer plans batch alike
     huge = convolve._Core.build(budget_plan(1 << 22))
-    assert huge.batch_size(1) == 7
+    assert huge.pool(1) == (1, 7)
     monkeypatch.setattr(convolve, "BATCH_BYTES", BUDGET_PER_REPLICA - 1)
     with pytest.raises(ValueError, match=f"needs {BUDGET_PER_REPLICA} bytes"):
-        huge.batch_size(1)
+        huge.pool(1)
+
+
+def test_pool_holds_at_most_the_budget(monkeypatch):
+    plan = budget_plan(1 << 16)
+    # the per-step route adds one block of the synthesised field per batch
+    stepped = dataclasses.replace(plan, G=g_preset("separable:sin", 8.0, 16.0))
+    field = 8 * convolve.BLOCK_STEPS * 64
+    for budget in (convolve.BATCH_BYTES, 7 * BUDGET_PER_REPLICA + 1,
+                   3 * (BUDGET_PER_REPLICA + field)):
+        monkeypatch.setattr(convolve, "BATCH_BYTES", budget)
+        for p, shared in ((plan, 0), (stepped, field)):
+            core = convolve._Core.build(p)
+            for workers in (1, 2, 3, 7, 64):
+                threads, batch = core.pool(workers)
+                assert 1 <= threads <= workers and batch >= 1
+                assert threads * (shared + batch * BUDGET_PER_REPLICA) <= budget
+
+
+def test_replica_over_its_share_runs_on_fewer_threads(monkeypatch):
+    plan = dataclasses.replace(budget_plan(convolve.DRAW_STEPS + 76),
+                               replicas=5)
+    one = simulate(plan, workers=1)
+    pools, map_threads = [], convolve.map_threads
+
+    def recorded(fn, items, workers=None):
+        pools.append(workers)
+        return map_threads(fn, items, workers)
+
+    monkeypatch.setattr(convolve, "map_threads", recorded)
+    # one replica is over a third of the budget, so 2 of 3 threads run
+    budget = 2 * BUDGET_PER_REPLICA + 1
+    assert BUDGET_PER_REPLICA > budget // 3
+    monkeypatch.setattr(convolve, "BATCH_BYTES", budget)
+    three = simulate(plan, workers=3)
+    assert pools == [budget // BUDGET_PER_REPLICA] == [2]
+    assert np.array_equal(three.values, one.values)
 
 
 def test_over_budget_replica_is_refused_before_drawing(monkeypatch):

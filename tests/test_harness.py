@@ -236,6 +236,11 @@ def test_unknown_config_keys_rejected(tmp_path, path):
     # numpy would wrap a negative index
     ("estimator.point_index", -1, r"point_index \[-1\]: not an index"),
     ("estimator.times", [-1, 5], r"times \[-1\]: not an index"),
+    # a selection of no time fails no index check
+    ("estimator.times", [], r"estimator.times \[\]: selects no time"),
+    *(("estimator.times", count, "estimator.times .*: selects no time; a "
+       "count of times must be a positive integer")
+      for count in (0, -3, 2.5, True, "32")),
 ])
 def test_config_errors_refused_before_any_stage(tmp_path, path, value,
                                                 message):
@@ -260,13 +265,18 @@ def test_config_errors_refused_before_any_stage(tmp_path, path, value,
     ({}, {"times": 5000}, {"times": [5000]}),  # a number counts times
     ({}, {"point_index": 0}, {"point_index": 1.5}),
     ({}, {"times": [0]}, {"times": [True]}),
+    ({}, {"times": [2048]}, {"times": []}),
+    ({}, {"times": 1}, {"times": 0}),
 ])
 def test_estimator_indices_follow_the_record(tmp_path, plan, inside,
                                              outside):
     cfg = small_config(tmp_path)
     cfg["plan"].update(plan)
     ExperimentConfig.from_dict(dict(cfg, estimator=inside))
-    with pytest.raises(ValueError, match="not an index into"):
+    # an index outside the record, or a list or count of no time
+    message = "selects no time" if outside.get("times") in ([], 0) \
+        else "not an index into"
+    with pytest.raises(ValueError, match=message):
         ExperimentConfig.from_dict(dict(cfg, estimator=outside))
 
 

@@ -446,6 +446,11 @@ def test_estimator_preconditions():
             estimate_spatial_exponent(wide, times=times)
     estimate_temporal_exponent(wide, point_index=64)
     estimate_spatial_exponent(wide, times=[0, 128])
+    # a selection of no time is refused by name, not by a slab of width 0
+    for times in ([], np.arange(0), 0, -1, 2.5):
+        with pytest.raises(ValueError, match="times .*selects no time"):
+            estimate_spatial_exponent(wide, times=times)
+    estimate_spatial_exponent(wide, times=1)
 
 
 def test_estimate_metadata_fields():
