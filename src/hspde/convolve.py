@@ -79,7 +79,7 @@ from typing import Optional
 
 import numpy as np
 
-from .spectral import EigenSystem, _principal_power, _realify
+from .spectral import EigenSystem, _grid_norm, _principal_power, _realify
 from .noise import CameronMartinSpec, GProcess, _WienerStreams
 from ._threads import map_threads, worker_count
 
@@ -131,6 +131,10 @@ class RecordSpec:
     def axis_indices(self, grid_size: int) -> np.ndarray:
         stride = self.space_stride(grid_size)
         return np.arange(stride - 1, grid_size, stride)
+
+    def shape(self, grid_size: int, steps: int) -> tuple[int, int]:
+        """(recorded times, recorded points per axis) of ``steps`` steps."""
+        return steps // self.time_stride + 1, len(self.axis_indices(grid_size))
 
 
 @dataclass(frozen=True)
@@ -203,22 +207,14 @@ class MqNormEstimate:
 
 
 def _record_layout(plan: SimulationPlan):
-    dom = plan.system.domain
-    ax_idx = plan.record.axis_indices(dom.grid_size)
-    d = dom.dimension
-    if d == 1:
-        flat = ax_idx
-        shape = (len(ax_idx),)
-    else:
-        grids = np.meshgrid(*([ax_idx] * d), indexing="ij")
-        flat = np.ravel_multi_index(
-            [g.ravel() for g in grids], (dom.grid_size,) * d
-        )
-        shape = (len(ax_idx),) * d
-    stride = plan.record.space_stride(dom.grid_size)
-    weight = (stride / (dom.grid_size + 1)) ** d
-    rec_times = plan.time_grid[:: plan.record.time_stride]
-    return flat, shape, weight, rec_times
+    """(flat indices, raster shape, weight per point, times) of the record."""
+    dom, record = plan.system.domain, plan.record
+    m, d = dom.grid_size, dom.dimension
+    raster = np.meshgrid(*[record.axis_indices(m)] * d, indexing="ij")
+    flat = np.ravel_multi_index(raster, (m,) * d).ravel()
+    return (flat, (record.shape(m, plan.steps)[1],) * d,
+            (record.space_stride(m) / (m + 1)) ** d,
+            plan.time_grid[:: record.time_stride])
 
 
 def _provenance(plan: SimulationPlan, scheme: str, route: str,
@@ -390,10 +386,6 @@ class _Core:
         fit = (BATCH_BYTES // threads - shared) // per_replica
         return threads, int(min(fit, -(-plan.replicas // threads)))
 
-    def new_output(self) -> np.ndarray:
-        flat_idx, _, _, rec_times = self.layout
-        return np.empty((self.plan.replicas, len(rec_times), len(flat_idx)))
-
     def run(self, label: str, sources, workers: int) -> TrajectoryEnsemble:
         """The plan's ensemble, labelled ``label``, on ``workers`` threads.
 
@@ -403,7 +395,8 @@ class _Core:
         """
         plan = self.plan
         threads, batch = self.pool(workers)
-        out = self.new_output()
+        flat_idx, _, _, rec_times = self.layout
+        out = np.empty((plan.replicas, len(rec_times), len(flat_idx)))
 
         def run_batch(start: int) -> None:
             stop = min(start + batch, plan.replicas)
@@ -553,7 +546,7 @@ def mean_mq_norm(ens: TrajectoryEnsemble, p: float, q: float) -> MqNormEstimate:
     """(E int_0^T |u(t)|_p^q dt)^(1/q) by trapezoid over recorded times."""
     if p < 1 or q < 1:
         raise ValueError("p and q must be at least 1")
-    lp = (ens.space_weight * np.sum(np.abs(ens.values) ** p, axis=2)) ** (1.0 / p)
+    lp = _grid_norm(ens.values, ens.space_weight, p, axis=2)
     integrals = np.trapezoid(lp**q, ens.time_grid, axis=1)
     mean = float(integrals.mean())
     se = float(integrals.std(ddof=1) / math.sqrt(len(integrals))) if len(integrals) > 1 else 0.0

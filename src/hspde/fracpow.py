@@ -32,8 +32,8 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .spectral import EigenSystem, project, synthesize, _mode_calculus, \
-    _principal_power, _real_result
+from .spectral import EigenSystem, project, synthesize, _grid_norm, \
+    _mode_calculus, _principal_power, _real_result
 
 __all__ = [
     "FracPowerRequest",
@@ -172,8 +172,8 @@ def _quadrature_apply(system, z, values, req, factor_fn, return_error):
     fine = synthesize(system, coeffs * fine_f)
 
     w = system.weight
-    scale = np.sqrt(w * np.sum(np.abs(fine) ** 2))
-    err = float(np.sqrt(w * np.sum(np.abs(fine - coarse) ** 2)) / max(scale, 1e-300))
+    scale = _grid_norm(fine, w, 2)
+    err = float(_grid_norm(fine - coarse, w, 2) / max(scale, 1e-300))
     if req.tolerance is not None and err > req.tolerance:
         raise QuadratureError(err, req.tolerance, coarse, fine)
 
@@ -226,9 +226,7 @@ def domain_norm(system: EigenSystem, delta: float, values: np.ndarray, p: float 
     w = system.weight
     x = np.asarray(values)
     ax = frac_power_eigen(system, delta, x)
-    base = float((w * np.sum(np.abs(x) ** p)) ** (1.0 / p))
-    frac = float((w * np.sum(np.abs(ax) ** p)) ** (1.0 / p))
-    out = base + frac
+    out = float(_grid_norm(x, w, p)) + float(_grid_norm(ax, w, p))
     if not np.isfinite(out):
         raise ValueError("domain norm is not finite")
     return out

@@ -55,7 +55,8 @@ step count, replica count or record stride/count, an
 integer index into the recorded points or times, an ``estimator.times``
 that selects no time (an empty list, or a count that is not a positive
 integer), and a ``sweep.alpha`` that is not a list of at least two
-distinct numbers.  Any other bad value fails the stage that reads it.
+distinct numbers; ``run_experiment`` then refuses, as early, a record too
+short to estimate.  Any other bad value fails the stage that reads it.
 """
 
 import contextlib
@@ -82,6 +83,7 @@ from .regularity import (
     _increment_profiles,
     _refuse_no_times,
     _refuse_out_of_range,
+    _refuse_short_record,
     estimate_spatial_exponent,
     estimate_temporal_exponent,
     exponent_budget,
@@ -171,6 +173,11 @@ def _keys(name: str, section: dict) -> tuple:
 def _resolved(name: str, section: dict) -> dict:
     """Config section ``name`` over the defaults of its optional keys."""
     return {**_keys(name, section)[1], **section}
+
+
+def _record(plan: dict) -> RecordSpec:
+    """The record of a resolved ``plan`` section."""
+    return RecordSpec(plan["time_stride"], plan["space_count"])
 
 
 def _build(name: str, section: dict, *args):
@@ -308,12 +315,11 @@ class ExperimentConfig:
             else None  # a number counts the default times
         if point is not None or times is not None:
             dom = SpectralDomain(**sections["domain"])
-            axis = RecordSpec(plan["time_stride"], plan["space_count"]) \
-                .axis_indices(dom.grid_size)
+            n_times, per_axis = _record(plan).shape(dom.grid_size,
+                                                    plan["steps"])
             _refuse_out_of_range("estimator.point_index", point,
-                                 len(axis) ** dom.dimension)
-            _refuse_out_of_range("estimator.times", times,
-                                 plan["steps"] // plan["time_stride"] + 1)
+                                 per_axis ** dom.dimension)
+            _refuse_out_of_range("estimator.times", times, n_times)
         if "sweep" in sections:
             alphas = sections["sweep"]["alpha"]
             numbers = isinstance(alphas, (list, tuple)) and all(
@@ -466,19 +472,28 @@ def run_experiment(config, workers: Optional[int] = None,
     over alphas and read "ok" once they passed for every alpha.
     ``manifest.json`` lists every deterministic output, itself included.
 
-    Any stage failure aborts with the stage name, and the alpha of a
-    per-alpha stage, after writing the partial manifest, where a stage
-    that ran for some alphas only reads "incomplete"; a hypothesis
-    violation surfaces as HypothesisError.  ``until`` stops the pipeline
-    early after the named stage ("simulate", "estimate" or the default
-    "verify").  ``workers`` threads (default: one per CPU the process may
-    use) run the simulation's replica batches and the fits' replica
-    profiles; with ``workers=1`` the run starts no thread.
+    A run that will estimate refuses a record shorter than the fits'
+    floors before it makes the run directory.  Any stage failure aborts
+    with the stage name, and the alpha of a per-alpha stage, after writing
+    the partial manifest, where a stage that ran for some alphas only
+    reads "incomplete"; a hypothesis violation surfaces as
+    HypothesisError.  ``until`` stops the pipeline early after the named
+    stage ("simulate", "estimate" or the default "verify").  ``workers``
+    threads (default: one per CPU the process may use) run the
+    simulation's replica batches and the fits' replica profiles; with
+    ``workers=1`` the run starts no thread.
     """
     if until not in ("simulate", "estimate", "verify"):
         raise ValueError(f"unknown pipeline stage {until!r}")
     if not isinstance(config, ExperimentConfig):
         config = ExperimentConfig.from_dict(config)
+    if until != "simulate":
+        # a diagonal operator's grid has one point per eigenvalue
+        op = config.operator
+        grid = len(op["eigenvalues"]) if op["kind"] == "diagonal" \
+            else config.domain["grid_size"]
+        _refuse_short_record(*_record(config.plan).shape(grid,
+                                                         config.plan["steps"]))
     out_dir = Path(config.output_dir) / config.run_id
     out_dir.mkdir(parents=True, exist_ok=True)
     _clear_run(out_dir)
@@ -546,8 +561,7 @@ def run_experiment(config, workers: Optional[int] = None,
             ens = simulate(SimulationPlan(
                 system=system, noise=noise, G=G, seed=plan["seed"],
                 alpha=float(alpha), T=float(plan["T"]), steps=plan["steps"],
-                replicas=plan["replicas"], record=RecordSpec(
-                    plan["time_stride"], plan["space_count"])),
+                replicas=plan["replicas"], record=_record(plan)),
                 workers=workers)
         provenance = ens.provenance  # verify reads it; a region has 1 alpha
         if config.persist_trajectories:

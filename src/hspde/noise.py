@@ -16,9 +16,10 @@ raising, so callers can log exactly which hypothesis failed.
 Wiener increments are drawn one stream per H-basis vector, keyed by
 (seed, replica, mode) through a counter-based generator, so replicas can be
 produced in any order or in parallel without coordination.  A stream can
-be drawn in chunks: ``simulate`` keeps a batch's generators alive and
-fills 1024 steps at a time, which gives the same values, bit for bit, as
-``sample_wiener_increments`` drawing the whole table at once.
+be drawn in chunks: ``simulate`` fills a chunk at a time from a batch's
+live generators, with the same values, bit for bit, as
+``sample_wiener_increments`` drawing the whole table at once.  Seeded
+streams (``_philox``) and g on the grid (``_on_grid``) are made here.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .spectral import EigenSystem, SpectralDomain, build_laplacian_system
+from .spectral import EigenSystem, SpectralDomain, _uniform_step, \
+    build_laplacian_system
 
 __all__ = [
     "CameronMartinSpec",
@@ -151,31 +153,22 @@ class GProcess:
     @classmethod
     def multiplication(cls, g, m: float, q: float, time_dependent: bool = False,
                        label: str = "custom") -> "GProcess":
-        """g may be a scalar, a callable xi -> value, or callable (t, xi)."""
-        if np.isscalar(g):
-            const = float(g)
-            profile = lambda t, pts: np.full(len(pts), const)  # noqa: E731
-            return cls(kind="multiplication", m=m, q=q, profile=profile,
-                       time_dependent=False, label=label)
-        if callable(g):
-            if time_dependent:
-                return cls(kind="multiplication", m=m, q=q,
-                           profile=lambda t, pts: np.asarray(g(t, pts), dtype=float),
-                           time_dependent=True, label=label)
-            return cls(kind="multiplication", m=m, q=q,
-                       profile=lambda t, pts: np.asarray(g(pts), dtype=float),
-                       time_dependent=False, label=label)
-        raise TypeError("g must be a scalar or a callable")
+        """g: a scalar, a callable of xi, or of (t, xi) if time_dependent."""
+        if not (np.isscalar(g) or callable(g)):
+            raise TypeError("g must be a scalar or a callable")
+        timed = time_dependent and callable(g)
+        return cls(kind="multiplication", m=m, q=q,
+                   profile=g if timed else lambda t, pts: _on_grid(g, pts),
+                   time_dependent=timed, label=label)
 
     @classmethod
-    def from_table(cls, table: np.ndarray, m: float, q: float,
-                   label: str = "csv") -> "GProcess":
+    def from_table(cls, table: np.ndarray, m: float, q: float) -> "GProcess":
         """g sampled per (time index, grid point); rows follow the plan grid."""
         table = np.asarray(table, dtype=float)
         if table.ndim != 2:
             raise ValueError("g table must be 2d (time index, grid point)")
         return cls(kind="multiplication", m=m, q=q, table=table,
-                   time_dependent=table.shape[0] > 1, label=label)
+                   time_dependent=table.shape[0] > 1, label="csv")
 
     def values_at(self, domain: SpectralDomain, t_index: int, time: float) -> Optional[np.ndarray]:
         """g(t, .) on the grid, or None for the identity kind."""
@@ -186,8 +179,14 @@ class GProcess:
             if self.table.shape[1] != domain.n_points:
                 raise ValueError("g table does not match the grid")
             return self.table[row]
-        vals = np.asarray(self.profile(time, domain.points), dtype=float)
-        return np.broadcast_to(vals, (domain.n_points,))
+        return _on_grid(self.profile(time, domain.points), domain.points)
+
+
+def _on_grid(g, points: np.ndarray) -> np.ndarray:
+    """g at the grid ``points`` (n, d), a callable of them or a number or
+    array, cast to float and broadcast to (n,)."""
+    values = g(points) if callable(g) else g
+    return np.broadcast_to(np.asarray(values, dtype=float), (len(points),))
 
 
 def g_preset(name: str, m: float, q: float) -> GProcess:
@@ -207,34 +206,30 @@ def g_preset(name: str, m: float, q: float) -> GProcess:
     raise KeyError(f"unknown g preset {name!r}")
 
 
+def _philox(seed: int, *key: int) -> np.random.Generator:
+    """Stream ``key`` of ``seed``: SeedSequence(seed, spawn_key=key) over
+    the counter-based Philox generator (no key: SeedSequence(seed))."""
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(seed, spawn_key=key)))
+
+
 class _WienerStreams:
     """The Philox streams of a batch of replicas, drawn chunk by chunk.
 
-    Stream (replica, k) is SeedSequence(seed, spawn_key=(replica, k)) over
-    a counter-based generator.  Each ``fill`` writes the next steps of
-    every stream, scaled by sqrt(dt), so consecutive fills of any lengths
-    concatenate to the same values as one fill over all steps, bit for bit.
+    Stream (replica, k) is ``_philox(seed, replica, k)``.  Each ``fill``
+    writes the next steps of every stream, scaled by sqrt(dt), so
+    consecutive fills of any lengths concatenate to the same values as one
+    fill over all steps, bit for bit.
     """
 
     def __init__(self, spec: CameronMartinSpec, time_grid: np.ndarray,
                  seed: int, replicas: range):
-        time_grid = np.asarray(time_grid, dtype=float)
-        if time_grid.ndim != 1 or len(time_grid) < 2:
-            raise ValueError("time grid must hold at least two times")
-        dts = np.diff(time_grid)
-        if np.any(dts <= 0):
-            raise ValueError("time grid must be strictly increasing")
-        dt = dts[0]
-        if np.abs(dts - dt).max() > 1e-12 * max(dt, 1.0):
-            raise ValueError("time grid must be uniform")
-        self.steps = len(dts)
+        dt = _uniform_step(time_grid, "time grid")
+        self.steps = len(time_grid) - 1
         self.root = np.sqrt(dt)
-        self.generators = [
-            [np.random.Generator(np.random.Philox(
-                np.random.SeedSequence(seed, spawn_key=(replica, k))))
-             for k in range(spec.truncation)]
-            for replica in replicas
-        ]
+        self.generators = [[_philox(seed, replica, k)
+                            for k in range(spec.truncation)]
+                           for replica in replicas]
 
     def fill(self, out: np.ndarray) -> None:
         """Write the next out.shape[2] increments of every stream into
@@ -251,10 +246,10 @@ def sample_wiener_increments(
     """Increment table of the cylindrical process, shape (truncation, steps).
 
     Entry (k, n) is W_k(t_{n+1}) - W_k(t_n) ~ Normal(0, dt), independent
-    across modes and steps.  Stream k is derived from
-    SeedSequence(seed, spawn_key=(replica, k)) over a counter-based
-    generator, so the table is reproducible per (seed, replica, mode) with
-    no cross-stream coordination.
+    across modes and steps.  Stream k is ``_philox(seed, replica, k)``, so
+    the table is reproducible per (seed, replica, mode) with no
+    cross-stream coordination.  The time grid must be uniform
+    (``spectral._uniform_step``).
     """
     streams = _WienerStreams(spec, time_grid, seed, range(replica, replica + 1))
     out = np.empty((spec.truncation, streams.steps))

@@ -54,6 +54,7 @@ import numpy as np
 
 from ._threads import map_threads
 from .convolve import TrajectoryEnsemble
+from .spectral import _uniform_step
 
 __all__ = [
     "RegularityQuery",
@@ -76,6 +77,8 @@ DROP_LOW = 2
 DROP_HIGH = 2
 #: fewest samples that leave the lag policy two dyadic levels to fit
 _MIN_SAMPLES = (1 << (DROP_LOW + DROP_HIGH + 1)) + 1
+#: fewest recorded times the temporal fit takes
+_MIN_TIMES = 64
 #: bytes of one cache-resident slab of _max_increments (L2-sized), and the
 #: fewest and most columns a slab takes
 _SLAB_BYTES = 512 << 10
@@ -274,13 +277,9 @@ class ExponentEstimate:
         return self.beta_hat if self.beta_hat is not None else self.gamma_hat
 
 
-def _dyadic_lags(n_samples: int) -> list:
-    top = int(math.floor(math.log2(n_samples - 1)))
-    return [1 << j for j in range(top + 1)]
-
-
 def _kept_lags(n_samples: int) -> list:
-    lags = _dyadic_lags(n_samples)
+    top = int(math.floor(math.log2(n_samples - 1)))
+    lags = [1 << j for j in range(top + 1)]
     kept = lags[DROP_LOW: len(lags) - DROP_HIGH]
     if len(kept) < 2:
         raise ValueError(
@@ -347,11 +346,13 @@ def _fit_loglog(lags_phys: np.ndarray, profile: np.ndarray):
     return float(slope), min(max(r2, 0.0), 1.0)
 
 
-def _uniform_step(coords: np.ndarray, what: str) -> float:
-    gaps = np.diff(coords)
-    if gaps.size == 0 or not np.allclose(gaps, gaps[0], rtol=1e-9, atol=0.0):
-        raise ValueError(f"recorded {what} must be uniform")
-    return float(gaps[0])
+def _refuse_short_record(times=_MIN_TIMES, per_axis=_MIN_SAMPLES) -> None:
+    """Refuse a record below the fits' floors of times or points per axis."""
+    for count, floor, what in ((times, _MIN_TIMES, "times"), (
+            per_axis, _MIN_SAMPLES, "points per spatial axis")):
+        if count < floor:
+            raise ValueError(f"need at least {floor} recorded {what}, the "
+                             f"record has {count}")
 
 
 def _refuse_out_of_range(what: str, indices, size: int) -> None:
@@ -380,20 +381,18 @@ def _increment_profiles(ens: TrajectoryEnsemble, axis: str,
     _refuse_out_of_range("point_index", point_index, ens.values.shape[2])
     _refuse_out_of_range("times", times, ens.values.shape[1])
     if axis == "time":
-        step = _uniform_step(ens.time_grid, "time grid")
+        step = _uniform_step(ens.time_grid, "recorded time grid")
         kept = _kept_lags(ens.values.shape[1])
         series = (ens.values[r] if point_index is None
                   else ens.values[r, :, point_index]
                   for r in range(ens.replicas))
     else:
         shape = tuple(ens.space_shape)
-        if shape[0] < _MIN_SAMPLES:
-            raise ValueError(f"need at least {_MIN_SAMPLES} recorded points "
-                             "per spatial axis")
+        _refuse_short_record(per_axis=shape[0])
         kept = _kept_lags(shape[0])
         pts = ens.space_points.reshape(shape + (len(shape),))
         step = _uniform_step(pts[(slice(None),) + (0,) * len(shape)],
-                             "spatial axis")
+                             "recorded spatial axis")
         line = ens.values.reshape(ens.values.shape[:2] + shape)
         for _ in shape[1:]:
             line = line[..., line.shape[-1] // 2]
@@ -444,8 +443,7 @@ def estimate_temporal_exponent(
     """
     if mode not in ("pointwise", "sup-space"):
         raise ValueError(f"unknown mode {mode!r}")
-    if ens.values.shape[1] < 64:
-        raise ValueError("need at least 64 recorded times")
+    _refuse_short_record(times=ens.values.shape[1])
     if mode == "sup-space":
         point_index = None
     elif point_index is None:

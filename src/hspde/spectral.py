@@ -20,7 +20,8 @@ Two constructions are provided:
 
 Grid convention: M interior points per axis, xi_j = j/(M+1), and the grid
 L^2 inner product uses the midpoint weight (M+1)^(-d) per point.  With that
-weight the sampled sine modes are exactly orthonormal.
+weight the sampled sine modes are exactly orthonormal; ``_grid_norm`` is
+its L^p norm, and ``_uniform_step`` the uniform-grid rule of every module.
 """
 
 from __future__ import annotations
@@ -104,6 +105,22 @@ class SpectralDomain:
     def weight(self) -> float:
         """Quadrature weight per grid point for the grid L^p norms."""
         return (self.grid_size + 1) ** (-self.dimension)
+
+
+def _grid_norm(values, weight: float, p: float, axis=None):
+    """(weight * sum |x|^p)^(1/p) over ``axis`` (None: all entries); sqrt at
+    p = 2, which is what numpy's ``array ** 0.5`` computes."""
+    total = weight * np.sum(np.abs(values) ** p, axis=axis)
+    return np.sqrt(total) if p == 2 else total ** (1.0 / p)
+
+
+def _uniform_step(coords, what: str) -> float:
+    """The step of ``coords``: strictly increasing, gaps equal to rtol 1e-9."""
+    gaps = np.diff(np.asarray(coords, dtype=float))
+    if gaps.ndim != 1 or gaps.size == 0 or not gaps[0] > 0 \
+            or not np.allclose(gaps, gaps[0], rtol=1e-9, atol=0.0):
+        raise ValueError(f"{what} must be strictly increasing and uniform")
+    return float(gaps[0])
 
 
 @dataclass(frozen=True)
@@ -353,8 +370,7 @@ def build_variable_coefficient_system(
 
     # normalise modes in the weighted grid norm, duals from the inverse
     w = domain.weight
-    norms = np.sqrt(w * np.sum(np.abs(vecs) ** 2, axis=0))
-    vecs = vecs / norms
+    vecs = vecs / _grid_norm(vecs, w, 2, axis=0)
     duals = np.conj(np.linalg.inv(vecs)) / w  # rows pair with mode columns
 
     k = domain.mode_cutoff

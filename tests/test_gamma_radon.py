@@ -113,6 +113,20 @@ def test_domination_holds_with_envelope_as_g():
     assert abs(report["ratio_doubled"] - report["ratio"]) <= 0.10 * report["ratio"]
 
 
+def test_domination_constant_g_callable_or_number():
+    # a callable that returns one number is g on every grid point, as the
+    # number itself is: same |g|_p, same ratio
+    spec = make_cameron_martin(SpectralDomain(1, 63, 48), theta=1.2, truncation=8)
+    R = FiniteRankOperator.multiplication(lambda pts: 1.0 + pts[:, 0], spec)
+    c = float(R.envelope().max()) + 1.0
+    number = check_domination_bound(R, c, p=4, samples=1000, seed=3)
+    call = check_domination_bound(R, lambda pts: c, p=4, samples=1000, seed=3)
+    assert number["g_norm"] == call["g_norm"] == pytest.approx(
+        (63 / 64) ** 0.25 * c, rel=1e-12)
+    assert number["ratio"] == call["ratio"]
+    assert number["ratio_doubled"] == call["ratio_doubled"]
+
+
 def test_domination_zero_multiplier(cm_spec):
     R = FiniteRankOperator.multiplication(0.0, cm_spec)
     report = check_domination_bound(R, 0.0, p=4, samples=1000, seed=2)

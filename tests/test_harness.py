@@ -635,6 +635,44 @@ def test_pipeline_can_stop_early(tmp_path):
         run_experiment(cfg, until="plot")
 
 
+@pytest.mark.parametrize("plan, message", [
+    ({"steps": 48}, "need at least 64 recorded times, the record has 49"),
+    ({"space_count": 16}, "need at least 33 recorded points per spatial "
+                          "axis, the record has 16"),
+])
+def test_short_record_refused_before_any_directory(tmp_path, plan, message):
+    # the fits' sample floors are read off the plan's record, so a run that
+    # will estimate fails before it simulates; a simulate-only run still runs
+    cfg = small_config(tmp_path)
+    cfg["plan"].update(plan)
+    for until in ("estimate", "verify"):
+        with pytest.raises(ValueError, match=message):
+            run_experiment(cfg, workers=1, until=until)
+        assert not any(tmp_path.iterdir())
+    manifest = run_experiment(cfg, workers=1, until="simulate")
+    assert manifest.stages == {"build": "ok", "simulate": "ok"}
+    assert (tmp_path / manifest.run_id / "manifest.json").is_file()
+
+
+def test_short_record_reads_the_diagonal_grid(tmp_path):
+    # a diagonal operator's grid has one point per eigenvalue, whatever the
+    # domain section says: 64 eigenvalues fit, 16 do not
+    def diagonal(count):
+        cfg = small_config(tmp_path, operator={
+            "kind": "diagonal",
+            "eigenvalues": [np.pi**2 * k**2 for k in range(1, count + 1)]})
+        cfg["domain"] = {"dimension": 1, "grid_size": 80 - count,
+                         "mode_cutoff": 16}
+        cfg["noise"]["truncation"] = 16
+        cfg["plan"].update({"steps": 512, "replicas": 2})
+        return cfg
+    with pytest.raises(ValueError, match="the record has 16"):
+        run_experiment(diagonal(16), workers=1, until="estimate")
+    assert not any(tmp_path.iterdir())
+    manifest = run_experiment(diagonal(64), workers=1, until="estimate")
+    assert manifest.stages["estimate"] == "ok"
+
+
 def test_vacuous_region_run():
     cfg = get_preset("laplacian-d2")
     import tempfile
@@ -938,6 +976,19 @@ def test_cli_non_integer_seed_exits_4_before_any_directory(
     assert code == 4
     assert "plan.seed" in err
     assert not any(tmp_path.iterdir())
+
+
+def test_cli_short_record_exits_4_before_any_directory(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    flags = ["--preset", "laplacian-d1", "--out-dir", "short",
+             "--set", "plan.steps=48"]
+    code, _, err = run_cli(["run", *flags], capsys)
+    assert code == 4
+    assert "need at least 64 recorded times" in err
+    assert not any(tmp_path.iterdir())
+    code, _, _ = run_cli(["simulate", *flags], capsys)
+    assert code == 0
 
 
 def test_cli_colored_query_without_integrability_exits_4(

@@ -100,6 +100,18 @@ def test_nonuniform_grid_rejected(dom):
         sample_wiener_increments(spec, np.array([0.0, 0.1, 0.3]), seed=0, replica=0)
 
 
+@pytest.mark.parametrize("seed, key", [(0, ()), (7, (3,)), (29, (0, 5)),
+                                       (2**40, (11, 2))])
+def test_philox_helper_is_the_literal_stream(seed, key):
+    want = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(seed, spawn_key=key))).standard_normal(50)
+    assert np.array_equal(noise._philox(seed, *key).standard_normal(50), want)
+    if not key:  # the keyless stream is SeedSequence(seed)'s
+        plain = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(seed))).standard_normal(50)
+        assert np.array_equal(plain, want)
+
+
 # ---------------------------------------------------------------------------
 # Cameron-Martin scale and the structure map
 # ---------------------------------------------------------------------------

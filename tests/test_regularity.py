@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hspde.convolve import RecordSpec, SimulationPlan, TrajectoryEnsemble, simulate
-from hspde.noise import GProcess, make_cameron_martin
+from hspde.noise import GProcess, make_cameron_martin, sample_wiener_increments
 from hspde.regularity import (
     ExponentEstimate,
     RegularityQuery,
@@ -417,6 +417,39 @@ def test_all_degenerate_is_an_error():
         with pytest.raises(ValueError, match="degenerate"):
             estimate_temporal_exponent(inject(vals), mode="pointwise",
                                        point_index=0)
+
+
+def jittered(grid, rel):
+    """``grid`` with one interior point moved by ``rel`` of its step."""
+    grid = grid.copy()
+    grid[len(grid) // 2] += rel * (grid[1] - grid[0])
+    return grid
+
+
+@pytest.mark.parametrize("grid, ok", [
+    *((np.linspace(0.0, t_end, n), True)
+      for n, t_end in ((129, 1.0), (1001, 0.3), (8193, 1.0), (10_001, 3.0))),
+    (jittered(np.linspace(0.0, 1.0, 129), 2e-10), True),  # within 1e-9
+    (jittered(np.linspace(0.0, 1.0, 129), 5e-9), False),
+    (np.linspace(1.0, 0.0, 129), False),  # descending
+    (np.linspace(0.0, 0.0, 129), False),  # standing still
+])
+def test_one_uniform_grid_rule_for_sampling_and_fits(grid, ok):
+    # the noise sampler and the temporal fit read a time grid by one rule:
+    # strictly increasing, every gap within 1e-9 of the first
+    spec = make_cameron_martin(SpectralDomain(1, 15, 4), theta=0.0,
+                               truncation=2)
+    ens = inject(np.random.default_rng(0).standard_normal((2, len(grid), 5)))
+    ens.time_grid = grid
+    calls = (lambda: sample_wiener_increments(spec, grid, seed=0, replica=0),
+             lambda: estimate_temporal_exponent(ens))
+    for call in calls:
+        if ok:
+            call()
+        else:
+            with pytest.raises(ValueError, match="strictly increasing and "
+                                                 "uniform"):
+                call()
 
 
 def test_estimator_preconditions():

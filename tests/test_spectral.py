@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hspde.spectral import (
+    _grid_norm,
     SpectralDomain,
     EllipticOperatorSpec,
     build_laplacian_system,
@@ -298,3 +301,30 @@ def test_semigroup_rejects_negative_time():
     sys = build_laplacian_system(SpectralDomain(1, 15, 4))
     with pytest.raises(ValueError):
         apply_semigroup(sys, -0.1, np.zeros(15))
+
+
+# ---------------------------------------------------------------------------
+# the weighted grid L^p norm
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(x=arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 40)),
+                elements=st.floats(-1e6, 1e6, allow_subnormal=False)),
+       weight=st.floats(1e-4, 1.0), p=st.sampled_from([1, 2, 3, 4, 8]),
+       imag=st.booleans())
+def test_grid_norm_equals_the_axis_expressions_bitwise(x, weight, p, imag):
+    # the expressions it replaced: (w sum |x|^p)^(1/p) along an axis, and
+    # sqrt(w sum |x|^2) on complex mode tables
+    if imag:
+        x = x + 1j * x[::-1]
+    for axis in (0, 1, -1):
+        want = (weight * np.sum(np.abs(x) ** p, axis=axis)) ** (1.0 / p)
+        assert np.array_equal(_grid_norm(x, weight, p, axis=axis), want)
+        if p == 2:
+            want = np.sqrt(weight * np.sum(np.abs(x) ** 2, axis=axis))
+            assert np.array_equal(_grid_norm(x, weight, p, axis=axis), want)
+    # a full reduction: sqrt at p = 2 (as along an axis), else scalar pow
+    whole = weight * np.sum(np.abs(x) ** p)
+    want = np.sqrt(whole) if p == 2 else whole ** (1.0 / p)
+    assert _grid_norm(x, weight, p) == want
+    assert _grid_norm(x.ravel(), weight, p, axis=0) == want
