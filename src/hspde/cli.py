@@ -166,16 +166,10 @@ def _cmd_presets(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _resolve(args)
-    manifest = run_experiment(config, workers=args.workers)
-    return _print_verdict(manifest)
-
-
-def _cmd_verify(args) -> int:
-    config = _resolve(args)
-    manifest = run_experiment(config, workers=args.workers)
-    if manifest.verdict is None:
+    if args.command == "verify" and not (config.query or config.sweep):
         raise ValueError(
             "config has neither a query nor a sweep; nothing to verify")
+    manifest = run_experiment(config, workers=args.workers)
     return _print_verdict(manifest)
 
 
@@ -286,7 +280,7 @@ def _build_parser() -> _Parser:
 
     for name, func, help_text in (
             ("run", _cmd_run, "full pipeline: simulate, estimate, verify"),
-            ("verify", _cmd_verify, "full pipeline, exit 2 on verdict FAIL"),
+            ("verify", _cmd_run, "full pipeline, exit 2 on verdict FAIL"),
             ("simulate", _cmd_simulate,
              "build and simulate only; always persists trajectories")):
         p = sub.add_parser(name, help=help_text)

@@ -8,10 +8,13 @@ tables, region tables, verdicts and a run manifest under
 ``output_dir/<run_id>``.  The run id is a content hash of the resolved
 config, so re-running the same experiment lands in the same directory and
 reproduces every persisted output, ``manifest.json`` included, byte for
-byte; a re-run first deletes the files its predecessor's manifest lists,
-and the manifest lists every deterministic output, itself included.
-Wall-clock stage timings go to ``timings.json``, which is not listed.
-Simulation and fits default to one thread per CPU the process may use.
+byte; the manifest lists every deterministic output, itself included.
+Wall-clock stage timings go to ``timings.json``, which is not listed.  A
+run is staged in ``output_dir/.<run_id>.partial``, cleared first, and
+lands whole: once its manifest is written, on success or stage failure,
+the staging directory replaces ``output_dir/<run_id>``; a run killed
+before then leaves the earlier run as it was.  Simulation and fits
+default to one thread per CPU the process may use.
 
 The pipeline takes one alpha at a time: it simulates the alpha's
 ensemble, persists it when asked, fits it once and releases it before the
@@ -63,6 +66,7 @@ import contextlib
 import copy
 import hashlib
 import json
+import shutil
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
@@ -178,6 +182,17 @@ def _resolved(name: str, section: dict) -> dict:
 def _record(plan: dict) -> RecordSpec:
     """The record of a resolved ``plan`` section."""
     return RecordSpec(plan["time_stride"], plan["space_count"])
+
+
+def _record_shape(domain: dict, operator: dict, plan: dict) -> tuple:
+    """(recorded times, recorded points per axis, dimension) of a resolved
+    ``plan`` section; a diagonal operator's grid has one point per
+    eigenvalue, on one axis, whatever the ``domain`` section says."""
+    if operator.get("kind") == "diagonal":
+        grid, dimension = len(operator["eigenvalues"]), 1
+    else:
+        grid, dimension = domain["grid_size"], domain["dimension"]
+    return (*_record(plan).shape(grid, plan["steps"]), dimension)
 
 
 def _build(name: str, section: dict, *args):
@@ -314,11 +329,10 @@ class ExperimentConfig:
         times = estimator["times"] if isinstance(estimator["times"], list) \
             else None  # a number counts the default times
         if point is not None or times is not None:
-            dom = SpectralDomain(**sections["domain"])
-            n_times, per_axis = _record(plan).shape(dom.grid_size,
-                                                    plan["steps"])
+            n_times, per_axis, dimension = _record_shape(
+                sections["domain"], sections.get("operator", {}), plan)
             _refuse_out_of_range("estimator.point_index", point,
-                                 per_axis ** dom.dimension)
+                                 per_axis ** dimension)
             _refuse_out_of_range("estimator.times", times, n_times)
         if "sweep" in sections:
             alphas = sections["sweep"]["alpha"]
@@ -445,27 +459,14 @@ def _estimates_csv(fits) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _clear_run(run_dir: Path) -> None:
-    """Delete the files an earlier manifest in ``run_dir`` lists, then it and
-    ``timings.json``; a listed name must be a plain file name."""
-    listed = _load_run(run_dir)["outputs"] \
-        if (run_dir / "manifest.json").is_file() else []
-    bad = [name for name in listed if not isinstance(name, str)
-           or name in ("", "..") or Path(name).name != name]
-    if bad:
-        raise ValueError(f"earlier manifest lists non-plain file names {bad}")
-    for name in (*listed, "manifest.json", "timings.json"):
-        (run_dir / name).unlink(missing_ok=True)
-
-
 def run_experiment(config, workers: Optional[int] = None,
                    until: str = "verify") -> RunManifest:
     """Execute build -> simulate -> estimate -> verify and persist results.
 
-    ``config`` is an ExperimentConfig or a raw dict.  A re-run first
-    deletes the files its predecessor's manifest lists.  The run takes the
-    alphas in ``sweep.alpha`` order (or ``plan.alpha`` alone): each
-    alpha's ensemble is simulated by one ``simulate`` call, persisted when
+    ``config`` is an ExperimentConfig or a raw dict; the run is staged and
+    lands whole, as the module docstring says.  The run takes the alphas
+    in ``sweep.alpha`` order (or ``plan.alpha`` alone): each alpha's
+    ensemble is simulated by one ``simulate`` call, persisted when
     ``persist_trajectories`` is set, fitted, and released before the next
     alpha is simulated; ``estimates.csv`` is written once, after the loop.
     The simulate, persist-trajectories and estimate stages time the sum
@@ -473,9 +474,9 @@ def run_experiment(config, workers: Optional[int] = None,
     ``manifest.json`` lists every deterministic output, itself included.
 
     A run that will estimate refuses a record shorter than the fits'
-    floors before it makes the run directory.  Any stage failure aborts
-    with the stage name, and the alpha of a per-alpha stage, after writing
-    the partial manifest, where a stage that ran for some alphas only
+    floors before it makes a directory.  Any stage failure aborts with the
+    stage name, and the alpha of a per-alpha stage, after landing the run
+    with its partial manifest, where a stage that ran for some alphas only
     reads "incomplete"; a hypothesis violation surfaces as
     HypothesisError.  ``until`` stops the pipeline early after the named
     stage ("simulate", "estimate" or the default "verify").  ``workers``
@@ -488,21 +489,18 @@ def run_experiment(config, workers: Optional[int] = None,
     if not isinstance(config, ExperimentConfig):
         config = ExperimentConfig.from_dict(config)
     if until != "simulate":
-        # a diagonal operator's grid has one point per eigenvalue
-        op = config.operator
-        grid = len(op["eigenvalues"]) if op["kind"] == "diagonal" \
-            else config.domain["grid_size"]
-        _refuse_short_record(*_record(config.plan).shape(grid,
-                                                         config.plan["steps"]))
-    out_dir = Path(config.output_dir) / config.run_id
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _clear_run(out_dir)
+        _refuse_short_record(*_record_shape(config.domain, config.operator,
+                                            config.plan)[:2])
+    run_dir = Path(config.output_dir) / config.run_id
+    staging = run_dir.with_name(f".{config.run_id}.partial")
+    shutil.rmtree(staging, ignore_errors=True)
+    staging.mkdir(parents=True)
     manifest = RunManifest(run_id=config.run_id, config=config.to_dict(),
                            versions=_versions(), note=config.note)
 
     def emit(name: str, text: str, listed: bool = True) -> None:
         """Write run file ``name``; list it in the manifest if ``listed``."""
-        (out_dir / name).write_text(text, encoding="utf-8")
+        (staging / name).write_text(text, encoding="utf-8")
         if listed:
             manifest.outputs.append(name)
 
@@ -510,6 +508,8 @@ def run_experiment(config, workers: Optional[int] = None,
         manifest.outputs.append("manifest.json")  # before it is serialised
         emit("manifest.json", _json(manifest.as_dict()), listed=False)
         emit("timings.json", _json(manifest.timings), listed=False)
+        shutil.rmtree(run_dir, ignore_errors=True)
+        staging.rename(run_dir)  # same filesystem: nothing is copied
 
     @contextlib.contextmanager
     def stage(name: str, alpha=None, done: bool = True):
@@ -568,7 +568,7 @@ def run_experiment(config, workers: Optional[int] = None,
             tag = "trajectories" if len(alphas) == 1 \
                 else f"trajectories-alpha-{_fmt(alpha)}"
             with stage("persist-trajectories", alpha, last):
-                save_trajectories(ens, str(out_dir / tag))
+                save_trajectories(ens, str(staging / tag))
             manifest.outputs.extend([f"{tag}.bin", f"{tag}.json"])
         if until != "simulate":
             with stage("estimate", alpha, done=False):

@@ -554,12 +554,11 @@ def _check_provenance(provenance: Optional[dict], query: RegularityQuery,
 def verify_region(
     ens: TrajectoryEnsemble,
     query: RegularityQuery,
-    tolerance: float = VERIFY_TOLERANCE,
     grid_size: int = 5,
     strict_provenance: bool = False,
 ) -> RegionVerdict:
     """PASS iff every vertex of a grid over the admissible region sits
-    below the fitted exponents plus tolerance.
+    below the fitted exponents plus ``VERIFY_TOLERANCE``.
 
     The structural provenance of the ensemble (dimension, drift exponent)
     must match the query; the smoothing parameters are the theory side
@@ -573,13 +572,12 @@ def verify_region(
     if exponent_budget(query) > 0:
         fits = (estimate_temporal_exponent(ens, mode="sup-space"),
                 estimate_spatial_exponent(ens))
-    return _confront_region(query, *fits, tolerance, grid_size)
+    return _confront_region(query, *fits, grid_size)
 
 
 def _confront_region(query: RegularityQuery,
                      t_est: Optional[ExponentEstimate],
                      s_est: Optional[ExponentEstimate],
-                     tolerance: float = VERIFY_TOLERANCE,
                      grid_size: int = 5) -> RegionVerdict:
     """The grid, margins and verdict of ``verify_region`` from a sup-space
     temporal fit and a spatial fit; both may be None for an empty region
@@ -589,7 +587,7 @@ def _confront_region(query: RegularityQuery,
         return RegionVerdict(
             passed=True,
             vacuous=True,
-            tolerance=tolerance,
+            tolerance=VERIFY_TOLERANCE,
             beta_hat=None,
             gamma_hat=None,
             vertices=np.empty((0, 2)),
@@ -605,12 +603,12 @@ def _confront_region(query: RegularityQuery,
         for j in range(grid_size):
             verts.append((float(b), float(ceil * j / (grid_size - 1))))
     vertices = np.array(verts)
-    margins = np.array([beta_hat, gamma_hat]) + tolerance - vertices
+    margins = np.array([beta_hat, gamma_hat]) + VERIFY_TOLERANCE - vertices
     failures = np.nonzero((margins < 0).any(axis=1))[0]
     return RegionVerdict(
         passed=failures.size == 0,
         vacuous=False,
-        tolerance=tolerance,
+        tolerance=VERIFY_TOLERANCE,
         beta_hat=beta_hat,
         gamma_hat=gamma_hat,
         vertices=vertices,

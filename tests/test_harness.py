@@ -490,14 +490,14 @@ def test_sweep_verdict_compares_alphas_ascending(tmp_path):
     assert verdict["passed"] is False
 
 
-def _fail_at_second_alpha(monkeypatch):
-    """Make ``harness.simulate`` raise on its second call."""
+def _fail_at_second_alpha(monkeypatch, error=RuntimeError):
+    """Make ``harness.simulate`` raise ``error`` on its second call."""
     calls = []
 
     def failing(plan, **kwargs):
         calls.append(plan.alpha)
         if len(calls) == 2:
-            raise RuntimeError("no room for this ensemble")
+            raise error("no room for this ensemble")
         return simulate(plan, **kwargs)
 
     simulate = harness.simulate
@@ -536,6 +536,7 @@ def test_failed_rerun_leaves_none_of_the_earlier_outputs(tmp_path,
     run_dir = tmp_path / run_experiment(cfg, workers=1).run_id
     assert {"estimates.csv", "verdict.json", "region.csv"} \
         <= set(os.listdir(run_dir))
+    assert os.listdir(tmp_path) == [run_dir.name]  # no staging directory
     _fail_at_second_alpha(monkeypatch)
     with pytest.raises(StageError, match="at alpha 1.5"):
         run_experiment(cfg, workers=1)
@@ -543,21 +544,51 @@ def test_failed_rerun_leaves_none_of_the_earlier_outputs(tmp_path,
     assert outputs == ["trajectories-alpha-1.bin",
                        "trajectories-alpha-1.json", "manifest.json"]
     assert sorted(os.listdir(run_dir)) == sorted(outputs + ["timings.json"])
+    assert os.listdir(tmp_path) == [run_dir.name]
+
+
+def test_killed_rerun_leaves_the_earlier_run_whole(tmp_path, monkeypatch):
+    # a run that dies without landing (no manifest written) leaves the
+    # earlier run as it was; the next run clears its staging and lands
+    cfg = small_config(tmp_path, query=None, persist_trajectories=True,
+                       sweep={"alpha": [1.0, 2.0]})
+    cfg["plan"].update({"steps": 512, "replicas": 2})
+    run_dir = tmp_path / run_experiment(cfg, workers=1).run_id
+    earlier = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+    staging = tmp_path / f".{run_dir.name}.partial"
+    with monkeypatch.context() as patch:
+        _fail_at_second_alpha(patch, error=KeyboardInterrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(cfg, workers=1)
+    assert {path.name: path.read_bytes() for path in run_dir.iterdir()} \
+        == earlier
+    assert sorted(os.listdir(staging)) == ["trajectories-alpha-1.bin",
+                                           "trajectories-alpha-1.json"]
+    manifest = run_experiment(cfg, workers=1)
+    assert os.listdir(tmp_path) == [run_dir.name]
+    assert sorted(os.listdir(run_dir)) == \
+        sorted(manifest.outputs + ["timings.json"])
+    assert all((run_dir / name).read_bytes() == earlier[name]
+               for name in manifest.outputs)
 
 
 @pytest.mark.parametrize("name", ["../victim.txt", "/abs/victim.txt",
                                   "sub/victim.txt", "..", "", 7])
-def test_rerun_refuses_a_manifest_listing_other_than_file_names(tmp_path,
-                                                                 name):
+def test_rerun_replaces_the_run_directory_whole(tmp_path, name):
+    # nothing reads an earlier manifest: whatever names it lists, the run
+    # directory is replaced as a whole and nothing outside it is touched
     cfg = small_config(tmp_path)
+    cfg["plan"].update({"steps": 512, "replicas": 2})
     run_dir = tmp_path / ExperimentConfig.from_dict(cfg).run_id
     run_dir.mkdir()
     (tmp_path / "victim.txt").write_text("kept")
     (run_dir / "manifest.json").write_text(json.dumps({"outputs": [name]}))
-    with pytest.raises(ValueError, match="non-plain file names"):
-        run_experiment(cfg)
+    (run_dir / "stale.csv").write_text("unlisted")
+    manifest = run_experiment(cfg, workers=1)
     assert (tmp_path / "victim.txt").read_text() == "kept"
-    assert os.listdir(run_dir) == ["manifest.json"]
+    assert sorted(os.listdir(tmp_path)) == [run_dir.name, "victim.txt"]
+    assert sorted(os.listdir(run_dir)) == \
+        sorted(manifest.outputs + ["timings.json"])
 
 
 def test_pipeline_holds_one_ensemble_at_a_time(tmp_path, monkeypatch):
@@ -654,23 +685,45 @@ def test_short_record_refused_before_any_directory(tmp_path, plan, message):
     assert (tmp_path / manifest.run_id / "manifest.json").is_file()
 
 
+def _diagonal_config(out_dir, count, grid_size, **extra):
+    """A config on ``count`` eigenvalues whose domain section says
+    ``grid_size`` points, which a diagonal operator's grid ignores."""
+    cfg = small_config(out_dir, operator={
+        "kind": "diagonal",
+        "eigenvalues": [np.pi**2 * k**2 for k in range(1, count + 1)]},
+        **extra)
+    cfg["domain"] = {"dimension": 1, "grid_size": grid_size,
+                     "mode_cutoff": 16}
+    cfg["noise"]["truncation"] = 16
+    cfg["plan"].update({"steps": 512, "replicas": 2})
+    return cfg
+
+
 def test_short_record_reads_the_diagonal_grid(tmp_path):
     # a diagonal operator's grid has one point per eigenvalue, whatever the
     # domain section says: 64 eigenvalues fit, 16 do not
-    def diagonal(count):
-        cfg = small_config(tmp_path, operator={
-            "kind": "diagonal",
-            "eigenvalues": [np.pi**2 * k**2 for k in range(1, count + 1)]})
-        cfg["domain"] = {"dimension": 1, "grid_size": 80 - count,
-                         "mode_cutoff": 16}
-        cfg["noise"]["truncation"] = 16
-        cfg["plan"].update({"steps": 512, "replicas": 2})
-        return cfg
     with pytest.raises(ValueError, match="the record has 16"):
-        run_experiment(diagonal(16), workers=1, until="estimate")
+        run_experiment(_diagonal_config(tmp_path, 16, 64), workers=1,
+                       until="estimate")
     assert not any(tmp_path.iterdir())
-    manifest = run_experiment(diagonal(64), workers=1, until="estimate")
+    manifest = run_experiment(_diagonal_config(tmp_path, 64, 16), workers=1,
+                              until="estimate")
     assert manifest.stages["estimate"] == "ok"
+
+
+def test_index_check_reads_the_diagonal_grid(tmp_path):
+    # 64 eigenvalues record 64 points: an index the domain section's 16
+    # points lack is taken, one its 80 points hold is refused up front
+    inside = _diagonal_config(tmp_path, 64, 16,
+                              estimator={"point_index": 40})
+    manifest = run_experiment(inside, workers=1, until="estimate")
+    assert manifest.stages["estimate"] == "ok"
+    outside = _diagonal_config(tmp_path / "outside", 64, 80,
+                               estimator={"point_index": 70})
+    with pytest.raises(ValueError, match=re.escape(
+            "estimator.point_index [70]: not an index into [0, 64)")):
+        run_experiment(outside, workers=1)
+    assert not (tmp_path / "outside").exists()
 
 
 def test_vacuous_region_run():
@@ -944,6 +997,16 @@ def test_cli_run_and_verify_exit_codes(tmp_path, capsys):
                            capsys)
     assert code == 2
     assert "FAIL" in out
+
+
+def test_cli_verify_without_query_or_sweep_exits_4_before_any_directory(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(["verify", "--preset", "laplacian-d1",
+                            "--set", "query=null"], capsys)
+    assert code == 4
+    assert "nothing to verify" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_hypothesis_failure_exits_3(tmp_path, capsys):
