@@ -100,7 +100,11 @@ def one_blas_thread():
 
 def worker_count(workers: Optional[int]) -> int:
     """``workers``, or one per CPU this process may use when it is None (or
-    0): its CPU affinity where the platform has one, else the CPU count."""
+    0): its CPU affinity where the platform has one, else the CPU count.
+    A negative count is refused."""
+    if workers is not None and workers < 0:
+        raise ValueError(f"workers must be a positive count, or 0 for one "
+                         f"per CPU; got {workers}")
     if hasattr(os, "sched_getaffinity"):
         return workers or len(os.sched_getaffinity(0))
     return workers or os.cpu_count() or 1

@@ -157,7 +157,7 @@ class SimulationPlan:
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= 2.0):
-            raise ValueError("alpha must lie in (0, 2]")
+            raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
         if self.T <= 0 or self.steps < 1 or self.replicas < 1:
             raise ValueError("T, steps and replicas must be positive")
         if self.steps % self.record.time_stride:
@@ -382,7 +382,7 @@ class _Core:
                 f"one replica needs {unit} bytes of simulation buffers, over "
                 f"the buffer budget of {BATCH_BYTES} bytes; use fewer noise "
                 f"or drift modes")
-        threads = min(max(workers, 1), BATCH_BYTES // unit)
+        threads = min(workers, BATCH_BYTES // unit)
         fit = (BATCH_BYTES // threads - shared) // per_replica
         return threads, int(min(fit, -(-plan.replicas // threads)))
 

@@ -2,13 +2,14 @@
 
 An experiment is described by a plain JSON-able dictionary (schema below),
 resolved from up to three layers with rising precedence: preset defaults,
-then a config file, then individual overrides.  ``run_experiment`` drives
-the build -> simulate -> estimate -> verify pipeline, persisting estimate
-tables, region tables, verdicts and a run manifest under
-``output_dir/<run_id>``.  The run id is a content hash of the resolved
-config, so re-running the same experiment lands in the same directory and
-reproduces every persisted output, ``manifest.json`` included, byte for
-byte; the manifest lists every deterministic output, itself included.
+then a config file, then individual overrides.  ``run_experiment``
+builds and checks the run in one start, then drives the simulate ->
+estimate -> verify pipeline, persisting estimate tables, region tables,
+verdicts and a run manifest under ``output_dir/<run_id>``.  The run id
+is a content hash of the resolved config, so re-running the same
+experiment lands in the same directory and reproduces every persisted
+output, ``manifest.json`` included, byte for byte; the manifest lists
+every deterministic output, itself included.
 Wall-clock stage timings go to ``timings.json``, which is not listed.  A
 run is staged in ``output_dir/.<run_id>.partial``, cleared first, and
 lands whole: once its manifest is written, on success or stage failure,
@@ -49,17 +50,21 @@ Config schema (all sections JSON primitives)::
 ``_SECTIONS`` and ``_KINDS`` declare once the required and optional keys
 (with defaults) of each section, and of each ``operator`` and ``g`` kind
 beside its builder; ``domain`` and ``query`` take the fields of
-``SpectralDomain`` and ``RegularityQuery``.  ``from_dict`` refuses, before
-any stage runs or any directory is made: a section that is not an object
-(``query`` and ``sweep`` may be null), unknown keys and kinds, missing
-required keys, an unknown temporal mode, a non-integer ``plan`` seed,
-step count, replica count or record stride/count, an
-``estimator.point_index`` or ``estimator.times`` list that is not an
-integer index into the recorded points or times, an ``estimator.times``
-that selects no time (an empty list, or a count that is not a positive
-integer), and a ``sweep.alpha`` that is not a list of at least two
-distinct numbers; ``run_experiment`` then refuses, as early, a record too
-short to estimate.  Any other bad value fails the stage that reads it.
+``SpectralDomain`` and ``RegularityQuery``.  ``from_dict`` refuses a
+section that is not an object (``query`` and ``sweep`` may be null),
+unknown keys and kinds, missing required keys, an unknown temporal mode,
+a non-integer ``plan`` seed, step count, replica count or record
+stride/count, an ``estimator.times`` that selects no time (an empty
+list, or a count that is not a positive integer), a ``sweep.alpha`` that
+is not a list of at least two distinct numbers, and a
+``persist_trajectories`` that is not true or false.  ``run_experiment``'s
+start builds every object and every alpha's plan, each refusing its own
+bad values, reads the plans' record for the estimator indices and (when
+the run will estimate) the short-record refusal, and checks a region
+query's d and fractional alpha against the plans, so every value is
+checked before any directory exists.  The one refusal still left to a
+stage is a plan with one replica over the 256 MiB buffer budget, at
+simulate.
 """
 
 import contextlib
@@ -74,6 +79,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._threads import worker_count
 from .convolve import RecordSpec, SimulationPlan, simulate
 from .noise import GProcess, g_preset, make_cameron_martin, validate_noise_hypotheses
 from .presets import get_preset, list_presets, operator_preset
@@ -177,22 +183,6 @@ def _keys(name: str, section: dict) -> tuple:
 def _resolved(name: str, section: dict) -> dict:
     """Config section ``name`` over the defaults of its optional keys."""
     return {**_keys(name, section)[1], **section}
-
-
-def _record(plan: dict) -> RecordSpec:
-    """The record of a resolved ``plan`` section."""
-    return RecordSpec(plan["time_stride"], plan["space_count"])
-
-
-def _record_shape(domain: dict, operator: dict, plan: dict) -> tuple:
-    """(recorded times, recorded points per axis, dimension) of a resolved
-    ``plan`` section; a diagonal operator's grid has one point per
-    eigenvalue, on one axis, whatever the ``domain`` section says."""
-    if operator.get("kind") == "diagonal":
-        grid, dimension = len(operator["eigenvalues"]), 1
-    else:
-        grid, dimension = domain["grid_size"], domain["dimension"]
-    return (*_record(plan).shape(grid, plan["steps"]), dimension)
 
 
 def _build(name: str, section: dict, *args):
@@ -324,16 +314,7 @@ class ExperimentConfig:
         if not_int:
             raise ValueError("config keys need integer values, got "
                              + ", ".join(not_int))
-        point = estimator["point_index"]
         _refuse_no_times("estimator.times", estimator["times"])
-        times = estimator["times"] if isinstance(estimator["times"], list) \
-            else None  # a number counts the default times
-        if point is not None or times is not None:
-            n_times, per_axis, dimension = _record_shape(
-                sections["domain"], sections.get("operator", {}), plan)
-            _refuse_out_of_range("estimator.point_index", point,
-                                 per_axis ** dimension)
-            _refuse_out_of_range("estimator.times", times, n_times)
         if "sweep" in sections:
             alphas = sections["sweep"]["alpha"]
             numbers = isinstance(alphas, (list, tuple)) and all(
@@ -344,6 +325,10 @@ class ExperimentConfig:
                 raise ValueError("config key sweep.alpha needs a list of at "
                                  "least two distinct numbers, got "
                                  f"{alphas!r}")
+        persist = raw.get("persist_trajectories", False)
+        if type(persist) is not bool:
+            raise ValueError("config key persist_trajectories needs true or "
+                             f"false, got {persist!r}")
         # the other fields are scalars, cast to their declared types
         return cls(**sections, **{f.name: f.type(raw[f.name])
                                   for f in fields(cls)
@@ -461,42 +446,77 @@ def _estimates_csv(fits) -> str:
 
 def run_experiment(config, workers: Optional[int] = None,
                    until: str = "verify") -> RunManifest:
-    """Execute build -> simulate -> estimate -> verify and persist results.
+    """Start a run, then simulate -> estimate -> verify and persist results.
 
-    ``config`` is an ExperimentConfig or a raw dict; the run is staged and
-    lands whole, as the module docstring says.  The run takes the alphas
-    in ``sweep.alpha`` order (or ``plan.alpha`` alone): each alpha's
-    ensemble is simulated by one ``simulate`` call, persisted when
-    ``persist_trajectories`` is set, fitted, and released before the next
-    alpha is simulated; ``estimates.csv`` is written once, after the loop.
-    The simulate, persist-trajectories and estimate stages time the sum
-    over alphas and read "ok" once they passed for every alpha.
-    ``manifest.json`` lists every deterministic output, itself included.
-
-    A run that will estimate refuses a record shorter than the fits'
-    floors before it makes a directory.  Any stage failure aborts with the
-    stage name, and the alpha of a per-alpha stage, after landing the run
-    with its partial manifest, where a stage that ran for some alphas only
-    reads "incomplete"; a hypothesis violation surfaces as
-    HypothesisError.  ``until`` stops the pipeline early after the named
-    stage ("simulate", "estimate" or the default "verify").  ``workers``
-    threads (default: one per CPU the process may use) run the
-    simulation's replica batches and the fits' replica profiles; with
-    ``workers=1`` the run starts no thread.
+    ``config`` is an ExperimentConfig or a raw dict.  The start builds the
+    system, noise space, G, query and one ``SimulationPlan`` per alpha
+    (``sweep.alpha`` in order, or ``plan.alpha`` alone), and makes every
+    check the module docstring lists, a negative ``workers`` included; a
+    noise-hypothesis violation surfaces as HypothesisError.  The manifest
+    and ``timings.json`` record the start as the "build" stage.  Each
+    alpha's ensemble is then simulated by one ``simulate`` call, persisted
+    when ``persist_trajectories`` is set, fitted, and released before the
+    next alpha is simulated; ``estimates.csv`` is written once, after the
+    loop.  The simulate, persist-trajectories and estimate stages time the
+    sum over alphas and read "ok" once they passed for every alpha.  A
+    stage failure aborts with the stage name, and the alpha of a per-alpha
+    stage, after landing the run with its partial manifest, where a stage
+    that ran for some alphas only reads "incomplete".  ``until`` stops the
+    pipeline early after the named stage ("simulate", "estimate" or the
+    default "verify").  ``workers`` threads (None or 0: one per CPU the
+    process may use) run the simulation's replica batches and the fits'
+    replica profiles; with ``workers=1`` the run starts no thread.
     """
     if until not in ("simulate", "estimate", "verify"):
         raise ValueError(f"unknown pipeline stage {until!r}")
     if not isinstance(config, ExperimentConfig):
         config = ExperimentConfig.from_dict(config)
+    workers = worker_count(workers)
+    t0 = time.perf_counter()
+    system = _build("operator", config.operator, config.domain)
+    noise = make_cameron_martin(system.domain, float(config.noise["theta"]),
+                                int(config.noise["truncation"]))
+    G = _build("g", config.g)
+    query = RegularityQuery(**config.query) if config.query else None
+    if query is not None and query.theorem == "colored":
+        p = float(_derived_integrability(query))
+        report = validate_noise_hypotheses(G, noise, p=p, d=query.d)
+        if not report["ok"]:
+            bad = [c["name"] for c in report["clauses"] if not c["ok"]]
+            raise HypothesisError(
+                f"noise hypotheses violated: {'; '.join(bad)}")
+    plan = config.plan
+    alphas = list(config.sweep["alpha"]) if config.sweep \
+        else [float(plan["alpha"])]
+    plans = [SimulationPlan(
+        system=system, noise=noise, G=G, seed=plan["seed"],
+        alpha=float(alpha), T=float(plan["T"]), steps=plan["steps"],
+        replicas=plan["replicas"],
+        record=RecordSpec(plan["time_stride"], plan["space_count"]))
+        for alpha in alphas]
+    n_times, per_axis = plans[0].record.shape(system.domain.grid_size,
+                                              plan["steps"])
+    estimator = _resolved("estimator", config.estimator)
+    times = estimator["times"]
+    _refuse_out_of_range("estimator.point_index", estimator["point_index"],
+                         per_axis ** system.domain.dimension)
+    _refuse_out_of_range("estimator.times", times if isinstance(times, list)
+                         else None, n_times)  # a number counts the times
     if until != "simulate":
-        _refuse_short_record(*_record_shape(config.domain, config.operator,
-                                            config.plan)[:2])
+        _refuse_short_record(n_times, per_axis)
+    if query is not None and not config.sweep:
+        _check_provenance({"dimension": system.domain.dimension,
+                           "alpha": plans[0].alpha}, query)
+    manifest = RunManifest(run_id=config.run_id, config=config.to_dict(),
+                           versions=_versions(),
+                           derived=_derived_block(system, query),
+                           stages={"build": "ok"}, note=config.note)
+    manifest.timings["build"] = time.perf_counter() - t0
+
     run_dir = Path(config.output_dir) / config.run_id
     staging = run_dir.with_name(f".{config.run_id}.partial")
     shutil.rmtree(staging, ignore_errors=True)
     staging.mkdir(parents=True)
-    manifest = RunManifest(run_id=config.run_id, config=config.to_dict(),
-                           versions=_versions(), note=config.note)
 
     def emit(name: str, text: str, listed: bool = True) -> None:
         """Write run file ``name``; list it in the manifest if ``listed``."""
@@ -526,44 +546,17 @@ def run_experiment(config, workers: Optional[int] = None,
             for other in manifest.timings:
                 manifest.stages.setdefault(other, "incomplete")
             persist_manifest()
-            if isinstance(err, HypothesisError):
-                raise
             raise error from err
         manifest.timings[name] = manifest.timings.get(name, 0.0) \
             + time.perf_counter() - t0
         if done:
             manifest.stages[name] = "ok"
 
-    with stage("build"):
-        system = _build("operator", config.operator, config.domain)
-        noise = make_cameron_martin(system.domain,
-                                    float(config.noise["theta"]),
-                                    int(config.noise["truncation"]))
-        G = _build("g", config.g)
-        query = RegularityQuery(**config.query) if config.query else None
-        if query is not None and query.theorem == "colored":
-            p = float(_derived_integrability(query))
-            report = validate_noise_hypotheses(G, noise, p=p, d=query.d)
-            if not report["ok"]:
-                bad = [c["name"] for c in report["clauses"] if not c["ok"]]
-                raise HypothesisError(
-                    f"noise hypotheses violated: {'; '.join(bad)}")
-    manifest.derived = _derived_block(system, query)
-
-    plan = config.plan
-    alphas = list(config.sweep["alpha"]) if config.sweep \
-        else [float(plan["alpha"])]
-
     fits = {}
-    for i, alpha in enumerate(alphas):
-        last = i == len(alphas) - 1
+    for alpha, sim_plan in zip(alphas, plans):
+        last = sim_plan is plans[-1]
         with stage("simulate", alpha, last):
-            ens = simulate(SimulationPlan(
-                system=system, noise=noise, G=G, seed=plan["seed"],
-                alpha=float(alpha), T=float(plan["T"]), steps=plan["steps"],
-                replicas=plan["replicas"], record=_record(plan)),
-                workers=workers)
-        provenance = ens.provenance  # verify reads it; a region has 1 alpha
+            ens = simulate(sim_plan, workers=workers)
         if config.persist_trajectories:
             tag = "trajectories" if len(alphas) == 1 \
                 else f"trajectories-alpha-{_fmt(alpha)}"
@@ -572,7 +565,7 @@ def run_experiment(config, workers: Optional[int] = None,
             manifest.outputs.extend([f"{tag}.bin", f"{tag}.json"])
         if until != "simulate":
             with stage("estimate", alpha, done=False):
-                fits[alpha] = _fit_ensemble(ens, config.estimator, workers)
+                fits[alpha] = _fit_ensemble(ens, estimator, workers)
         del ens  # before the next alpha's ensemble is simulated
 
     if until != "simulate":
@@ -581,12 +574,10 @@ def run_experiment(config, workers: Optional[int] = None,
     if until == "verify":
         with stage("verify"):
             if config.sweep:
-                estimator = _resolved("estimator", config.estimator)
                 manifest.verdict = _confront_sweep(
                     fits, estimator["temporal_mode"],
                     _resolved("sweep", config.sweep)["slack"])
             elif query is not None:
-                _check_provenance(provenance, query, strict=False)
                 by_mode = fits[alphas[0]]
                 manifest.verdict = {
                     **_confront_region(query, by_mode["sup-space"],

@@ -84,6 +84,8 @@ _MIN_TIMES = 64
 _SLAB_BYTES = 512 << 10
 _SLAB_COLUMNS = (8, 64)
 VERIFY_TOLERANCE = 0.10
+#: vertices per axis of the grid ``verify_region`` confronts
+_VERIFY_GRID = 5
 
 Rational = Union[int, float, Fraction]
 
@@ -531,54 +533,42 @@ class RegionVerdict:
         }
 
 
-def _check_provenance(provenance: Optional[dict], query: RegularityQuery,
-                      strict: bool) -> None:
+def _check_provenance(provenance: Optional[dict],
+                      query: RegularityQuery) -> None:
+    """Refuse a query whose dimension, or fractional drift exponent, is not
+    the one that ``provenance`` (an ensemble's, or a plan's) records."""
     prov = provenance or {}
     d = prov.get("dimension")
     if d is not None and d != query.d:
-        raise ValueError(f"ensemble is {d}-dimensional, query says d={query.d}")
+        raise ValueError(f"simulation is {d}-dimensional, query says "
+                         f"d={query.d}")
     if query.theorem == "fractional":
         a = prov.get("alpha")
         if a is not None and abs(a - float(_frac(query.alpha))) > 1e-12:
             raise ValueError(
-                f"ensemble was driven with alpha={a}, query says {query.alpha}"
-            )
-    if strict and query.theta is not None:
-        t = prov.get("theta")
-        if t is not None and abs(t - float(_frac(query.theta))) > 1e-12:
-            raise ValueError(
-                f"ensemble noise has theta={t}, query claims {query.theta}"
-            )
+                f"simulation drift has alpha={a}, query says {query.alpha}")
 
 
-def verify_region(
-    ens: TrajectoryEnsemble,
-    query: RegularityQuery,
-    grid_size: int = 5,
-    strict_provenance: bool = False,
-) -> RegionVerdict:
+def verify_region(ens: TrajectoryEnsemble,
+                  query: RegularityQuery) -> RegionVerdict:
     """PASS iff every vertex of a grid over the admissible region sits
     below the fitted exponents plus ``VERIFY_TOLERANCE``.
 
     The structural provenance of the ensemble (dimension, drift exponent)
     must match the query; the smoothing parameters are the theory side
-    being confronted, so they are only checked when ``strict_provenance``
-    is set.
+    being confronted, so they are not checked.
     """
-    if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
-    _check_provenance(ens.provenance, query, strict_provenance)
+    _check_provenance(ens.provenance, query)
     fits = (None, None)
     if exponent_budget(query) > 0:
         fits = (estimate_temporal_exponent(ens, mode="sup-space"),
                 estimate_spatial_exponent(ens))
-    return _confront_region(query, *fits, grid_size)
+    return _confront_region(query, *fits)
 
 
 def _confront_region(query: RegularityQuery,
                      t_est: Optional[ExponentEstimate],
-                     s_est: Optional[ExponentEstimate],
-                     grid_size: int = 5) -> RegionVerdict:
+                     s_est: Optional[ExponentEstimate]) -> RegionVerdict:
     """The grid, margins and verdict of ``verify_region`` from a sup-space
     temporal fit and a spatial fit; both may be None for an empty region
     (budget <= 0), whose verdict is vacuous."""
@@ -597,11 +587,11 @@ def _confront_region(query: RegularityQuery,
         )
     beta_hat, gamma_hat = t_est.beta_hat, s_est.gamma_hat
     verts = []
-    for i in range(grid_size):
-        b = budget * i / (grid_size - 1)
+    for i in range(_VERIFY_GRID):
+        b = budget * i / (_VERIFY_GRID - 1)
         ceil = gamma_ceiling(query, b)
-        for j in range(grid_size):
-            verts.append((float(b), float(ceil * j / (grid_size - 1))))
+        for j in range(_VERIFY_GRID):
+            verts.append((float(b), float(ceil * j / (_VERIFY_GRID - 1))))
     vertices = np.array(verts)
     margins = np.array([beta_hat, gamma_hat]) + VERIFY_TOLERANCE - vertices
     failures = np.nonzero((margins < 0).any(axis=1))[0]

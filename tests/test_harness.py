@@ -241,18 +241,23 @@ def test_unknown_config_keys_rejected(tmp_path, path):
     *(("estimator.times", count, "estimator.times .*: selects no time; a "
        "count of times must be a positive integer")
       for count in (0, -3, 2.5, True, "32")),
+    # bool() would read each as true and persist every ensemble
+    *(("persist_trajectories", flag, "persist_trajectories needs true or "
+       f"false, got {flag!r}") for flag in ("false", "0", "no", 0)),
 ])
 def test_config_errors_refused_before_any_stage(tmp_path, path, value,
                                                 message):
     cfg = every_section_config(tmp_path)
     section, _, key = path.rpartition(".")
+    target = cfg[section] if section else cfg
     if value is None:
-        del cfg[section][key]
+        del target[key]
     else:
-        cfg[section][key] = value
+        target[key] = value
+    if "not an index" not in message:  # the record is the start's to read
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(cfg)
     with pytest.raises(ValueError, match=message):
-        ExperimentConfig.from_dict(cfg)
-    with pytest.raises(ValueError, match=path):
         run_experiment(cfg)
     assert not any(tmp_path.iterdir())
 
@@ -270,14 +275,17 @@ def test_config_errors_refused_before_any_stage(tmp_path, path, value,
 ])
 def test_estimator_indices_follow_the_record(tmp_path, plan, inside,
                                              outside):
-    cfg = small_config(tmp_path)
+    cfg = small_config(tmp_path / "inside")
     cfg["plan"].update(plan)
-    ExperimentConfig.from_dict(dict(cfg, estimator=inside))
+    run_experiment(dict(cfg, estimator=inside), workers=1, until="simulate")
     # an index outside the record, or a list or count of no time
     message = "selects no time" if outside.get("times") in ([], 0) \
         else "not an index into"
+    out = tmp_path / "outside"
     with pytest.raises(ValueError, match=message):
-        ExperimentConfig.from_dict(dict(cfg, estimator=outside))
+        run_experiment(dict(cfg, estimator=outside, output_dir=str(out)),
+                       until="simulate")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value", [
@@ -426,17 +434,20 @@ def test_sweep_read_back_follows_the_run_order(tmp_path):
         harness._increment_profile_csv(first)
 
 
-def test_stage_error_names_stage_and_keeps_partial_manifest(tmp_path):
-    cfg = small_config(tmp_path,
-                       operator={"kind": "varcoef", "name": "nope"})
+def test_stage_error_names_stage_and_keeps_partial_manifest(tmp_path,
+                                                          monkeypatch):
+    def failing(plan, **kwargs):
+        raise RuntimeError("no room for this ensemble")
+
+    monkeypatch.setattr(harness, "simulate", failing)
     with pytest.raises(StageError) as err:
-        run_experiment(cfg)
-    assert err.value.stage == "build"
+        run_experiment(small_config(tmp_path))
+    assert err.value.stage == "simulate"
     manifests = list(tmp_path.glob("*/manifest.json"))
     assert len(manifests) == 1
     stages = json.loads(manifests[0].read_text())["stages"]
-    assert stages["build"].startswith("failed")
-    assert "simulate" not in stages
+    assert stages == {"build": "ok", "simulate": "failed at alpha 2: no room "
+                                                 "for this ensemble"}
 
 
 def test_hypothesis_violation_aborts_build(tmp_path):
@@ -447,8 +458,7 @@ def test_hypothesis_violation_aborts_build(tmp_path):
         query={"theorem": "colored", "d": 1, "q": 16, "theta": 0.05, "m": 8})
     with pytest.raises(HypothesisError, match="theta"):
         run_experiment(cfg)
-    manifests = list(tmp_path.glob("*/manifest.json"))
-    assert len(manifests) == 1
+    assert not any(tmp_path.iterdir())
 
 
 def test_sweep_produces_monotonicity_verdict(tmp_path):
@@ -783,13 +793,13 @@ def test_region_verdict_reads_the_estimate_table(tmp_path):
     assert verdict["gamma_hat"] == table["pooled"]
 
 
-def test_query_dimension_mismatch_fails_verify(tmp_path):
+def test_query_dimension_mismatch_refused_before_any_directory(tmp_path):
     cfg = small_config(tmp_path,
                        query={"theorem": "prop32", "d": 2, "q": 12, "p": 6})
     cfg["plan"].update({"steps": 512, "replicas": 2})
-    with pytest.raises(StageError, match="dimensional") as err:
+    with pytest.raises(ValueError, match="1-dimensional, query says d=2"):
         run_experiment(cfg)
-    assert err.value.stage == "verify"
+    assert not any(tmp_path.iterdir())
 
 
 def test_tracing_patch_points_are_callable():
@@ -1020,6 +1030,33 @@ def test_cli_hypothesis_failure_exits_3(tmp_path, capsys):
     code, _, err = run_cli(["run", "--config", str(cfg_path)], capsys)
     assert code == 3
     assert "hypothesis" in err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    # none of these needs an ensemble, or a directory, to be refused; an
+    # unknown operator preset is test_cli_stage_error_exits_4's case
+    (["--preset", "laplacian-d2", "--set", "query.d=1"],
+     "simulation is 2-dimensional, query says d=1"),
+    (["--preset", "fractional-alpha-sweep",
+      "--set", "sweep.alpha=[1.0,1.5,2.5]"],
+     r"alpha must lie in \(0, 2\], got 2.5"),
+    (["--preset", "laplacian-d1", "--set", "noise.truncation=500"],
+     "requested truncation 500"),
+    (["--preset", "laplacian-d1", "--set", "query.p=1"], "p must exceed"),
+    # a cast or a clamp would run these, persisting or on one thread
+    (["--preset", "laplacian-d1", "--set", "persist_trajectories=no"],
+     "persist_trajectories needs true or false, got 'no'"),
+    (["--preset", "laplacian-d1", "--workers", "-3"],
+     "workers must be a positive count, or 0 for one per CPU; got -3"),
+])
+def test_cli_bad_value_exits_4_before_any_directory(
+        tmp_path, capsys, monkeypatch, flags, message):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(["run", *flags], capsys)
+    assert code == 4
+    assert re.search(message, err)
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_stage_error_exits_4(tmp_path, capsys):
@@ -1028,7 +1065,8 @@ def test_cli_stage_error_exits_4(tmp_path, capsys):
         tmp_path / "runs", operator={"kind": "varcoef", "name": "nope"})))
     code, _, err = run_cli(["run", "--config", str(cfg_path)], capsys)
     assert code == 4
-    assert "build" in err
+    assert err.startswith("error: ") and "'nope'" in err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_cli_non_integer_seed_exits_4_before_any_directory(
@@ -1062,8 +1100,8 @@ def test_cli_colored_query_without_integrability_exits_4(
                             "--set", "query.theta=0.7",
                             "--set", "noise.theta=0.7"], capsys)
     assert code == 4
-    assert "stage 'build' failed: theta too large for the derived " \
-        "integrability" in err
+    assert err == "error: theta too large for the derived integrability\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_verbose_adds_the_traceback(tmp_path, capsys):
@@ -1099,6 +1137,68 @@ def test_cli_simulate_then_estimate_from_run(tmp_path, capsys):
     assert code == 0
     assert out.splitlines()[0] == \
         "alpha,kind,mode,value,fit_r2,lag_lo,lag_hi,replicas"
+
+
+def _cli_run(tmp_path, capsys, cfg) -> tuple:
+    """(exit code, printed lines after the run line) of ``hspde run``."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, out, _ = run_cli(["run", "--config", str(cfg_path)], capsys)
+    run_line, *lines = out.splitlines()
+    assert run_line.startswith("run ")
+    return code, lines
+
+
+def test_cli_prints_sweep_no_query_and_vacuous_verdicts(tmp_path, capsys):
+    code, lines = _cli_run(tmp_path, capsys,
+                           _small_sweep(tmp_path / "sweep", [1.0, 2.0]))
+    assert code == 2
+    assert re.fullmatch(r"sweep \(pointwise\): alpha=1: beta_hat=\S+, "
+                        r"alpha=2: beta_hat=\S+", lines[0])
+    assert lines[1:] == ["monotone within slack 0.03: FAIL"]
+    short = {"steps": 512, "replicas": 2}
+    cfg = small_config(tmp_path / "none", query=None)
+    cfg["plan"].update(short)
+    assert _cli_run(tmp_path, capsys, cfg) == (0, [
+        "no query configured; estimates written without a verdict"])
+    # budget 1/2 - 1/2 - 1/4 < 0: the region is empty
+    cfg = small_config(tmp_path / "vacuous", query={
+        "theorem": "prop32", "d": 1, "q": 2, "p": 4})
+    cfg["plan"].update(short)
+    assert _cli_run(tmp_path, capsys, cfg) == (0, [
+        "theorem prop32 (d=1;q=2;p=4)",
+        "empty region: budget <= 0, nothing to verify",
+        "region check: PASS (0 failing vertices)"])
+
+
+def test_cli_estimate_from_a_preset(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    flags = ["estimate", "--preset", "laplacian-d1", "--out-dir", "runs",
+             "--set", "plan.steps=512", "--set", "plan.replicas=2"]
+    code, out, _ = run_cli(flags, capsys)
+    assert code == 0
+    run_line, table = out.split("\n", 1)
+    run_dir = Path(run_line.split(" -> ")[1])
+    assert table == (run_dir / "estimates.csv").read_text()
+    assert not (run_dir / "verdict.json").exists()
+    code, out, _ = run_cli([*flags, "--out", "table.csv"], capsys)
+    assert (code, out) == (0, "table.csv\n")
+    assert Path("table.csv").read_text() == table
+
+
+def test_cli_exports_a_persisted_run(tmp_path, capsys):
+    cfg = small_config(tmp_path / "runs", persist_trajectories=True)
+    cfg["plan"].update({"steps": 512, "replicas": 2})
+    run_dir = tmp_path / "runs" / run_experiment(cfg, workers=1).run_id
+    code, out, _ = run_cli(["export", "increments", "--run", str(run_dir)],
+                           capsys)
+    assert (code, out) == (0, export_plotdata(run_dir, "increments"))
+    target = tmp_path / "trajectory.csv"
+    code, out, _ = run_cli(["export", "trajectory", "--run", str(run_dir),
+                            "--out", str(target), "--max-replicas", "1"],
+                           capsys)
+    assert (code, out) == (0, f"{target}\n")
+    assert target.read_text().splitlines()[0].startswith("replica,")
 
 
 def test_cli_export_region_without_run(capsys):

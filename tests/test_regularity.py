@@ -587,23 +587,17 @@ def test_verify_checks_structural_provenance(small_heat_ensemble):
     assert ok.passed
 
 
-def test_strict_provenance_checks_theta(small_heat_ensemble):
-    # ensemble was driven with theta=0; the colored query claims 0.4
-    with pytest.raises(ValueError, match="theta"):
-        verify_region(small_heat_ensemble, COLORED, strict_provenance=True)
-    relaxed = verify_region(small_heat_ensemble, COLORED)
-    assert relaxed.vacuous is False
+def test_verify_region_ignores_noise_theta(small_heat_ensemble):
+    # ensemble was driven with theta=0; the colored query claims 0.4, the
+    # theory side being confronted
+    verdict = verify_region(small_heat_ensemble, COLORED)
+    assert verdict.vacuous is False
 
 
 def test_verdict_serialises_to_json(small_heat_ensemble):
-    verdict = verify_region(small_heat_ensemble, P32, grid_size=3)
+    verdict = verify_region(small_heat_ensemble, P32)
     payload = json.loads(json.dumps(verdict.as_dict()))
     assert payload["passed"] is True
-    assert len(payload["vertices"]) == 9
-    assert len(payload["margins"]) == 9
+    assert len(payload["vertices"]) == 25
+    assert len(payload["margins"]) == 25
     assert payload["tolerance"] == 0.10
-
-
-def test_verify_rejects_tiny_grid(small_heat_ensemble):
-    with pytest.raises(ValueError, match="grid_size"):
-        verify_region(small_heat_ensemble, P32, grid_size=1)

@@ -78,6 +78,13 @@ def test_default_worker_count_is_the_cpus_this_process_may_use(monkeypatch):
     assert _threads.worker_count(None) == 8
 
 
+def test_negative_worker_count_is_refused():
+    # a clamp to one thread would hide the mistake
+    for workers in (-1, -3):
+        with pytest.raises(ValueError, match=f"got {workers}"):
+            _threads.worker_count(workers)
+
+
 def test_pin_is_restored_after_simulate_returns(blas_at_two, monkeypatch):
     seen = []
 
