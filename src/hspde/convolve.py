@@ -58,10 +58,13 @@ replicas, and as many as fit its thread's share of the budget; when one
 replica exceeds its share at the requested worker count, fewer threads
 run.  A plan whose single replica exceeds the whole budget is refused
 before anything is drawn.  The batch's generator objects (about 1.4 KB
-per stream on numpy 2.4) and the recorded ensemble lie outside the
-model.  Every matmul acts on one replica with shapes fixed by the plan,
-and the rest is elementwise, so a replica's values do not depend on
-batching, worker count or the host's BLAS thread count, bit for bit;
+per stream on numpy 2.4) lie outside the model, and so does the recorded
+ensemble: the caller's ``out`` when given (a persisted run passes its
+mapped payload file, so the values are written once, in place), else one
+array of the whole ensemble.  Every matmul acts on one replica with
+shapes fixed by the plan, and the rest is elementwise, so a replica's
+values do not depend on batching, worker count, the host's BLAS thread
+count or ``out``, bit for bit;
 ``simulate_from_increments`` fed the same draws reproduces ``simulate``.
 
 Increments come from the per-(seed, replica, mode) streams of
@@ -168,6 +171,13 @@ class SimulationPlan:
     @property
     def dt(self) -> float:
         return self.T / self.steps
+
+    @property
+    def record_shape(self) -> tuple[int, int, int]:
+        """(replicas, recorded times, recorded points) of the ensemble."""
+        dom = self.system.domain
+        n_times, per_axis = self.record.shape(dom.grid_size, self.steps)
+        return self.replicas, n_times, per_axis ** dom.dimension
 
     @property
     def time_grid(self) -> np.ndarray:
@@ -386,8 +396,10 @@ class _Core:
         fit = (BATCH_BYTES // threads - shared) // per_replica
         return threads, int(min(fit, -(-plan.replicas // threads)))
 
-    def run(self, label: str, sources, workers: int) -> TrajectoryEnsemble:
-        """The plan's ensemble, labelled ``label``, on ``workers`` threads.
+    def run(self, label: str, sources, workers: int,
+            out: Optional[np.ndarray] = None) -> TrajectoryEnsemble:
+        """The plan's ensemble, labelled ``label``, on ``workers`` threads,
+        its values written into ``out`` (a fresh array if None).
 
         ``sources(start, stop)`` is the block source of the batch of
         replicas start..stop-1: a callable that, called on consecutive
@@ -395,8 +407,8 @@ class _Core:
         """
         plan = self.plan
         threads, batch = self.pool(workers)
-        flat_idx, _, _, rec_times = self.layout
-        out = np.empty((plan.replicas, len(rec_times), len(flat_idx)))
+        if out is None:
+            out = np.empty(plan.record_shape)
 
         def run_batch(start: int) -> None:
             stop = min(start + batch, plan.replicas)
@@ -496,12 +508,26 @@ class _Core:
         )
 
 
-def simulate(plan: SimulationPlan, workers: Optional[int] = None) -> TrajectoryEnsemble:
+def simulate(plan: SimulationPlan, workers: Optional[int] = None,
+             out: Optional[np.ndarray] = None) -> TrajectoryEnsemble:
     """The plan's ensemble, labelled "exact-diagonal" where G diagonalises
     over the drift eigenbasis and "frozen-exponential" otherwise.
 
     ``workers`` threads run the replica batches (default: one per CPU).
+    ``out``, if given, receives the values and becomes the ensemble's
+    ``values``: a C-contiguous, writable float64 array of shape
+    ``plan.record_shape``, such as a mapped file; anything else is refused
+    before anything is drawn.  The values do not depend on it, bit for bit.
     """
+    if out is not None and not (
+            isinstance(out, np.ndarray) and out.shape == plan.record_shape
+            and out.dtype == np.float64 and out.flags.c_contiguous
+            and out.flags.writeable):
+        got = type(out).__name__ if not isinstance(out, np.ndarray) else (
+            f"{out.dtype} of shape {out.shape}, C-contiguous "
+            f"{out.flags.c_contiguous}, writable {out.flags.writeable}")
+        raise ValueError("out must be a C-contiguous, writable float64 array "
+                         f"of shape {plan.record_shape}, got {got}")
     core = _Core.build(plan)
     scheme = "exact-diagonal" if core.obstacle is None else "frozen-exponential"
     tg = plan.time_grid
@@ -518,7 +544,7 @@ def simulate(plan: SimulationPlan, workers: Optional[int] = None) -> TrajectoryE
             return chunk[:, :, b0 - c0: b1 - c0]
         return block
 
-    return core.run(scheme, draws, worker_count(workers))
+    return core.run(scheme, draws, worker_count(workers), out)
 
 
 def simulate_from_increments(plan: SimulationPlan,

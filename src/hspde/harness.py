@@ -19,10 +19,12 @@ default to one thread per CPU the process may use.
 
 The pipeline takes one alpha at a time: it simulates the alpha's
 ensemble, persists it when asked, fits it once and releases it before the
-next alpha is simulated, so a sweep holds at most one ensemble.  Region
-verdicts take the ``sup-space`` and ``pooled`` rows of the estimate
-table, so ``estimator.times`` shapes both the table and the verdict;
-``estimator.temporal_mode`` steers sweep verdicts only.
+next alpha is simulated, so a sweep holds at most one ensemble.  A
+persisted ensemble is simulated straight into its mapped payload file,
+which is deleted again if the simulation fails, so persisting it writes
+only its sidecar.  Region verdicts take the ``sup-space`` and ``pooled``
+rows of the estimate table, so ``estimator.times`` shapes both the table
+and the verdict; ``estimator.temporal_mode`` steers sweep verdicts only.
 
 Config schema (all sections JSON primitives)::
 
@@ -53,11 +55,13 @@ beside its builder; ``domain`` and ``query`` take the fields of
 ``SpectralDomain`` and ``RegularityQuery``.  ``from_dict`` refuses a
 section that is not an object (``query`` and ``sweep`` may be null),
 unknown keys and kinds, missing required keys, an unknown temporal mode,
-a non-integer ``plan`` seed, step count, replica count or record
-stride/count, an ``estimator.times`` that selects no time (an empty
-list, or a count that is not a positive integer), a ``sweep.alpha`` that
-is not a list of at least two distinct numbers, and a
-``persist_trajectories`` that is not true or false.  ``run_experiment``'s
+a non-integer ``plan`` seed, step count, replica count, record
+stride/count or ``noise.truncation``, a ``plan.alpha``, ``plan.T`` or
+``noise.theta`` that is not a number (bools and null are neither), an
+``estimator.times`` that selects no time (an empty list, or a count that
+is not a positive integer), a ``sweep.alpha`` that is not a list of at
+least two distinct numbers, and a ``persist_trajectories`` that is not
+true or false.  ``run_experiment``'s
 start builds every object and every alpha's plan, each refusing its own
 bad values, reads the plans' record for the estimator indices and (when
 the run will estimate) the short-record refusal, and checks a region
@@ -108,7 +112,7 @@ from .spectral import (
     build_variable_coefficient_system,
     diagonal_system,
 )
-from .trajio import _fmt, _json, export_trajectories_csv, \
+from .trajio import _fmt, _json, _payload, export_trajectories_csv, \
     load_trajectories, save_trajectories
 
 __all__ = [
@@ -136,8 +140,12 @@ _SECTIONS = {
                        "point_index": None}),
 }
 _TEMPORAL_MODES = ("pointwise", "sup-space")  # of estimator.temporal_mode
-# plan keys whose values must be JSON integers (not bools)
-_PLAN_INTEGERS = ("seed", "steps", "replicas", "time_stride", "space_count")
+# (section, key) pairs whose values must be JSON integers, and those that
+# must be JSON numbers; bools and null are neither
+_INTEGERS = (*(("plan", key) for key in ("seed", "steps", "replicas",
+                                         "time_stride", "space_count")),
+             ("noise", "truncation"))
+_NUMBERS = (("plan", "alpha"), ("plan", "T"), ("noise", "theta"))
 # section -> kind -> (required keys, {optional key: default}, builder).  A
 # builder takes the kind's keys (an operator's the domain section first)
 # and looks its callees up in this module when called, so perfbench's
@@ -308,12 +316,15 @@ class ExperimentConfig:
         if mode not in _TEMPORAL_MODES:
             raise ValueError(f"unknown estimator.temporal_mode {mode!r}; "
                              f"known: {list(_TEMPORAL_MODES)}")
-        plan = sections["plan"] = _resolved("plan", sections["plan"])
-        not_int = [f"plan.{key}={plan[key]!r}" for key in _PLAN_INTEGERS
-                   if type(plan[key]) is not int]
-        if not_int:
-            raise ValueError("config keys need integer values, got "
-                             + ", ".join(not_int))
+        sections["plan"] = _resolved("plan", sections["plan"])
+        for kind, keys, types in (("integer", _INTEGERS, (int,)),
+                                  ("number", _NUMBERS, (int, float))):
+            bad = [f"{name}.{key}={sections[name][key]!r}"
+                   for name, key in keys
+                   if type(sections[name][key]) not in types]
+            if bad:
+                raise ValueError(f"config keys need {kind} values, got "
+                                 + ", ".join(bad))
         _refuse_no_times("estimator.times", estimator["times"])
         if "sweep" in sections:
             alphas = sections["sweep"]["alpha"]
@@ -444,6 +455,19 @@ def _estimates_csv(fits) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _simulate_into(plan: SimulationPlan, workers: int, stem: Optional[str]):
+    """``simulate(plan)``; given a ``stem``, straight into the mapped payload
+    of ``<stem>.bin``, which is deleted again if ``simulate`` raises."""
+    if stem is None:
+        return simulate(plan, workers=workers)
+    payload = _payload(stem, plan.record_shape)
+    try:
+        return simulate(plan, workers=workers, out=payload)
+    except BaseException:  # a kill too leaves no half-written payload
+        Path(stem + ".bin").unlink(missing_ok=True)
+        raise
+
+
 def run_experiment(config, workers: Optional[int] = None,
                    until: str = "verify") -> RunManifest:
     """Start a run, then simulate -> estimate -> verify and persist results.
@@ -455,10 +479,12 @@ def run_experiment(config, workers: Optional[int] = None,
     noise-hypothesis violation surfaces as HypothesisError.  The manifest
     and ``timings.json`` record the start as the "build" stage.  Each
     alpha's ensemble is then simulated by one ``simulate`` call, persisted
-    when ``persist_trajectories`` is set, fitted, and released before the
-    next alpha is simulated; ``estimates.csv`` is written once, after the
-    loop.  The simulate, persist-trajectories and estimate stages time the
-    sum over alphas and read "ok" once they passed for every alpha.  A
+    when ``persist_trajectories`` is set (simulated into its mapped
+    payload, so the persist-trajectories stage writes the sidecar),
+    fitted, and released before the next alpha is simulated;
+    ``estimates.csv`` is written once, after the loop.  The simulate,
+    persist-trajectories and estimate stages time the sum over alphas and
+    read "ok" once they passed for every alpha.  A
     stage failure aborts with the stage name, and the alpha of a per-alpha
     stage, after landing the run with its partial manifest, where a stage
     that ran for some alphas only reads "incomplete".  ``until`` stops the
@@ -555,11 +581,12 @@ def run_experiment(config, workers: Optional[int] = None,
     fits = {}
     for alpha, sim_plan in zip(alphas, plans):
         last = sim_plan is plans[-1]
+        tag = "trajectories" if len(alphas) == 1 \
+            else f"trajectories-alpha-{_fmt(alpha)}"
         with stage("simulate", alpha, last):
-            ens = simulate(sim_plan, workers=workers)
+            ens = _simulate_into(sim_plan, workers, str(staging / tag)
+                                 if config.persist_trajectories else None)
         if config.persist_trajectories:
-            tag = "trajectories" if len(alphas) == 1 \
-                else f"trajectories-alpha-{_fmt(alpha)}"
             with stage("persist-trajectories", alpha, last):
                 save_trajectories(ens, str(staging / tag))
             manifest.outputs.extend([f"{tag}.bin", f"{tag}.json"])

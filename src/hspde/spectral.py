@@ -26,6 +26,7 @@ its L^p norm, and ``_uniform_step`` the uniform-grid rule of every module.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from itertools import product
@@ -73,6 +74,10 @@ class SpectralDomain:
     mode_cutoff: int
 
     def __post_init__(self):
+        for name in ("dimension", "grid_size", "mode_cutoff"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.dimension not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.dimension}")
         if self.grid_size < 1:

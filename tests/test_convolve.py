@@ -653,6 +653,47 @@ def test_draw_chunks_join_bitwise(case, route):
     assert np.array_equal(two.values, table.values)
 
 
+@pytest.mark.parametrize("case, route", [
+    ("identity", "weights"), ("bump", "dense"), ("d2", "weights"),
+])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_simulate_into_out_is_bitwise(tmp_path, case, route, workers):
+    plan = core_plan(case)
+    want = simulate(plan, workers=workers)
+    assert want.provenance["route"] == route
+    # a shared file mapping, as a persisted run passes
+    buf = np.memmap(tmp_path / "out.bin", dtype=np.float64, mode="w+",
+                    shape=plan.record_shape)
+    got = simulate(plan, workers=workers, out=buf)
+    assert got.values is buf
+    assert np.array_equal(buf, want.values)
+    assert got.provenance == want.provenance
+
+
+def read_only(shape):
+    out = np.empty(shape)
+    out.flags.writeable = False
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    lambda shape: np.empty(shape[:2] + (shape[2] + 1,)),
+    lambda shape: np.empty(shape, dtype=np.float32),
+    lambda shape: np.empty(shape, dtype=">f8"),
+    lambda shape: np.empty(shape[::-1]).T,
+    lambda shape: np.empty(shape[:2] + (2 * shape[2],))[:, :, ::2],
+    read_only,
+    lambda shape: np.empty(shape).tolist(),
+], ids=["shape", "float32", "big-endian", "fortran", "strided", "read-only",
+        "list"])
+def test_simulate_refuses_a_bad_out(make, monkeypatch):
+    plan = core_plan("identity", steps=60)
+    # refused before anything is built or drawn
+    monkeypatch.setattr(convolve._Core, "build", None)
+    with pytest.raises(ValueError, match="out must be a C-contiguous"):
+        simulate(plan, workers=1, out=make(plan.record_shape))
+
+
 def budget_plan(steps):
     dom = SpectralDomain(1, 64, 32)
     noise = make_cameron_martin(dom, theta=0.0, truncation=32)

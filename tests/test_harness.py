@@ -244,6 +244,14 @@ def test_unknown_config_keys_rejected(tmp_path, path):
     # bool() would read each as true and persist every ensemble
     *(("persist_trajectories", flag, "persist_trajectories needs true or "
        f"false, got {flag!r}") for flag in ("false", "0", "no", 0)),
+    # float() and int() would run these at alpha 1 or truncation 12, or
+    # fail naming no key
+    *((path, value,
+       "need number values, got " + re.escape(f"{path}={value!r}"))
+      for path, value in (("plan.alpha", True), ("plan.T", "abc"),
+                          ("noise.theta", "0.5"), ("noise.theta", [0.5]))),
+    *(("noise.truncation", value, "need integer values, got "
+       f"noise.truncation={value!r}") for value in (12.5, True, "12", 12.0)),
 ])
 def test_config_errors_refused_before_any_stage(tmp_path, path, value,
                                                 message):
@@ -500,13 +508,16 @@ def test_sweep_verdict_compares_alphas_ascending(tmp_path):
     assert verdict["passed"] is False
 
 
-def _fail_at_second_alpha(monkeypatch, error=RuntimeError):
-    """Make ``harness.simulate`` raise ``error`` on its second call."""
+def _fail_simulate(monkeypatch, error=RuntimeError, call=2):
+    """Make ``harness.simulate`` raise ``error`` on its ``call``-th call,
+    after writing into its ``out``, as a kill mid-run would."""
     calls = []
 
     def failing(plan, **kwargs):
         calls.append(plan.alpha)
-        if len(calls) == 2:
+        if len(calls) == call:
+            if kwargs.get("out") is not None:
+                kwargs["out"][0] = 1.0
             raise error("no room for this ensemble")
         return simulate(plan, **kwargs)
 
@@ -515,7 +526,7 @@ def _fail_at_second_alpha(monkeypatch, error=RuntimeError):
 
 
 def test_later_alpha_failure_leaves_an_honest_manifest(tmp_path, monkeypatch):
-    _fail_at_second_alpha(monkeypatch)
+    _fail_simulate(monkeypatch)
     cfg = small_config(tmp_path, query=None, persist_trajectories=True,
                        sweep={"alpha": [1.0, 1.5, 2.0]})
     cfg["plan"].update({"steps": 512, "replicas": 2})
@@ -547,7 +558,7 @@ def test_failed_rerun_leaves_none_of_the_earlier_outputs(tmp_path,
     assert {"estimates.csv", "verdict.json", "region.csv"} \
         <= set(os.listdir(run_dir))
     assert os.listdir(tmp_path) == [run_dir.name]  # no staging directory
-    _fail_at_second_alpha(monkeypatch)
+    _fail_simulate(monkeypatch)
     with pytest.raises(StageError, match="at alpha 1.5"):
         run_experiment(cfg, workers=1)
     outputs = json.loads((run_dir / "manifest.json").read_text())["outputs"]
@@ -555,6 +566,18 @@ def test_failed_rerun_leaves_none_of_the_earlier_outputs(tmp_path,
                        "trajectories-alpha-1.json", "manifest.json"]
     assert sorted(os.listdir(run_dir)) == sorted(outputs + ["timings.json"])
     assert os.listdir(tmp_path) == [run_dir.name]
+    # nor does a single alpha's: its payload is deleted with the failure
+    single = small_config(tmp_path / "single", persist_trajectories=True)
+    single["plan"].update({"steps": 512, "replicas": 2})
+    run_dir = tmp_path / "single" / run_experiment(single, workers=1).run_id
+    with monkeypatch.context() as patch:
+        _fail_simulate(patch, call=1)
+        with pytest.raises(StageError, match="at alpha 2: no room"):
+            run_experiment(single, workers=1)
+    outputs = json.loads((run_dir / "manifest.json").read_text())["outputs"]
+    assert outputs == ["manifest.json"]
+    assert sorted(os.listdir(run_dir)) == ["manifest.json", "timings.json"]
+    assert os.listdir(run_dir.parent) == [run_dir.name]
 
 
 def test_killed_rerun_leaves_the_earlier_run_whole(tmp_path, monkeypatch):
@@ -567,7 +590,7 @@ def test_killed_rerun_leaves_the_earlier_run_whole(tmp_path, monkeypatch):
     earlier = {path.name: path.read_bytes() for path in run_dir.iterdir()}
     staging = tmp_path / f".{run_dir.name}.partial"
     with monkeypatch.context() as patch:
-        _fail_at_second_alpha(patch, error=KeyboardInterrupt)
+        _fail_simulate(patch, error=KeyboardInterrupt)
         with pytest.raises(KeyboardInterrupt):
             run_experiment(cfg, workers=1)
     assert {path.name: path.read_bytes() for path in run_dir.iterdir()} \
@@ -580,6 +603,19 @@ def test_killed_rerun_leaves_the_earlier_run_whole(tmp_path, monkeypatch):
         sorted(manifest.outputs + ["timings.json"])
     assert all((run_dir / name).read_bytes() == earlier[name]
                for name in manifest.outputs)
+    # a single alpha killed in simulate leaves no payload in staging
+    single = small_config(tmp_path / "single", persist_trajectories=True)
+    single["plan"].update({"steps": 512, "replicas": 2})
+    run_dir = tmp_path / "single" / run_experiment(single, workers=1).run_id
+    earlier = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+    assert "trajectories.bin" in earlier
+    with monkeypatch.context() as patch:
+        _fail_simulate(patch, error=KeyboardInterrupt, call=1)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(single, workers=1)
+    assert os.listdir(run_dir.with_name(f".{run_dir.name}.partial")) == []
+    assert {path.name: path.read_bytes() for path in run_dir.iterdir()} \
+        == earlier
 
 
 @pytest.mark.parametrize("name", ["../victim.txt", "/abs/victim.txt",
@@ -1049,6 +1085,16 @@ def test_cli_hypothesis_failure_exits_3(tmp_path, capsys):
      "persist_trajectories needs true or false, got 'no'"),
     (["--preset", "laplacian-d1", "--workers", "-3"],
      "workers must be a positive count, or 0 for one per CPU; got -3"),
+    (["--preset", "laplacian-d1", "--set", "plan.alpha=true"],
+     "need number values, got plan.alpha=True"),
+    (["--preset", "laplacian-d1", "--set", "plan.T=abc"],
+     "need number values, got plan.T='abc'"),
+    (["--preset", "laplacian-d1", "--set", "noise.theta=null"],
+     "need number values, got noise.theta=None"),
+    (["--preset", "laplacian-d1", "--set", "noise.truncation=12.5"],
+     "need integer values, got noise.truncation=12.5"),
+    (["--preset", "laplacian-d1", "--set", "domain.grid_size=1.5"],
+     "grid_size must be an integer, got 1.5"),
 ])
 def test_cli_bad_value_exits_4_before_any_directory(
         tmp_path, capsys, monkeypatch, flags, message):

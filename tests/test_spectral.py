@@ -231,6 +231,21 @@ def test_domain_validation():
         SpectralDomain(4, 16, 4)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("dimension", 1.0), ("dimension", True), ("grid_size", 1.5),
+    ("grid_size", 16.0), ("grid_size", "16"), ("mode_cutoff", 4.5),
+    ("mode_cutoff", True), ("mode_cutoff", None),
+])
+def test_domain_refuses_non_integer_fields(field, value):
+    # named for the field itself, not for a range check it happens to fail
+    args = {"dimension": 1, "grid_size": 16, "mode_cutoff": 4, field: value}
+    with pytest.raises(ValueError,
+                       match=f"^{field} must be an integer, got {value!r}$"):
+        SpectralDomain(**args)
+    # numpy integers are integers
+    assert SpectralDomain(np.int64(2), np.int32(15), np.int64(3)).n_points == 225
+
+
 # ---------------------------------------------------------------------------
 # semigroup action
 # ---------------------------------------------------------------------------

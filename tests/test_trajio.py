@@ -15,6 +15,7 @@ from hspde.spectral import SpectralDomain, build_laplacian_system
 from hspde.noise import GProcess, make_cameron_martin
 from hspde.convolve import RecordSpec, SimulationPlan, simulate
 from hspde.trajio import (
+    _payload,
     save_trajectories,
     load_trajectories,
     export_trajectories_csv,
@@ -99,6 +100,39 @@ def test_truncated_payload_rejected(tmp_path, ensemble):
         fh.write(payload[: len(payload) // 2])
     with pytest.raises(ValueError, match="manifest promises"):
         load_trajectories(stem)
+
+
+def test_resave_over_a_loaded_payload_keeps_both(tmp_path, ensemble):
+    # the loaded values map the payload; saving them back to the same stem
+    # must not truncate the file under the mapping
+    stem = save_trajectories(ensemble, str(tmp_path / "run"))
+    before = (tmp_path / "run.bin").read_bytes()
+    back = load_trajectories(stem)
+    save_trajectories(back, stem)
+    assert np.array_equal(back.values, ensemble.values)
+    assert (tmp_path / "run.bin").read_bytes() == before
+    # writes to the loaded values stay private to them
+    back.values[0, 0, 0] = 7.0
+    assert (tmp_path / "run.bin").read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["run.bin", "run.json"]
+
+
+def test_simulated_payload_is_written_in_place(tmp_path, ensemble):
+    stem = str(tmp_path / "run")
+    old = load_trajectories(save_trajectories(ensemble, stem))
+    payload = _payload(stem, ensemble.values.shape)
+    payload[...] = 2 * ensemble.values
+    on_disk = dataclasses.replace(ensemble, values=payload)
+    written = os.stat(stem + ".bin")
+    save_trajectories(on_disk, stem)  # the sidecar only
+    assert os.stat(stem + ".bin").st_ino == written.st_ino
+    # the earlier load still reads the bytes it was loaded from
+    assert np.array_equal(old.values, ensemble.values)
+    assert np.array_equal(load_trajectories(stem).values, 2 * ensemble.values)
+    # a slice of the mapping is not the whole payload: it is written out
+    save_trajectories(dataclasses.replace(ensemble, values=payload[:1]), stem)
+    assert np.array_equal(load_trajectories(stem).values,
+                          2 * ensemble.values[:1])
 
 
 def test_csv_export(tmp_path, ensemble):
