@@ -41,28 +41,41 @@ batches on the thread pool of ``hspde._threads``, the one parallel layer:
 BLAS runs one thread inside it, and so does the serial path of one
 worker.  Each batch streams its increments through blocks of 256 steps:
 project the block, run the recursion in place, and synthesise the
-recorded rows per replica, written into the output.  In d = 1 synthesis
-is one matmul with the propagated modes at the recorded points.  In
-d >= 2 (a Laplacian) the mode states fill their places in the K^d tensor
-of multi-indices, zero where a mode is not propagated, and the per-axis
-(K, P) sine factor at the recorded axis points is applied one axis at a
-time; no dense mode table is read.
+recorded rows per replica, written into the output.
+
+In d = 1 synthesis is one matmul with the propagated modes at the
+recorded points, unless the record is a sine sub-lattice that more modes
+alias onto.  That is a Laplacian drift whose record stride s divides
+M + 1 = s L (M grid points), so the recorded points are x_i = (i + 1) / L
+for i < L - 1, and which propagates K > L - 1 modes.  sin(k pi x_i)
+depends only on k mod 2L, so the states are folded by signed sums first:
+for 1 <= r <= L - 1, mode k = r mod 2L adds to slot r, k = 2L - r mod 2L
+subtracts from it, and k = 0 or L mod 2L drops out.  The (B, L - 1)
+folded states then take one matmul with the first L - 1 sines.  The fold
+is decided once per plan (``_Core.fold``) and moves values by rounding
+only; on the fractional-alpha-sweep plan (K = 2048, L = 128) it does 16x
+fewer multiply-adds.  In d >= 2 (a Laplacian) the mode states fill their
+places in the K^d tensor of multi-indices, zero where a mode is not
+propagated, and the per-axis (K, P) sine factor at the recorded axis
+points is applied one axis at a time; no dense mode table is read.
+
 ``simulate`` draws a batch's increments in chunks of 1024 steps into one
 (R, N, 1024) buffer, refilled every 4 blocks from the batch's live
 generators; ``simulate_from_increments`` slices the blocks from the
 caller's table (labelled "from-increments").  One budget of 256 MiB
 covers the whole pool: the batches in flight together keep their
-increment chunks, block states, per-step fields and d >= 2 synthesis
-tensors within it.  A batch holds at most ceil(replicas / threads)
-replicas, and as many as fit its thread's share of the budget; when one
-replica exceeds its share at the requested worker count, fewer threads
-run.  A plan whose single replica exceeds the whole budget is refused
-before anything is drawn.  The batch's generator objects (about 1.4 KB
-per stream on numpy 2.4) lie outside the model, and so does the recorded
+increment chunks, block states, per-step fields, fold sums and d >= 2
+synthesis tensors within it.  A batch holds at most
+ceil(replicas / threads) replicas, and as many as fit its thread's share
+of the budget; when one replica exceeds its share at the requested worker
+count, fewer threads run.  A plan whose single replica exceeds the whole
+budget is refused before anything is drawn.  The batch's generator
+objects (about 0.8 KB of resident memory per stream on numpy 2.4, built
+from their keys) lie outside the model, and so does the recorded
 ensemble: the caller's ``out`` when given (a persisted run passes its
 mapped payload file, so the values are written once, in place), else one
-array of the whole ensemble.  Every matmul acts on one replica with
-shapes fixed by the plan, and the rest is elementwise, so a replica's
+array of the whole ensemble.  Every matmul and fold acts on one replica
+with shapes fixed by the plan, and the rest is elementwise, so a replica's
 values do not depend on batching, worker count, the host's BLAS thread
 count or ``out``, bit for bit;
 ``simulate_from_increments`` fed the same draws reproduces ``simulate``.
@@ -293,7 +306,9 @@ class _Core:
     and the multiplier on "per-step".  The "weights" route propagates only
     the N noise modes; the others never receive noise and stay at zero.
     ``modes_rec`` synthesises the recorded points: the propagated modes
-    there, (modes, P), in d = 1; in d >= 2 the per-axis sine factor (K, P)
+    there, (modes, P), in d = 1, or only the first L - 1 of them when the
+    record is a sine sub-lattice of L - 1 points that the modes fold onto
+    (``fold`` = L, else None); in d >= 2 the per-axis sine factor (K, P)
     at the recorded axis points, with ``scatter`` the flat places of the
     propagated modes in the K^d multi-index tensor.  ``obstacle`` is None
     when the plan is exact-diagonal, else the reason it is not (see
@@ -307,6 +322,7 @@ class _Core:
     decay: np.ndarray  # e^(-mu dt) over the propagated modes
     modes_rec: np.ndarray
     scatter: Optional[np.ndarray]
+    fold: Optional[int]
     layout: tuple  # _record_layout(plan)
     obstacle: Optional[str]
 
@@ -344,15 +360,23 @@ class _Core:
             operator *= scale
         dom = system.domain
         factor = system.basis.axis_values(plan.record.axis_indices(dom.grid_size))
-        if dom.dimension == 1:
-            modes_rec, scatter = factor[: decay.size], None
-        else:
+        scatter = fold = None
+        if dom.dimension > 1:
             modes_rec = factor
             scatter = np.ravel_multi_index(
                 (system.basis.indices[: decay.size] - 1).T,
                 (dom.mode_cutoff,) * dom.dimension)
+        else:
+            modes_rec = factor[: decay.size]
+            # a record x_i = (i + 1) / L, i < L - 1, of a sine sub-lattice
+            # that more than L - 1 sines fold onto
+            stride = plan.record.space_stride(dom.grid_size)
+            lattice = (dom.grid_size + 1) // stride
+            if (system.family == "laplacian" and decay.size > lattice - 1
+                    and lattice * stride == dom.grid_size + 1):
+                modes_rec, fold = factor[: lattice - 1], lattice
         return cls(plan, route, operator, lift, decay,
-                   np.ascontiguousarray(modes_rec), scatter, layout,
+                   np.ascontiguousarray(modes_rec), scatter, fold, layout,
                    _diagonal_obstacle(system, route, operator))
 
     @property
@@ -380,6 +404,8 @@ class _Core:
         per_replica = (8 * plan.noise.truncation * min(DRAW_STEPS, plan.steps)
                        + self.dtype.itemsize * (blk + 2) * self.decay.size)
         shared = 0 if self.lift is None else 8 * blk * self.lift.shape[1]
+        if self.fold is not None:
+            shared += self.dtype.itemsize * blk * 2 * self.fold
         if self.scatter is not None:
             # the K^d tensor and the partial products of one replica's block
             k, p = self.modes_rec.shape
@@ -428,11 +454,16 @@ class _Core:
         xi = np.empty((r_b, min(BLOCK_STEPS, steps), self.decay.size),
                       dtype=self.dtype)
         carry, tmp = np.empty_like(xi[:, 0]), np.empty_like(xi[:, 0])
-        # the multi-index tensor of d >= 2; places of modes not propagated
-        # are never written and stay zero
-        tensor = None if self.scatter is None else np.zeros(
-            (xi.shape[1], self.modes_rec.shape[0] ** plan.system.domain.dimension),
-            dtype=self.dtype)
+        # the multi-index tensor of d >= 2, whose places of modes not
+        # propagated are never written and stay zero, or the 2L residue
+        # sums of a fold
+        scratch = None
+        if self.scatter is not None:
+            scratch = np.zeros((xi.shape[1], self.modes_rec.shape[0]
+                                ** plan.system.domain.dimension),
+                               dtype=self.dtype)
+        elif self.fold is not None:
+            scratch = np.empty((xi.shape[1], 2 * self.fold), dtype=self.dtype)
         out[:, 0] = 0.0
         row = 1
         for b0 in range(0, steps, BLOCK_STEPS):
@@ -449,13 +480,16 @@ class _Core:
             rows = blk[:, (-b0 - 1) % stride:: stride]
             stop = row + rows.shape[1]
             for r in range(r_b):
-                self._synthesize(rows[r], out[r, row:stop], tensor)
+                self._synthesize(rows[r], out[r, row:stop], scratch)
             row = stop
 
     def _synthesize(self, states: np.ndarray, out: np.ndarray,
-                    tensor: Optional[np.ndarray]) -> None:
+                    scratch: Optional[np.ndarray]) -> None:
         """Recorded values ``out`` (B, recorded points) of one replica's
-        mode states ``states`` (B, propagated modes)."""
+        mode states ``states`` (B, propagated modes), with the batch's
+        ``scratch`` (see ``integrate``)."""
+        if self.fold is not None:
+            states = _fold(states, self.fold, scratch[: len(states)])
         if self.scatter is None:
             if np.iscomplexobj(states):
                 out[...] = _realify(states @ self.modes_rec)
@@ -466,7 +500,7 @@ class _Core:
         # sine factor, then its last axis straight into ``out``
         k, p = self.modes_rec.shape
         d = self.plan.system.domain.dimension
-        x = tensor[: len(states)]
+        x = scratch[: len(states)]
         x[:, self.scatter] = states
         for a in range(d - 1):
             x = np.matmul(self.modes_rec.T, x.reshape(-1, k, k ** (d - 1 - a)))
@@ -506,6 +540,29 @@ class _Core:
             provenance=_provenance(self.plan, scheme, self.route,
                                    self.obstacle),
         )
+
+
+def _fold(states: np.ndarray, lattice: int, sums: np.ndarray) -> np.ndarray:
+    """Mode states ``states`` (B, K) of sines k = 1..K folded onto the
+    first L - 1 = ``lattice`` - 1: the states that sin(k pi x) takes at
+    x_i = (i + 1) / L, as a view into ``sums`` (B, 2L).
+
+    sin(k pi x_i) depends only on k mod 2L; k = r adds to slot r and
+    k = 2L - r subtracts from it (1 <= r <= L - 1), and k = 0 or L is zero
+    there.  Column c of ``sums`` first gathers the modes k = c + 1 mod 2L:
+    whole groups of 2L modes by one sum, a last partial group added into
+    the first columns.
+    """
+    b, k = states.shape
+    period = 2 * lattice
+    whole = k - k % period
+    np.sum(states[:, :whole].reshape(b, whole // period, period), axis=1,
+           out=sums)
+    sums[:, : k - whole] += states[:, whole:]
+    # r = 1..L-1 sit in columns r - 1, and 2L - r in columns 2L - r - 1
+    folded = sums[:, : lattice - 1]
+    folded -= sums[:, period - 2: lattice - 1: -1]
+    return folded
 
 
 def simulate(plan: SimulationPlan, workers: Optional[int] = None,

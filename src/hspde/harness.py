@@ -56,8 +56,9 @@ beside its builder; ``domain`` and ``query`` take the fields of
 section that is not an object (``query`` and ``sweep`` may be null),
 unknown keys and kinds, missing required keys, an unknown temporal mode,
 a non-integer ``plan`` seed, step count, replica count, record
-stride/count or ``noise.truncation``, a ``plan.alpha``, ``plan.T`` or
-``noise.theta`` that is not a number (bools and null are neither), an
+stride/count, ``noise.truncation`` or ``query.d``, a ``plan.alpha``,
+``plan.T``, ``noise.theta``, ``sweep.slack`` or ``query`` q, p, alpha,
+theta or m that is not a number (bools and null are neither), an
 ``estimator.times`` that selects no time (an empty list, or a count that
 is not a positive integer), a ``sweep.alpha`` that is not a list of at
 least two distinct numbers, and a ``persist_trajectories`` that is not
@@ -140,12 +141,14 @@ _SECTIONS = {
                        "point_index": None}),
 }
 _TEMPORAL_MODES = ("pointwise", "sup-space")  # of estimator.temporal_mode
-# (section, key) pairs whose values must be JSON integers, and those that
-# must be JSON numbers; bools and null are neither
+# (section, key) pairs whose values, where given, must be JSON integers,
+# and those that must be JSON numbers; bools and null are neither
 _INTEGERS = (*(("plan", key) for key in ("seed", "steps", "replicas",
                                          "time_stride", "space_count")),
-             ("noise", "truncation"))
-_NUMBERS = (("plan", "alpha"), ("plan", "T"), ("noise", "theta"))
+             ("noise", "truncation"), ("query", "d"))
+_NUMBERS = (("plan", "alpha"), ("plan", "T"), ("noise", "theta"),
+            ("sweep", "slack"),
+            *(("query", key) for key in ("q", "p", "alpha", "theta", "m")))
 # section -> kind -> (required keys, {optional key: default}, builder).  A
 # builder takes the kind's keys (an operator's the domain section first)
 # and looks its callees up in this module when called, so perfbench's
@@ -321,7 +324,8 @@ class ExperimentConfig:
                                   ("number", _NUMBERS, (int, float))):
             bad = [f"{name}.{key}={sections[name][key]!r}"
                    for name, key in keys
-                   if type(sections[name][key]) not in types]
+                   if key in sections.get(name, ())
+                   and type(sections[name][key]) not in types]
             if bad:
                 raise ValueError(f"config keys need {kind} values, got "
                                  + ", ".join(bad))

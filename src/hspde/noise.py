@@ -15,15 +15,23 @@ raising, so callers can log exactly which hypothesis failed.
 
 Wiener increments are drawn one stream per H-basis vector, keyed by
 (seed, replica, mode) through a counter-based generator, so replicas can be
-produced in any order or in parallel without coordination.  A stream can
-be drawn in chunks: ``simulate`` fills a chunk at a time from a batch's
-live generators, with the same values, bit for bit, as
+produced in any order or in parallel without coordination.  Stream
+(replica, k) is Philox under the 128-bit key that
+SeedSequence(seed, spawn_key=(replica, k)) generates.  A batch derives the
+keys of all its streams in one vectorized pass (``_philox_keys``), checks
+one of them against numpy's own SeedSequence, and builds each generator
+straight from its key, with no SeedSequence of its own.  A stream can be
+drawn in chunks: ``simulate`` fills a chunk at a time from a batch's live
+generators, with the same values, bit for bit, as
 ``sample_wiener_increments`` drawing the whole table at once.  Seeded
-streams (``_philox``) and g on the grid (``_on_grid``) are made here.
+one-off streams (``_philox``) and g on the grid (``_on_grid``) are made
+here.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -213,10 +221,144 @@ def _philox(seed: int, *key: int) -> np.random.Generator:
         np.random.SeedSequence(seed, spawn_key=key)))
 
 
+# the constants of numpy's SeedSequence (uint32 hash mix, pool of 4 words)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+
+def _words(n: int) -> list:
+    """The uint32 words of a nonnegative int, least significant first."""
+    if n < 0:
+        raise ValueError(f"seeds and replica numbers must be nonnegative, "
+                         f"got {n}")
+    out = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        out.append(n & _MASK32)
+    return out
+
+
+def _hashmix(value, const, then):
+    """SeedSequence's hashmix of ``value`` under hash constant ``const``,
+    which advances to ``then`` on the way.  Values and constants are
+    Python ints below 2**32 or uint32 arrays, so every product is reduced
+    mod 2**32, as uint32 arithmetic wraps."""
+    value = (value ^ const) * then & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of pool word ``x`` with hashed word ``y``."""
+    out = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return out ^ out >> 16
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list:
+    """init * mult^j mod 2**32 for j < count: SeedSequence advances its
+    hash constant by one factor of ``mult`` per hashmix."""
+    out = [init]
+    while len(out) < count:
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+def _philox_keys(seed: int, replicas, count: int) -> np.ndarray:
+    """(len(replicas), count, 2) uint64: entry [i, k] is the Philox key of
+    stream (replicas[i], k), that is
+    SeedSequence(seed, spawn_key=(replicas[i], k)).generate_state(2, np.uint64).
+
+    SeedSequence's uint32 hash mix, run over every stream at once.  Its
+    entropy is the seed's words, padded with zeros to the pool size, then
+    the replica's words and k.  The pool takes the first pool-size words,
+    which are the seed's, and mixes them pairwise: that pass is the same
+    for every stream, and runs once in Python ints.  Each later word
+    mixes into the pool's words independently, under the next pool-size
+    hash constants, so it takes one pass over a (pool size, n, count)
+    pool: the replicas' words as (n, 1) arrays and k as a (1, count)
+    array.  Replicas of as many words share one pass.
+    """
+    out = np.empty((len(replicas), count, 2), dtype=np.uint64)
+    seed_words = _words(seed)
+    seed_words += [0] * (_POOL - len(seed_words))
+    # hashmix j XORs with constant j and multiplies by constant j + 1; a
+    # stream takes pool-size hashmixes per entropy word (the first words'
+    # own and their pairwise mix included)
+    longest = len(_words(max(replicas, default=0)))
+    consts = _hash_constants(_INIT_A, _MULT_A,
+                             1 + _POOL * (len(seed_words) + longest + 1))
+    pool = [_hashmix(word, consts[j], consts[j + 1])
+            for j, word in enumerate(seed_words[:_POOL])]
+    j = _POOL
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[j],
+                                                     consts[j + 1]))
+                j += 1
+    consts = np.array(consts, dtype=np.uint32)[:, None, None]
+    pool = np.array(pool, dtype=np.uint32)[:, None, None]
+
+    def absorb(pool, word, j):
+        return _mix(pool, _hashmix(word, consts[j: j + _POOL],
+                                   consts[j + 1: j + _POOL + 1]))
+
+    for word in seed_words[_POOL:]:
+        pool = absorb(pool, word, j)
+        j += _POOL
+    # generate_state(2, np.uint64): four words, one from each pool word
+    final = np.array(_hash_constants(_INIT_B, _MULT_B, _POOL + 1),
+                     dtype=np.uint32)[:, None, None]
+    ks = np.arange(count, dtype=np.uint32)[None, :]
+    start = 0
+    for size, group in itertools.groupby(replicas, lambda r: len(_words(r))):
+        words = np.array([_words(r) for r in group], dtype=np.uint32)
+        mixed = pool
+        for i, column in enumerate(words.T):
+            mixed = absorb(mixed, column[:, None], j + _POOL * i)
+        mixed = absorb(mixed, ks, j + _POOL * size)
+        state = _hashmix(mixed, final[:_POOL], final[1:])
+        # pairs of words, read little-endian, as generate_state does
+        out[start: start + len(words)] = np.ascontiguousarray(
+            np.moveaxis(state, 0, -1), dtype="<u4").view("<u8")
+        start += len(words)
+    return out
+
+
+@functools.cache
+def _key_type() -> type:
+    """``_Key(key)``: the seed of a Philox stream whose key is already
+    known, an ISeedSequence that answers Philox's one request,
+    generate_state(2, np.uint64), with the key and refuses any other.
+
+    Made on first use, so that ``import hspde`` does not import
+    numpy.random.
+    """
+    class _Key(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("key",)
+
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a Philox key answers only a request for "
+                                 f"two uint64 words, got {n_words} of {dtype}")
+            return self.key
+
+    return _Key
+
+
 class _WienerStreams:
     """The Philox streams of a batch of replicas, drawn chunk by chunk.
 
-    Stream (replica, k) is ``_philox(seed, replica, k)``.  Each ``fill``
+    Stream (replica, k) is ``_philox(seed, replica, k)``, built from its
+    key, which ``_philox_keys`` derives for the whole batch at once, with
+    no SeedSequence of its own.  One key of the batch, the last of its
+    first replica, is checked against numpy's SeedSequence before any
+    generator is built.  Each ``fill``
     writes the next steps of every stream, scaled by sqrt(dt), so
     consecutive fills of any lengths concatenate to the same values as one
     fill over all steps, bit for bit.
@@ -227,9 +369,18 @@ class _WienerStreams:
         dt = _uniform_step(time_grid, "time grid")
         self.steps = len(time_grid) - 1
         self.root = np.sqrt(dt)
-        self.generators = [[_philox(seed, replica, k)
-                            for k in range(spec.truncation)]
-                           for replica in replicas]
+        keys = _philox_keys(seed, replicas, spec.truncation)
+        k = spec.truncation - 1
+        want = np.random.SeedSequence(
+            seed, spawn_key=(replicas[0], k)).generate_state(2, np.uint64)
+        if not np.array_equal(keys[0, k], want):
+            raise RuntimeError(
+                "the Philox keys derived here differ from numpy "
+                f"{np.__version__}'s SeedSequence; its hash mix has "
+                "changed, so streams would not be reproducible")
+        seeded = _key_type()
+        self.generators = [[np.random.Generator(np.random.Philox(seeded(key)))
+                            for key in batch] for batch in keys]
 
     def fill(self, out: np.ndarray) -> None:
         """Write the next out.shape[2] increments of every stream into

@@ -465,11 +465,17 @@ D_PLANS = {"d2": ((2, 15, 4), 10), "d2-extra-noise": ((2, 15, 3), 12),
 
 
 def core_plan(case, replicas=3, steps=600, stride=3):
-    """Plans over the three noise-to-mode routes, real and complex, and the
-    per-axis synthesis of d >= 2."""
+    """Plans over the three noise-to-mode routes, real and complex, the
+    per-axis synthesis of d >= 2, and a record that 40 sines fold onto
+    (grid 63 at stride 4: the 15 points (i + 1) / 16)."""
+    count = 32
     if case == "complex":
         dom, system = nonnormal_system()
         noise = make_cameron_martin(dom, theta=0.5, truncation=6)
+    elif case in ("folded", "folded-bump"):
+        dom, count = SpectralDomain(1, 63, 40), 16
+        system = build_laplacian_system(dom)
+        noise = make_cameron_martin(dom, theta=0.5, truncation=40)
     elif case in D_PLANS:
         # d2: 10 of the 16 modes of a 4x4 index set.  d2-extra-noise: 12
         # noise modes from a 4x4 set over a 3x3 drift set, so they are not
@@ -485,13 +491,14 @@ def core_plan(case, replicas=3, steps=600, stride=3):
         else:
             system = build_laplacian_system(dom)
         noise = make_cameron_martin(dom, theta=0.5, truncation=10)
-    identity = ("identity", "drifted", "complex", *D_PLANS)
+    identity = ("identity", "drifted", "complex", "folded", *D_PLANS)
     g = GProcess.identity() if case in identity \
         else g_preset("separable:sin" if case == "separable:sin" else "bump",
                       8.0, 16.0)
     return SimulationPlan(
         system=system, noise=noise, G=g, seed=73, T=0.5, steps=steps,
-        replicas=replicas, record=RecordSpec(time_stride=stride, space_count=32),
+        replicas=replicas,
+        record=RecordSpec(time_stride=stride, space_count=count),
     )
 
 
@@ -504,7 +511,8 @@ def replica_increments(plan):
 @pytest.mark.parametrize("case, route", [
     ("identity", "weights"), ("bump", "dense"), ("separable:sin", "per-step"),
     ("drifted", "dense"), ("complex", "dense"), ("d2", "weights"),
-    ("d2-extra-noise", "dense"),
+    ("d2-extra-noise", "dense"), ("folded", "weights"),
+    ("folded-bump", "dense"),
 ])
 def test_replica_values_independent_of_batching(case, route):
     # 600 steps span three 256-step blocks; stride 3 records across them
@@ -572,9 +580,11 @@ def test_weights_route_reads_no_dense_mode_table(monkeypatch):
     assert simulate(bump, workers=1).provenance["route"] == "dense"
     assert len(full) == 2
     assert set(full) == {bump.system.domain, bump.noise.laplacian.domain}
-    # the sweep's recorded values are read off the dense table's own bits
+    # the sweep's recorded values are read off the dense table's own bits:
+    # its 2000 modes fold onto the first 127 at the 127 recorded points
     core = convolve._Core.build(sweep)
-    dense = sweep.system.modes[: sweep.noise.truncation, core.layout[0]]
+    assert core.fold == 128
+    dense = sweep.system.modes[: core.fold - 1, core.layout[0]]
     assert core.modes_rec.tobytes() == np.ascontiguousarray(dense).tobytes()
 
 
@@ -597,6 +607,88 @@ def test_separable_synthesis_matches_dense_synthesis(case):
     want = dense.run("dense", slices, 1).values
     assert np.abs(want).max() > 0
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def fold_plan(grid, modes, count, g=None, steps=300, stride=1):
+    dom = SpectralDomain(1, grid, modes)
+    return SimulationPlan(
+        system=build_laplacian_system(dom),
+        noise=make_cameron_martin(dom, theta=0.2, truncation=modes),
+        G=g or GProcess.identity(), seed=3000, alpha=1.5, T=0.5, steps=steps,
+        replicas=2, record=RecordSpec(time_stride=stride, space_count=count))
+
+
+def unfolded(core):
+    """``core`` with today's synthesis: every propagated sine at the
+    recorded points, one matmul."""
+    dom = core.plan.system.domain
+    factor = core.plan.system.basis.axis_values(
+        core.plan.record.axis_indices(dom.grid_size))
+    return dataclasses.replace(core, fold=None, modes_rec=np.ascontiguousarray(
+        factor[: core.decay.size]))
+
+
+@pytest.mark.parametrize("grid, modes, count, lattice", [
+    (4095, 2048, 128, 128),  # the sweep: 2048 sines, 8 whole groups of 2L
+    (255, 100, 64, 64),  # no whole group, 100 = 2L - 28
+    (255, 128, 64, 64),  # one whole group, the CI step's folding sweep
+    (63, 40, 16, 16),  # a whole group and a partial one
+])
+def test_folded_synthesis_matches_the_full_matmul(grid, modes, count, lattice):
+    plan = fold_plan(grid, modes, count)
+    core = convolve._Core.build(plan)
+    assert core.fold == lattice
+    assert core.modes_rec.shape == (lattice - 1, lattice - 1)
+    full = unfolded(core)
+    # the same mode states through both syntheses, one 256-step block
+    states = np.random.default_rng(5).standard_normal((256, modes))
+    got, want = np.empty((256, lattice - 1)), np.empty((256, lattice - 1))
+    core._synthesize(states, got, np.empty((256, 2 * lattice)))
+    full._synthesize(states, want, None)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # and whole runs over the same increments, every row and replica
+    incs = replica_increments(plan)
+
+    def slices(start, stop):
+        return lambda b0, b1: incs[start:stop, :, b0:b1]
+
+    got = core.run("folded", slices, 1).values
+    want = full.run("full", slices, 1).values
+    assert np.abs(want).max() > 0
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("grid, modes, count", [
+    (256, 128, 128),  # colored-d1-thm31's record: stride 2 does not divide 257
+    (128, 128, 128),  # laplacian-d1's: 128 sines at 128 points, none aliased
+    (4095, 127, 128),  # the sweep's record with L - 1 = 127 sines
+])
+def test_records_that_do_not_fold_keep_the_full_matmul(grid, modes, count):
+    plan = fold_plan(grid, modes, count, steps=600, stride=3)
+    core = convolve._Core.build(plan)
+    assert core.fold is None
+    full = unfolded(core)
+    assert core.modes_rec.tobytes() == full.modes_rec.tobytes()
+    incs = replica_increments(plan)
+    got = simulate(plan, workers=1)
+    assert np.array_equal(got.values, full.run(
+        "full", lambda a, b: lambda b0, b1: incs[a:b, :, b0:b1], 1).values)
+
+
+@pytest.mark.parametrize("g", [None, g_preset("bump", 8.0, 16.0)],
+                         ids=["weights", "dense"])
+@pytest.mark.parametrize("steps, stride", [
+    (2 * convolve.DRAW_STEPS + 304, 7),  # rows straddle blocks and chunks
+    (2 * convolve.DRAW_STEPS, 2 * convolve.BLOCK_STEPS),  # rowless blocks
+])
+def test_folding_plan_from_increments_is_simulate(g, steps, stride):
+    plan = fold_plan(255, 100, 64, g=g, steps=steps, stride=stride)
+    assert convolve._Core.build(plan).fold == 64
+    one = simulate(plan, workers=1)
+    assert np.array_equal(
+        simulate_from_increments(plan, replica_increments(plan)).values,
+        one.values)
+    assert np.array_equal(simulate(plan, workers=2).values, one.values)
 
 
 def field_path_reference(plan, increments, space_indices):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hspde
-from hspde import cli, harness, regularity
+from hspde import cli, convolve, harness, regularity
 from hspde.harness import (
     ExperimentConfig,
     HypothesisError,
@@ -252,6 +252,16 @@ def test_unknown_config_keys_rejected(tmp_path, path):
                           ("noise.theta", "0.5"), ("noise.theta", [0.5]))),
     *(("noise.truncation", value, "need integer values, got "
        f"noise.truncation={value!r}") for value in (12.5, True, "12", 12.0)),
+    # a slack of true would run as 1 and pass a falling sweep; a string
+    # would fail only at verify, after every alpha was simulated
+    *((path, value,
+       "need number values, got " + re.escape(f"{path}={value!r}"))
+      for path, value in (("sweep.slack", True), ("sweep.slack", "x"),
+                          ("query.q", "8"), ("query.p", "4"),
+                          ("query.alpha", False), ("query.theta", [0.5]),
+                          ("query.m", "8"))),
+    *(("query.d", value, f"need integer values, got query.d={value!r}")
+      for value in (1.0, True, "1")),
 ])
 def test_config_errors_refused_before_any_stage(tmp_path, path, value,
                                                 message):
@@ -1095,6 +1105,18 @@ def test_cli_hypothesis_failure_exits_3(tmp_path, capsys):
      "need integer values, got noise.truncation=12.5"),
     (["--preset", "laplacian-d1", "--set", "domain.grid_size=1.5"],
      "grid_size must be an integer, got 1.5"),
+    (["--preset", "fractional-alpha-sweep", "--set", "sweep.slack=true"],
+     "need number values, got sweep.slack=True"),
+    (["--preset", "fractional-alpha-sweep", "--set", "sweep.slack=x"],
+     "need number values, got sweep.slack='x'"),
+    (["--preset", "fractional-alpha-sweep", "--set", "sweep.slack=null"],
+     "need number values, got sweep.slack=None"),
+    (["--preset", "laplacian-d1", "--set", "query.d=1.0"],
+     "need integer values, got query.d=1.0"),
+    (["--preset", "laplacian-d1", "--set", 'query.p="4"'],
+     "need number values, got query.p='4'"),
+    (["--preset", "laplacian-d1", "--set", "query.q=null"],
+     "need number values, got query.q=None"),
 ])
 def test_cli_bad_value_exits_4_before_any_directory(
         tmp_path, capsys, monkeypatch, flags, message):
@@ -1113,6 +1135,26 @@ def test_cli_stage_error_exits_4(tmp_path, capsys):
     assert code == 4
     assert err.startswith("error: ") and "'nope'" in err
     assert not (tmp_path / "runs").exists()
+
+
+def test_ci_folding_sweep_folds(tmp_path, monkeypatch):
+    # the small sweep that CI's console-script step runs at workers 1 and 2:
+    # 128 sines on a 255-point grid, recorded at stride 4, fold onto the
+    # 63 points (i + 1) / 64, over the 33-point spatial floor
+    cfg = resolve_config("fractional-alpha-sweep", overrides=[
+        "domain.grid_size=255", "domain.mode_cutoff=128",
+        "noise.truncation=128", "plan.space_count=64", "plan.steps=1024",
+        "plan.replicas=2", "sweep.alpha=[1.0,2.0]",
+        f"output_dir={json.dumps(str(tmp_path))}"])
+    folds, simulate = [], harness.simulate
+
+    def recorded(plan, **kwargs):
+        folds.append(convolve._Core.build(plan).fold)
+        return simulate(plan, **kwargs)
+
+    monkeypatch.setattr(harness, "simulate", recorded)
+    assert run_experiment(cfg, workers=1).verdict["passed"]
+    assert folds == [64, 64]
 
 
 def test_cli_non_integer_seed_exits_4_before_any_directory(

@@ -112,6 +112,72 @@ def test_philox_helper_is_the_literal_stream(seed, key):
         assert np.array_equal(plain, want)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 3000, 2**32 + 7, 2**70 + 3,
+                                  2**200 + 5])
+def test_philox_keys_are_the_seedsequence_keys(seed):
+    # seeds of one to seven 32-bit words (more than the pool holds),
+    # replicas of one to three with their word counts interleaved, and
+    # every k up to 2048
+    replicas = [5, 2**32, 0, 1, 2**32 + 9, 2**64 + 3]
+    keys = noise._philox_keys(seed, replicas, 2049)
+    assert keys.shape == (6, 2049, 2) and keys.dtype == np.uint64
+    want = np.array([[np.random.SeedSequence(
+        seed, spawn_key=(replica, k)).generate_state(2, np.uint64)
+        for k in range(2049)] for replica in replicas])
+    assert np.array_equal(keys, want)
+
+
+def test_batch_streams_are_the_philox_streams():
+    # uneven fills of a batch whose replicas straddle 2**32
+    spec = make_cameron_martin(SpectralDomain(1, 15, 6), theta=0.5,
+                               truncation=6)
+    tg = np.linspace(0.0, 0.7, 101)
+    seed, replicas = 2**33 + 5, range(2**32 - 1, 2**32 + 2)
+    streams = noise._WienerStreams(spec, tg, seed, replicas)
+    parts = []
+    for length in (1, 37, 62):
+        part = np.empty((3, 6, length))
+        streams.fill(part)
+        parts.append(part)
+    got = np.concatenate(parts, axis=2)
+    root = np.sqrt(tg[1] - tg[0])
+    for table, replica in zip(got, replicas):
+        for k, row in enumerate(table):
+            want = noise._philox(seed, replica, k).standard_normal(100) * root
+            assert np.array_equal(row, want)
+
+
+def test_a_wrong_key_is_refused_before_any_draw(monkeypatch):
+    keys = noise._philox_keys
+
+    def wrong(seed, replicas, count):
+        out = keys(seed, replicas, count)
+        out[0, -1, 1] ^= np.uint64(1)
+        return out
+
+    def no_generators():
+        raise AssertionError("a generator was built")
+
+    spec = make_cameron_martin(SpectralDomain(1, 15, 4), theta=0.5,
+                               truncation=4)
+    tg = np.linspace(0.0, 1.0, 9)
+    monkeypatch.setattr(noise, "_philox_keys", wrong)
+    monkeypatch.setattr(noise, "_key_type", no_generators)
+    with pytest.raises(RuntimeError, match=f"numpy {np.__version__}'s"):
+        noise._WienerStreams(spec, tg, 3, range(2, 4))
+    with pytest.raises(RuntimeError, match="SeedSequence"):
+        sample_wiener_increments(spec, tg, seed=3, replica=0)
+
+
+def test_key_seed_answers_only_the_philox_request():
+    key = noise._philox_keys(5, [1], 1)[0, 0]
+    seed = noise._key_type()(key)
+    assert seed.generate_state(2, np.uint64) is key
+    for n_words, dtype in ((4, np.uint32), (2, np.uint32), (3, np.uint64)):
+        with pytest.raises(ValueError, match="two uint64 words"):
+            seed.generate_state(n_words, dtype)
+
+
 # ---------------------------------------------------------------------------
 # Cameron-Martin scale and the structure map
 # ---------------------------------------------------------------------------
