@@ -123,9 +123,9 @@ def _resolve(args, force_persist: bool = False) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
-def _print_verdict(manifest) -> int:
+def _print_verdict(manifest, output_dir: str) -> int:
     verdict = manifest.verdict
-    run_dir = Path(manifest.config["output_dir"]) / manifest.run_id
+    run_dir = Path(output_dir) / manifest.run_id
     print(f"run {manifest.run_id} -> {run_dir}")
     if verdict is None:
         print("no query configured; estimates written without a verdict")
@@ -170,7 +170,7 @@ def _cmd_run(args) -> int:
         raise ValueError(
             "config has neither a query nor a sweep; nothing to verify")
     manifest = run_experiment(config, workers=args.workers)
-    return _print_verdict(manifest)
+    return _print_verdict(manifest, config.output_dir)
 
 
 def _cmd_simulate(args) -> int:

@@ -121,6 +121,8 @@ BLOCK_STEPS = 256
 DRAW_STEPS = 4 * BLOCK_STEPS
 #: buffer budget of the whole thread pool: every batch in flight together
 BATCH_BYTES = 256 << 20
+#: bytes of the largest record (float64 values) a run's start admits
+RECORD_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,10 @@ then a config file, then individual overrides.  ``run_experiment``
 builds and checks the run in one start, then drives the simulate ->
 estimate -> verify pipeline, persisting estimate tables, region tables,
 verdicts and a run manifest under ``output_dir/<run_id>``.  The run id
-is a content hash of the resolved config, so re-running the same
-experiment lands in the same directory and reproduces every persisted
-output, ``manifest.json`` included, byte for byte; the manifest lists
-every deterministic output, itself included.
+is a content hash of the resolved config but ``output_dir``, so re-running
+the same experiment, into any directory, gives the same id and reproduces
+every persisted output, ``manifest.json`` included, byte for byte; the
+manifest lists every deterministic output, itself included.
 Wall-clock stage timings go to ``timings.json``, which is not listed.  A
 run is staged in ``output_dir/.<run_id>.partial``, cleared first, and
 lands whole: once its manifest is written, on success or stage failure,
@@ -26,70 +26,40 @@ only its sidecar.  Region verdicts take the ``sup-space`` and ``pooled``
 rows of the estimate table, so ``estimator.times`` shapes both the table
 and the verdict; ``estimator.temporal_mode`` steers sweep verdicts only.
 
-Config schema (all sections JSON primitives)::
-
-    {
-      "name": "...",                       # optional label
-      "domain":   {"dimension", "grid_size", "mode_cutoff"},
-      "operator": {"kind": "laplacian", "shift": 0.0}
-                  | {"kind": "varcoef", "name": "<operator preset>"}
-                  | {"kind": "diagonal", "eigenvalues": [...]},
-      "noise":    {"theta", "truncation"},
-      "g":        {"kind": "identity"}
-                  | {"kind": "preset", "name", "m", "q"}
-                  | {"kind": "scalar", "value", "m", "q"}
-                  | {"kind": "table", "values", "m", "q"},
-      "plan":     {"seed" (required), "alpha", "T", "steps", "replicas",
-                   "time_stride", "space_count"},
-      "query":    {"theorem", "d", "q", ...} | null,
-      "sweep":    {"alpha": [...], "slack": 0.03} | null,
-      "estimator": {"temporal_mode", "times", "point_index"},
-      "output_dir": "runs",
-      "persist_trajectories": false,
-      "note": "..."
-    }
-
-``_SECTIONS`` and ``_KINDS`` declare once the required and optional keys
-(with defaults) of each section, and of each ``operator`` and ``g`` kind
-beside its builder; ``domain`` and ``query`` take the fields of
-``SpectralDomain`` and ``RegularityQuery``.  ``from_dict`` refuses a
-section that is not an object (``query`` and ``sweep`` may be null),
-unknown keys and kinds, missing required keys, an unknown temporal mode,
-a non-integer ``plan`` seed, step count, replica count, record
-stride/count, ``noise.truncation`` or ``query.d``, a ``plan.alpha``,
-``plan.T``, ``noise.theta``, ``sweep.slack`` or ``query`` q, p, alpha,
-theta or m that is not a number (bools and null are neither), an
-``estimator.times`` that selects no time (an empty list, or a count that
-is not a positive integer), a ``sweep.alpha`` that is not a list of at
-least two distinct numbers, and a ``persist_trajectories`` that is not
-true or false.  ``run_experiment``'s
-start builds every object and every alpha's plan, each refusing its own
-bad values, reads the plans' record for the estimator indices and (when
-the run will estimate) the short-record refusal, and checks a region
-query's d and fractional alpha against the plans, so every value is
-checked before any directory exists.  The one refusal still left to a
-stage is a plan with one replica over the 256 MiB buffer budget, at
-simulate.
+A config is a JSON object of sections and top-level values.  The key
+table ``_KEYS``, with the ``operator`` and ``g`` kinds of ``_KINDS``, gives
+every key its JSON type and default, and ``from_dict`` refuses, naming the
+key, whatever the table does not admit.  ``run_experiment``'s start builds
+every object and every alpha's plan, each refusing its own bad values,
+refuses a record over ``RECORD_BYTES``, reads the plans' record for the
+estimator indices and (when the run will estimate) the short-record
+refusal, and checks a region query's d and fractional alpha against the
+plans, so every value is checked before any directory exists.  The one
+refusal still left to a stage is a plan with one replica over the 256 MiB
+buffer budget, at simulate.
 """
 
 import contextlib
 import copy
 import hashlib
 import json
+import math
+import os
 import shutil
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional, get_type_hints
 
 import numpy as np
 
 from ._threads import worker_count
-from .convolve import RecordSpec, SimulationPlan, simulate
+from .convolve import RECORD_BYTES, RecordSpec, SimulationPlan, simulate
 from .noise import GProcess, g_preset, make_cameron_martin, validate_noise_hypotheses
 from .presets import get_preset, list_presets, operator_preset
 from .regularity import (
     _MIN_SAMPLES,
+    Rational,
     RegularityQuery,
     _check_provenance,
     _confront_region,
@@ -122,84 +92,62 @@ __all__ = [
     "export_plotdata", "region_csv", "list_presets", "get_preset",
 ]
 
-def _field_keys(cls) -> tuple:
-    """(required keys, {optional key: default}) of a dataclass's fields."""
-    return ([f.name for f in fields(cls) if f.default is MISSING],
-            {f.name: f.default for f in fields(cls)
-             if f.default is not MISSING})
+
+class _Type(NamedTuple):
+    """A JSON type of config values: its name, test and refusal."""
+
+    name: str
+    holds: Callable[[object], bool]
+    refusal: str = "config keys need {name} values, got {path}={value!r}"
+
+    def check(self, path: str, value) -> None:
+        if not self.holds(value):
+            raise ValueError(self.refusal.format(name=self.name, path=path,
+                                                 value=value))
 
 
-# section -> (required keys, {optional key: default})
-_SECTIONS = {
-    "domain": _field_keys(SpectralDomain),
-    "noise": (["theta", "truncation"], {}),
-    "plan": (["seed"], {"alpha": 2.0, "T": 1.0, "steps": 4096, "replicas": 8,
-                        "time_stride": 1, "space_count": 64}),
-    "query": _field_keys(RegularityQuery),
-    "sweep": (["alpha"], {"slack": 0.03}),
-    "estimator": ([], {"temporal_mode": "pointwise", "times": None,
-                       "point_index": None}),
-}
-_TEMPORAL_MODES = ("pointwise", "sup-space")  # of estimator.temporal_mode
-# (section, key) pairs whose values, where given, must be JSON integers,
-# and those that must be JSON numbers; bools and null are neither
-_INTEGERS = (*(("plan", key) for key in ("seed", "steps", "replicas",
-                                         "time_stride", "space_count")),
-             ("noise", "truncation"), ("query", "d"))
-_NUMBERS = (("plan", "alpha"), ("plan", "T"), ("noise", "theta"),
-            ("sweep", "slack"),
-            *(("query", key) for key in ("q", "p", "alpha", "theta", "m")))
-# section -> kind -> (required keys, {optional key: default}, builder).  A
-# builder takes the kind's keys (an operator's the domain section first)
-# and looks its callees up in this module when called, so perfbench's
-# tracer patches here bind.
-_KINDS = {
-    "operator": {
-        "laplacian": ([], {"shift": 0.0}, lambda domain, shift:
-                      build_laplacian_system(SpectralDomain(**domain),
-                                             shift=float(shift))),
-        "varcoef": (["name"], {}, lambda domain, name:
-                    build_variable_coefficient_system(
-                        SpectralDomain(**domain), operator_preset(name))),
-        "diagonal": (["eigenvalues"], {}, lambda domain, eigenvalues:
-                     diagonal_system(np.asarray(eigenvalues, dtype=float))),
-    },
-    "g": {
-        "identity": ([], {}, GProcess.identity),
-        "preset": (["name", "m", "q"], {}, lambda name, m, q:
-                   g_preset(name, float(m), float(q))),
-        "scalar": (["value", "m", "q"], {}, lambda value, m, q:
-                   GProcess.multiplication(float(value), m=float(m),
-                                           q=float(q))),
-        "table": (["values", "m", "q"], {}, lambda values, m, q:
-                  GProcess.from_table(np.asarray(values, dtype=float),
-                                      m=float(m), q=float(q))),
-    },
-}
+def _list_of(item: _Type, name: str) -> _Type:
+    return _Type(name, lambda value: isinstance(value, (list, tuple))
+                 and all(map(item.holds, value)))
 
 
-def _keys(name: str, section: dict) -> tuple:
-    """(required keys, {optional key: default}) of config section ``name``;
-    those of ``operator`` and ``g`` follow the section's kind."""
-    if name not in _KINDS:
-        return _SECTIONS[name]
-    kind = section.get("kind")
-    if kind not in _KINDS[name]:
-        raise ValueError(f"unknown {name}.kind {kind!r}; "
-                         f"known: {sorted(_KINDS[name])}")
-    required, optional, _ = _KINDS[name][kind]
-    return ["kind", *required], optional
+def _nullable(kind: _Type) -> _Type:
+    return kind._replace(holds=lambda v: v is None or kind.holds(v))
 
 
-def _resolved(name: str, section: dict) -> dict:
-    """Config section ``name`` over the defaults of its optional keys."""
-    return {**_keys(name, section)[1], **section}
+def _one_of(*choices: str) -> _Type:
+    known = sorted(choices)
+    return _Type(str(known), lambda value: value in known,
+                 "unknown {path} {value!r}; known: {name}")
 
 
-def _build(name: str, section: dict, *args):
-    """The object that an ``operator`` or ``g`` section describes."""
-    keys = _resolved(name, section)
-    return _KINDS[name][keys.pop("kind")][2](*args, **keys)
+# exact types: a bool is neither an integer nor a number
+_INTEGER = _Type("integer", lambda value: type(value) is int)
+_NUMBER = _Type("number", lambda value: type(value) in (int, float))
+_STRING = _Type("string", lambda value: type(value) is str)
+_OBJECT = _Type("object", lambda value: type(value) is dict)
+_NUMBER_LIST = _list_of(_NUMBER, "number list")
+# the refusal of the types named by a phrase rather than a noun
+_NEEDS = "config key {path} needs {name}, got {value!r}"
+_BOOL = _Type("true or false", lambda value: type(value) is bool, _NEEDS)
+_ALPHAS = _Type("a list of at least two distinct numbers",
+                lambda value: _NUMBER_LIST.holds(value) and len(value) > 1
+                and len(set(value)) == len(value), _NEEDS)
+_TIMES = _Type("integer or integer list", lambda value: _INTEGER.holds(value)
+               or isinstance(value, (list, tuple))
+               and all(map(_INTEGER.holds, value)))
+# the JSON types of the dataclass field annotations that config keys take
+_ANNOTATED = {int: _INTEGER, Rational: _NUMBER, str: _STRING, bool: _BOOL,
+              dict: _OBJECT, Optional[Rational]: _nullable(_NUMBER),
+              Optional[dict]: _nullable(_OBJECT)}
+
+
+def _typed(cls) -> dict:
+    """{field: (JSON type, default)} of a dataclass, by its annotations."""
+    hints = get_type_hints(cls)
+    return {f.name: (_ANNOTATED[hints[f.name]], f.default
+                     if f.default_factory is MISSING else f.default_factory())
+            for f in fields(cls)}
 
 
 class StageError(RuntimeError):
@@ -289,68 +237,43 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        needed = ("domain", "noise", "plan")
-        for name in needed:
-            if not isinstance(raw.get(name), dict):
-                raise ValueError(f"config needs a {name!r} section")
-        nullable = {f.name for f in fields(cls) if f.default is None}
-        for name in (*_SECTIONS, *_KINDS):
-            value = raw.get(name)
-            if name in raw and not isinstance(value, dict) \
-                    and not (value is None and name in nullable):
-                raise ValueError(f"config section {name!r} must be an "
-                                 f"object, got {value!r}")
-        sections = {name: dict(raw[name]) for name in (*_SECTIONS, *_KINDS)
-                    if raw.get(name) or name in needed}
-        top = {f.name for f in fields(cls)} | {"description"}
-        unknown, missing = sorted(set(raw) - top), []
+        """``raw`` checked against the key table, its sections kept as given
+        (``plan`` over its defaults)."""
+        unknown, missing = [], []
+
+        def walk(name: Optional[str], section: dict) -> None:
+            prefix = "" if name is None else f"{name}."
+            keys = _keys(name, section)
+            unknown.extend(sorted(prefix + key for key in section
+                                  if key not in keys))
+            for key, (kind, default) in keys.items():
+                if key in section:
+                    kind.check(prefix + key, section[key])
+                elif default is MISSING:
+                    missing.append(prefix + key)
+
+        walk(None, raw)
+        sections = {name: dict(value) for name, value in raw.items()
+                    if (name in _KEYS or name in _KINDS)
+                    and _OBJECT.holds(value)}
+        # a selection of no time is refused in the estimators' own words
+        _refuse_no_times("estimator.times",
+                         sections.get("estimator", {}).get("times"))
         for name, section in sections.items():
-            required, optional = _keys(name, section)
-            unknown += sorted(f"{name}.{key}" for key in section
-                              if key not in required and key not in optional)
-            missing += [f"{name}.{key}" for key in required
-                        if key not in section]
-        if unknown:
-            raise ValueError(f"unknown config keys: {unknown}")
-        if missing:
-            raise ValueError(f"missing config keys: {missing}")
-        estimator = _resolved("estimator", sections.get("estimator", {}))
-        mode = estimator["temporal_mode"]
-        if mode not in _TEMPORAL_MODES:
-            raise ValueError(f"unknown estimator.temporal_mode {mode!r}; "
-                             f"known: {list(_TEMPORAL_MODES)}")
+            walk(name, section)
+        for keys, what in ((unknown, "unknown"), (missing, "missing")):
+            if keys:
+                raise ValueError(f"{what} config keys: {keys}")
+        if {"/", os.sep} & set(raw.get("name", "")):
+            raise ValueError("config key name needs a plain path component, "
+                             f"got {raw['name']!r}")
         sections["plan"] = _resolved("plan", sections["plan"])
-        for kind, keys, types in (("integer", _INTEGERS, (int,)),
-                                  ("number", _NUMBERS, (int, float))):
-            bad = [f"{name}.{key}={sections[name][key]!r}"
-                   for name, key in keys
-                   if key in sections.get(name, ())
-                   and type(sections[name][key]) not in types]
-            if bad:
-                raise ValueError(f"config keys need {kind} values, got "
-                                 + ", ".join(bad))
-        _refuse_no_times("estimator.times", estimator["times"])
-        if "sweep" in sections:
-            alphas = sections["sweep"]["alpha"]
-            numbers = isinstance(alphas, (list, tuple)) and all(
-                isinstance(a, (int, float)) and not isinstance(a, bool)
-                for a in alphas)
-            if not numbers or len(alphas) < 2 \
-                    or len(set(alphas)) < len(alphas):
-                raise ValueError("config key sweep.alpha needs a list of at "
-                                 "least two distinct numbers, got "
-                                 f"{alphas!r}")
-        persist = raw.get("persist_trajectories", False)
-        if type(persist) is not bool:
-            raise ValueError("config key persist_trajectories needs true or "
-                             f"false, got {persist!r}")
-        # the other fields are scalars, cast to their declared types
-        return cls(**sections, **{f.name: f.type(raw[f.name])
-                                  for f in fields(cls)
-                                  if f.type in (str, bool) and f.name in raw})
+        return cls(**{f.name: sections.get(f.name, raw[f.name])
+                      for f in fields(cls) if f.name in raw})
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The experiment: every field but ``output_dir``, where it lands."""
+        return {k: v for k, v in asdict(self).items() if k != "output_dir"}
 
     @property
     def run_id(self) -> str:
@@ -358,6 +281,76 @@ class ExperimentConfig:
                            separators=(",", ":"))
         digest = hashlib.sha1(canon.encode("utf-8")).hexdigest()[:10]
         return f"{self.name}-{digest}"
+
+
+# The key table: config section -> key -> (JSON type, default), where
+# MISSING marks a required key.  None is the top level, whose sections are
+# the other entries and those of _KINDS.
+_KEYS = {
+    None: {**_typed(ExperimentConfig), "description": (_STRING, "")},
+    "domain": _typed(SpectralDomain),
+    "noise": {"theta": (_NUMBER, MISSING), "truncation": (_INTEGER, MISSING)},
+    "plan": {"seed": (_INTEGER, MISSING), "alpha": (_NUMBER, 2.0),
+             "T": (_NUMBER, 1.0), "steps": (_INTEGER, 4096),
+             "replicas": (_INTEGER, 8), "time_stride": (_INTEGER, 1),
+             "space_count": (_INTEGER, 64)},
+    "query": _typed(RegularityQuery),
+    "sweep": {"alpha": (_ALPHAS, MISSING), "slack": (_NUMBER, 0.03)},
+    "estimator": {
+        "temporal_mode": (_one_of("pointwise", "sup-space"), "pointwise"),
+        "times": (_nullable(_TIMES), None),
+        "point_index": (_nullable(_INTEGER), None)},
+}
+_EXPONENTS = {"m": (_NUMBER, MISSING), "q": (_NUMBER, MISSING)}  # of a g
+# section -> kind -> (keys as in _KEYS, builder).  A builder takes the
+# kind's keys (an operator's the domain section first) and looks its callees
+# up in this module when called, so perfbench's tracer patches here bind.
+_KINDS = {
+    "operator": {
+        "laplacian": ({"shift": (_NUMBER, 0.0)}, lambda domain, shift:
+                      build_laplacian_system(SpectralDomain(**domain),
+                                             shift=shift)),
+        "varcoef": ({"name": (_STRING, MISSING)}, lambda domain, name:
+                    build_variable_coefficient_system(
+                        SpectralDomain(**domain), operator_preset(name))),
+        "diagonal": ({"eigenvalues": (_NUMBER_LIST, MISSING)},
+                     lambda domain, eigenvalues: diagonal_system(eigenvalues)),
+    },
+    "g": {
+        "identity": ({}, GProcess.identity),
+        "preset": ({"name": (_STRING, MISSING), **_EXPONENTS}, g_preset),
+        "scalar": ({"value": (_NUMBER, MISSING), **_EXPONENTS},
+                   lambda value, m, q: GProcess.multiplication(value, m=m,
+                                                               q=q)),
+        "table": ({"values": (_list_of(_NUMBER_LIST, "2-d number list"),
+                              MISSING), **_EXPONENTS}, lambda values, m, q:
+                  GProcess.from_table(values, m=m, q=q)),
+    },
+}
+
+
+def _keys(name: Optional[str], section: dict) -> dict:
+    """{key: (JSON type, default)} of config section ``name`` (None: the top
+    level); those of ``operator`` and ``g`` follow the section's kind,
+    checked first."""
+    if name not in _KINDS:
+        return _KEYS[name]
+    kind = _one_of(*_KINDS[name])
+    kind.check(f"{name}.kind", section.get("kind"))
+    return {"kind": (kind, MISSING), **_KINDS[name][section["kind"]][0]}
+
+
+def _resolved(name: str, section: dict) -> dict:
+    """Config section ``name`` over the defaults of its optional keys."""
+    return {**{key: default for key, (_, default)
+               in _keys(name, section).items() if default is not MISSING},
+            **section}
+
+
+def _build(name: str, section: dict, *args):
+    """The object that an ``operator`` or ``g`` section describes."""
+    keys = _resolved(name, section)
+    return _KINDS[name][keys.pop("kind")][1](*args, **keys)
 
 
 @dataclass
@@ -504,8 +497,7 @@ def run_experiment(config, workers: Optional[int] = None,
     workers = worker_count(workers)
     t0 = time.perf_counter()
     system = _build("operator", config.operator, config.domain)
-    noise = make_cameron_martin(system.domain, float(config.noise["theta"]),
-                                int(config.noise["truncation"]))
+    noise = make_cameron_martin(system.domain, **config.noise)
     G = _build("g", config.g)
     query = RegularityQuery(**config.query) if config.query else None
     if query is not None and query.theorem == "colored":
@@ -524,6 +516,11 @@ def run_experiment(config, workers: Optional[int] = None,
         replicas=plan["replicas"],
         record=RecordSpec(plan["time_stride"], plan["space_count"]))
         for alpha in alphas]
+    record = 8 * math.prod(plans[0].record_shape)  # float64 values
+    if record > RECORD_BYTES:
+        raise ValueError(f"the record needs {record} bytes, over RECORD_BYTES "
+                         f"= {RECORD_BYTES}; shrink plan.replicas, "
+                         "plan.time_stride or plan.space_count")
     n_times, per_axis = plans[0].record.shape(system.domain.grid_size,
                                               plan["steps"])
     estimator = _resolved("estimator", config.estimator)

@@ -1,5 +1,7 @@
 import collections
+import copy
 import gc
+import importlib.util
 import json
 import os
 import re
@@ -7,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import weakref
+from dataclasses import MISSING
 from pathlib import Path
 
 import numpy as np
@@ -296,9 +299,11 @@ def test_estimator_indices_follow_the_record(tmp_path, plan, inside,
     cfg = small_config(tmp_path / "inside")
     cfg["plan"].update(plan)
     run_experiment(dict(cfg, estimator=inside), workers=1, until="simulate")
-    # an index outside the record, or a list or count of no time
+    # an index outside the record, a list or count of no time, or a value
+    # that is no integer
     message = "selects no time" if outside.get("times") in ([], 0) \
-        else "not an index into"
+        else "config keys need integer" if outside in (
+            {"point_index": 1.5}, {"times": [True]}) else "not an index into"
     out = tmp_path / "outside"
     with pytest.raises(ValueError, match=message):
         run_experiment(dict(cfg, estimator=outside, output_dir=str(out)),
@@ -328,7 +333,7 @@ def test_plan_integers_refused_before_any_stage(tmp_path, key, value):
 def test_sections_must_be_objects(tmp_path, section, value):
     cfg = every_section_config(tmp_path)
     cfg[section] = value
-    message = f"config section '{section}' must be an object"
+    message = f"config keys need object values, got {section}="
     with pytest.raises(ValueError, match=message):
         ExperimentConfig.from_dict(cfg)
     with pytest.raises(ValueError, match=message):
@@ -340,17 +345,126 @@ def test_sections_must_be_objects(tmp_path, section, value):
     assert config.query is None and config.sweep is None
 
 
+# one JSON value of each kind; the walk below feeds every key of the key
+# table each of them that its type does not admit
+JSON_SAMPLES = (True, 1, 2.5, "x", None, [], [1, 2.5], [[2.5]], {})
+
+
+def _admitted(keys: dict) -> dict:
+    """The required keys of a key-table section, each at the first JSON
+    sample its type admits (None where none is)."""
+    return {key: next((v for v in JSON_SAMPLES if kind.holds(v)), None)
+            for key, (kind, default) in keys.items() if default is MISSING}
+
+
+def _walked_keys() -> dict:
+    """{key path: (type, config)} of every key of the key table, the
+    operator and g kinds' included.  ``config`` holds every required key,
+    and the key's section with its kind, at values their types admit."""
+    base = _admitted(harness._KEYS[None])
+    for name in base:
+        base[name] = _admitted(harness._KEYS[name])
+    sections = [(name, keys, {}) for name, keys in harness._KEYS.items()]
+    sections += [(name, harness._keys(name, {"kind": kind}), {"kind": kind})
+                 for name, kinds in harness._KINDS.items() for kind in kinds]
+    walked = {}
+    for name, keys, kind in sections:
+        config = copy.deepcopy(base)
+        if name is not None:
+            config[name] = {**_admitted(keys), **kind}
+        for key, (key_type, _) in keys.items():
+            walked[key if name is None else f"{name}.{key}"] = (key_type,
+                                                                 config)
+    return walked
+
+
+WALKED_KEYS = _walked_keys()
+
+
+@pytest.mark.parametrize("path", sorted(WALKED_KEYS))
+def test_every_key_refuses_every_other_json_kind(tmp_path, capsys,
+                                                 monkeypatch, path):
+    # taken from the key table, so a key added later is walked too
+    key_type, config = WALKED_KEYS[path]
+    section, _, key = path.rpartition(".")
+    monkeypatch.chdir(tmp_path)
+    refused = [value for value in JSON_SAMPLES if not key_type.holds(value)]
+    assert refused, f"{path} admits every JSON kind"
+    for value in refused:
+        cfg = copy.deepcopy(config)
+        (cfg[section] if section else cfg)[key] = value
+        Path("cfg.json").write_text(json.dumps(cfg))
+        code, _, err = run_cli(["run", "--config", "cfg.json"], capsys)
+        assert (code, path in err) == (4, True), (value, err)
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+# the overrides of the runs CI's console-script step expects to run
+CI_RUNS = [
+    ("fractional-alpha-sweep", [
+        "domain.grid_size=127", "domain.mode_cutoff=64",
+        "noise.truncation=64", "plan.steps=1024", "plan.replicas=2",
+        "sweep.alpha=[2.0,1.0]"]),
+    ("laplacian-d1", ["plan.steps=48"]),
+    ("laplacian-d1", ["plan.steps=1024", "plan.replicas=2"]),
+    ("fractional-alpha-sweep", [
+        "domain.grid_size=255", "domain.mode_cutoff=128",
+        "noise.truncation=128", "plan.space_count=64", "plan.steps=1024",
+        "plan.replicas=2", "sweep.alpha=[1.0,2.0]"]),
+]
+
+
+def test_presets_and_shipped_overrides_pass_the_key_table(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "perfbench"
+        / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    runs = [(name, []) for name, _ in list_presets()] + CI_RUNS + [
+        (wl.preset, wl.overrides_for(0, tmp_path))
+        for wl in workloads.WORKLOADS.values()]
+    for preset, overrides in runs:
+        ExperimentConfig.from_dict(resolve_config(preset,
+                                                  overrides=overrides))
+
+
 def test_preset_run_ids_are_pinned():
     # the run id hashes the stored config, so it pins manifest.json too
     assert {name: ExperimentConfig.from_dict(get_preset(name)).run_id
             for name, _ in list_presets()} == {
-        "laplacian-d1": "laplacian-d1-45b35f93e7",
-        "laplacian-d2": "laplacian-d2-28b88d089f",
-        "varcoef-d1": "varcoef-d1-832209c130",
-        "heat-white-d1-baseline": "heat-white-d1-baseline-056698cc40",
-        "colored-d1-thm31": "colored-d1-thm31-0338a1a124",
-        "fractional-alpha-sweep": "fractional-alpha-sweep-77ed373049",
+        "laplacian-d1": "laplacian-d1-2ebb5b8a5c",
+        "laplacian-d2": "laplacian-d2-22c4d7a648",
+        "varcoef-d1": "varcoef-d1-6c5f988797",
+        "heat-white-d1-baseline": "heat-white-d1-baseline-4ff4e051dd",
+        "colored-d1-thm31": "colored-d1-thm31-d3e47b14af",
+        "fractional-alpha-sweep": "fractional-alpha-sweep-9bbeae455d",
     }
+
+
+def test_run_id_and_manifest_leave_out_the_output_dir(tmp_path):
+    # one experiment run into two directories, on one and on two threads
+    cfg = small_config(tmp_path)
+    cfg["plan"].update({"steps": 512, "replicas": 2})
+    run_ids = {workers: run_experiment(
+        dict(cfg, output_dir=str(tmp_path / f"workers-{workers}")),
+        workers=workers).run_id for workers in (1, 2)}
+    assert run_ids[1] == run_ids[2]
+    for name in ("manifest.json", "estimates.csv", "verdict.json"):
+        first, second = ((tmp_path / f"workers-{workers}" / run_ids[workers]
+                          / name).read_bytes() for workers in (1, 2))
+        assert first == second, name
+
+
+def test_every_preset_record_fits_the_limit():
+    for name, _ in list_presets():
+        cfg = ExperimentConfig.from_dict(get_preset(name))
+        plan, domain = cfg.plan, cfg.domain
+        n_times, per_axis = convolve.RecordSpec(
+            plan["time_stride"], plan["space_count"]).shape(
+                domain["grid_size"], plan["steps"])
+        record = 8 * plan["replicas"] * n_times \
+            * per_axis ** domain["dimension"]
+        assert record <= convolve.RECORD_BYTES, name
 
 
 def test_run_id_tracks_content(tmp_path):
@@ -1104,7 +1218,7 @@ def test_cli_hypothesis_failure_exits_3(tmp_path, capsys):
     (["--preset", "laplacian-d1", "--set", "noise.truncation=12.5"],
      "need integer values, got noise.truncation=12.5"),
     (["--preset", "laplacian-d1", "--set", "domain.grid_size=1.5"],
-     "grid_size must be an integer, got 1.5"),
+     "need integer values, got domain.grid_size=1.5"),
     (["--preset", "fractional-alpha-sweep", "--set", "sweep.slack=true"],
      "need number values, got sweep.slack=True"),
     (["--preset", "fractional-alpha-sweep", "--set", "sweep.slack=x"],
@@ -1117,6 +1231,25 @@ def test_cli_hypothesis_failure_exits_3(tmp_path, capsys):
      "need number values, got query.p='4'"),
     (["--preset", "laplacian-d1", "--set", "query.q=null"],
      "need number values, got query.q=None"),
+    # a cast would run these at shift 1, and call q = 1 a violated hypothesis
+    (["--preset", "laplacian-d1", "--set", "operator.shift=true"],
+     "need number values, got operator.shift=True"),
+    (["--preset", "colored-d1-thm31", "--set", "g.q=true"],
+     "need number values, got g.q=True"),
+    (["--preset", "laplacian-d1", "--set", "output_dir=null"],
+     "need string values, got output_dir=None"),
+    (["--preset", "laplacian-d1", "--set", 'name="a/b"'],
+     "config key name needs a plain path component, got 'a/b'"),
+    # refused by arithmetic on the plan's record shape, allocating nothing
+    (["--preset", "laplacian-d1", "--set", "plan.replicas=1000000"],
+     "the record needs 4195328000000 bytes, over RECORD_BYTES = 1073741824; "
+     "shrink plan.replicas, plan.time_stride or plan.space_count"),
+    (["--preset", "laplacian-d1", "--set", "estimator.point_index=-1"],
+     r"estimator.point_index \[-1\]: not an index"),
+    (["--preset", "laplacian-d1", "--set", "estimator.times=[]"],
+     r"estimator.times \[\]: selects no time"),
+    (["--preset", "fractional-alpha-sweep", "--set", "sweep.alpha=[]"],
+     "sweep.alpha needs a list of at least two distinct numbers"),
 ])
 def test_cli_bad_value_exits_4_before_any_directory(
         tmp_path, capsys, monkeypatch, flags, message):
