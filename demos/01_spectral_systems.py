@@ -2,15 +2,14 @@
 
 Builds the Dirichlet Laplacian in one and two dimensions plus a
 variable-coefficient operator, then sanity-checks the pieces the rest of
-the package leans on: eigenvalue growth, projection/synthesis round
-trips, and semigroup decay.
+the package leans on: eigenvalue growth and projection/synthesis round
+trips.
 """
 import numpy as np
 
 from hspde import (
     EllipticOperatorSpec,
     SpectralDomain,
-    apply_semigroup,
     build_laplacian_system,
     build_variable_coefficient_system,
     project,
@@ -31,13 +30,6 @@ coeffs[2] = 1.0
 field = synthesize(lap, coeffs)
 back = project(lap, field)
 print("  round-trip error on mode 3:", f"{np.abs(back - coeffs).max():.2e}")
-
-# the semigroup damps mode k by exp(-lambda_k t)
-decayed = apply_semigroup(lap, 0.1, field)
-expected = np.exp(-lap.eigenvalues[2] * 0.1)
-ratio = decayed[dom.grid_size // 2] / field[dom.grid_size // 2]
-print(f"  semigroup damping at t=0.1: {ratio:.6f} vs exp(-lambda t) "
-      f"{expected:.6f}")
 
 # two dimensions: tensor modes, eigenvalues are sums of axis eigenvalues
 dom2 = SpectralDomain(dimension=2, grid_size=31, mode_cutoff=4)

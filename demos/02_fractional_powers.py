@@ -16,7 +16,6 @@ from hspde import (
     frac_power_quadrature,
     synthesize,
 )
-from hspde.fracpow import domain_norm
 
 sys = build_laplacian_system(SpectralDomain(1, 63, 16))
 rng = np.random.default_rng(1)
@@ -39,9 +38,3 @@ via_two = frac_power_quadrature(sys, 0.3, frac_power_quadrature(sys, 0.45, x))
 direct = frac_power_quadrature(sys, 0.75, x)
 print("\ncomposition A^-0.3 A^-0.45 vs A^-0.75:",
       f"{np.abs(via_two - direct).max():.3e}")
-
-# the graph norm of a fractional domain weights mode k by lambda_k^delta
-print("\nfractional domain norms of a fixed field:")
-for delta in (0.0, 0.25, 0.5):
-    print(f"  delta={delta}: {domain_norm(sys, delta, x):.4f}")
-print("(growing in delta: rougher norms punish high modes harder)")

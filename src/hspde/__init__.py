@@ -16,14 +16,12 @@ from .spectral import (
     diagonal_system,
     project,
     synthesize,
-    apply_semigroup,
 )
 from .fracpow import (
     FracPowerRequest,
     frac_power_eigen,
     frac_power_quadrature,
     balakrishnan_forward,
-    domain_norm,
 )
 from .gamma_radon import (
     FiniteRankOperator,
@@ -38,17 +36,14 @@ from .noise import (
     g_preset,
     make_cameron_martin,
     sample_wiener_increments,
-    apply_G,
     validate_noise_hypotheses,
 )
 from .convolve import (
     SimulationPlan,
     RecordSpec,
     TrajectoryEnsemble,
-    MqNormEstimate,
     simulate,
     simulate_from_increments,
-    mean_mq_norm,
     predicted_second_moment,
 )
 from .regularity import (

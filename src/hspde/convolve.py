@@ -89,13 +89,12 @@ residue is an error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .spectral import EigenSystem, _grid_norm, _principal_power, _realify
+from .spectral import EigenSystem, _principal_power, _realify
 from .noise import CameronMartinSpec, GProcess, _WienerStreams
 from ._threads import map_threads, worker_count
 
@@ -103,10 +102,8 @@ __all__ = [
     "RecordSpec",
     "SimulationPlan",
     "TrajectoryEnsemble",
-    "MqNormEstimate",
     "simulate",
     "simulate_from_increments",
-    "mean_mq_norm",
     "predicted_second_moment",
 ]
 
@@ -220,15 +217,6 @@ class TrajectoryEnsemble:
     @property
     def replicas(self) -> int:
         return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class MqNormEstimate:
-    """Estimate of (E int_0^T |u(t)|_p^q dt)^(1/q) over the ensemble."""
-
-    value: float
-    std_error: float  # standard error of the mean of the time integrals
-    per_replica: np.ndarray = field(repr=False, default=None)
 
 
 def _record_layout(plan: SimulationPlan):
@@ -625,17 +613,6 @@ def simulate_from_increments(plan: SimulationPlan,
         return lambda b0, b1: increments[start:stop, :, b0:b1]
 
     return _Core.build(plan).run("from-increments", slices, worker_count(None))
-
-
-def mean_mq_norm(ens: TrajectoryEnsemble, p: float, q: float) -> MqNormEstimate:
-    """(E int_0^T |u(t)|_p^q dt)^(1/q) by trapezoid over recorded times."""
-    if p < 1 or q < 1:
-        raise ValueError("p and q must be at least 1")
-    lp = _grid_norm(ens.values, ens.space_weight, p, axis=2)
-    integrals = np.trapezoid(lp**q, ens.time_grid, axis=1)
-    mean = float(integrals.mean())
-    se = float(integrals.std(ddof=1) / math.sqrt(len(integrals))) if len(integrals) > 1 else 0.0
-    return MqNormEstimate(value=mean ** (1.0 / q), std_error=se, per_replica=integrals)
 
 
 def predicted_second_moment(plan: SimulationPlan, at_time: Optional[float] = None) -> float:

@@ -33,7 +33,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .spectral import EigenSystem, project, synthesize, _grid_norm, \
-    _mode_calculus, _principal_power, _real_result
+    _principal_power, _realify
 
 __all__ = [
     "FracPowerRequest",
@@ -41,7 +41,6 @@ __all__ = [
     "frac_power_eigen",
     "frac_power_quadrature",
     "balakrishnan_forward",
-    "domain_norm",
 ]
 
 #: terms of the geometric expansion added back for each integrand tail
@@ -87,10 +86,21 @@ class QuadratureError(RuntimeError):
         self.fine = fine
 
 
+def _real_result(out: np.ndarray, values, z: complex) -> np.ndarray:
+    """The realness rule of both routes: real ``values`` under a real
+    exponent give a real result, whose imaginary residue must stay within
+    IMAG_TOL; anything else is returned as computed."""
+    if not np.iscomplexobj(values) and complex(z).imag == 0.0:
+        return _realify(out)
+    return out
+
+
 def frac_power_eigen(system: EigenSystem, z: complex, values: np.ndarray) -> np.ndarray:
-    """A^z acting on the resolved modes via the exact functional calculus."""
-    return _mode_calculus(system, _principal_power(system.eigenvalues, z),
-                          values, z)
+    """A^z acting on the resolved modes via the exact functional calculus:
+    project, scale mode k by lambda_k^z, synthesise."""
+    factors = _principal_power(system.eigenvalues, z)
+    return _real_result(synthesize(system, project(system, values) * factors),
+                        values, z)
 
 
 def _panels(lo: float, hi: float, total_nodes: int):
@@ -211,22 +221,3 @@ def balakrishnan_forward(
     return _quadrature_apply(
         system, z, values, request, _forward_power_factors, return_error
     )
-
-
-def domain_norm(system: EigenSystem, delta: float, values: np.ndarray, p: float = 2.0) -> float:
-    """Graph-type norm |x|_p + |A^delta x|_p on the grid.
-
-    The fractional power uses the exact eigen route; ``p`` is the ambient
-    integrability exponent of the state space.
-    """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    w = system.weight
-    x = np.asarray(values)
-    ax = frac_power_eigen(system, delta, x)
-    out = float(_grid_norm(x, w, p)) + float(_grid_norm(ax, w, p))
-    if not np.isfinite(out):
-        raise ValueError("domain norm is not finite")
-    return out

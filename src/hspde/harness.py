@@ -203,7 +203,11 @@ def resolve_config(preset: Optional[str] = None,
     if config_file is not None:
         with open(config_file, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
+        if not _OBJECT.holds(loaded):
+            raise ValueError(f"config file {config_file} must hold a JSON "
+                             f"object, got {type(loaded).__name__}")
         if "preset" in loaded:
+            _STRING.check("preset", loaded["preset"])
             base = get_preset(loaded.pop("preset"))
             loaded = _deep_merge(base, loaded)
         merged = _deep_merge(merged, loaded)

@@ -46,7 +46,6 @@ __all__ = [
     "GProcess",
     "make_cameron_martin",
     "sample_wiener_increments",
-    "apply_G",
     "validate_noise_hypotheses",
     "g_preset",
 ]
@@ -406,30 +405,6 @@ def sample_wiener_increments(
     out = np.empty((spec.truncation, streams.steps))
     streams.fill(out[None])
     return out
-
-
-def apply_G(
-    G: GProcess,
-    spec: CameronMartinSpec,
-    t_index: int,
-    coeffs: np.ndarray,
-    time: float = 0.0,
-) -> np.ndarray:
-    """Map H-coefficients through G at one time: grid values of G y.
-
-    For the identity kind this is the weighted synthesis; for the
-    multiplication kind the synthesis is multiplied pointwise by g(t, xi).
-    """
-    coeffs = np.asarray(coeffs)
-    if coeffs.shape[-1] != spec.truncation:
-        raise ValueError(
-            f"{coeffs.shape[-1]} coefficients for truncation {spec.truncation}"
-        )
-    values = coeffs @ spec.synthesis
-    gvals = G.values_at(spec.domain, t_index, time)
-    if gvals is not None:
-        values = values * gvals
-    return values
 
 
 def _clause(name, ok, detail):

@@ -3,7 +3,7 @@
 The simulator works entirely in eigencoordinates: an operator is carried
 around as an ``EigenSystem`` (eigenvalues, grid-sampled eigenmodes and a
 bi-orthogonal dual system), and everything downstream (fractional powers,
-semigroups, stochastic convolutions) is a diagonal action on the projected
+stochastic convolutions) is a diagonal action on the projected
 coefficients.
 
 Two constructions are provided:
@@ -22,6 +22,11 @@ Grid convention: M interior points per axis, xi_j = j/(M+1), and the grid
 L^2 inner product uses the midpoint weight (M+1)^(-d) per point.  With that
 weight the sampled sine modes are exactly orthonormal; ``_grid_norm`` is
 its L^p norm, and ``_uniform_step`` the uniform-grid rule of every module.
+
+The helpers shared across modules live here too: ``_principal_power`` is
+the one lambda^z (principal branch) behind both the drift exponents of a
+simulation plan and ``fracpow``'s eigen route, and ``_realify`` drops an
+imaginary residue within IMAG_TOL and refuses a larger one.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ __all__ = [
     "diagonal_system",
     "project",
     "synthesize",
-    "apply_semigroup",
 ]
 
 #: shift margin used when a supplied shift fails to make the spectrum positive
@@ -475,37 +479,3 @@ def _principal_power(lam: np.ndarray, z: complex) -> np.ndarray:
     if np.abs(mu.imag).max() <= IMAG_TOL * np.abs(mu.real).max():
         return mu.real
     return mu
-
-
-def _real_result(out: np.ndarray, values, z: complex) -> np.ndarray:
-    """The realness rule of every lambda^z calculus: real ``values`` under
-    a real exponent give a real result, whose imaginary residue must stay
-    within IMAG_TOL; anything else is returned as computed."""
-    if not np.iscomplexobj(values) and complex(z).imag == 0.0:
-        return _realify(out)
-    return out
-
-
-def _mode_calculus(system: EigenSystem, factors: np.ndarray, values,
-                   z: complex) -> np.ndarray:
-    """f(A) on the resolved modes: project ``values``, scale mode k by
-    ``factors[k]`` = f(lambda_k), synthesise, and apply the realness rule
-    of the exponent ``z`` that f is built from."""
-    out = synthesize(system, project(system, values) * factors)
-    return _real_result(out, values, z)
-
-
-def apply_semigroup(
-    system: EigenSystem, t: float, values: np.ndarray, power: float = 1.0
-) -> np.ndarray:
-    """Analytic semigroup action exp(-t A^power) on the resolved modes.
-
-    ``t = 0`` returns the spectral projection of ``values`` onto the mode
-    span.  ``power`` lets callers use the fractional-drift semigroup
-    exp(-t A^(alpha/2)) with the same machinery; the default is the plain
-    semigroup of the generator.
-    """
-    if t < 0:
-        raise ValueError("semigroup time must be nonnegative")
-    decay = np.exp(-t * _principal_power(system.eigenvalues, power))
-    return _mode_calculus(system, decay, values, power)

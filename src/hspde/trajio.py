@@ -141,6 +141,8 @@ def export_trajectories_csv(ens: TrajectoryEnsemble, path: str,
     Meant for plotting small ensembles; refuses payloads beyond
     2e6 cells (use the binary container for those).
     """
+    if max_replicas is not None and max_replicas < 1:
+        raise ValueError(f"max_replicas must be at least 1, got {max_replicas}")
     n_rep = ens.replicas if max_replicas is None else min(max_replicas, ens.replicas)
     n_cells = n_rep * ens.values.shape[1] * ens.values.shape[2]
     if n_cells > CSV_CELL_LIMIT:

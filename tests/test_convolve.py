@@ -29,7 +29,6 @@ from hspde.convolve import (
     SimulationPlan,
     simulate,
     simulate_from_increments,
-    mean_mq_norm,
     predicted_second_moment,
 )
 from hspde.noise import sample_wiener_increments
@@ -390,41 +389,6 @@ def test_refinement_shrinks_freezing_bias():
     assert 1.7 < gap1 / gap2 < 2.3
     assert 1.7 < gap2 / gap3 < 2.3
     assert abs(gap3) / p[512] < 0.01
-
-
-# ----- norms over the ensemble ----------------------------------------------
-
-
-def test_mean_mq_norm_zero_ensemble():
-    g = GProcess.multiplication(0.0, m=8.0, q=16.0)
-    est = mean_mq_norm(simulate(small_plan(g, replicas=2)), p=2.0, q=2.0)
-    assert est.value == 0.0
-
-
-def test_mean_mq_norm_exact_doubling():
-    a = mean_mq_norm(
-        simulate(small_plan(GProcess.multiplication(1.0, 8.0, 16.0), seed=31)),
-        p=2.0, q=2.0,
-    )
-    b = mean_mq_norm(
-        simulate(small_plan(GProcess.multiplication(2.0, 8.0, 16.0), seed=31)),
-        p=2.0, q=2.0,
-    )
-    assert b.value == 2.0 * a.value
-
-
-def test_mean_mq_norm_matches_closed_form():
-    # p = q = 2 reduces to the integrated OU variance, single mode
-    plan = single_mode_plan(replicas=5000, steps=64, seed=63)
-    plan = SimulationPlan(
-        system=plan.system, noise=plan.noise, G=plan.G, seed=plan.seed,
-        T=1.0, steps=64, replicas=5000,
-        record=RecordSpec(time_stride=1, space_count=64),
-    )
-    est = mean_mq_norm(simulate(plan), p=2.0, q=2.0)
-    mu = np.pi**2
-    want_integral = (1.0 - ou_variance(mu, 1.0)) / (2.0 * mu)
-    assert abs(est.value**2 - want_integral) < 3 * est.std_error
 
 
 # ----- non-self-adjoint drift ------------------------------------------------

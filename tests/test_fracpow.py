@@ -16,7 +16,6 @@ from hspde.fracpow import (
     frac_power_eigen,
     frac_power_quadrature,
     balakrishnan_forward,
-    domain_norm,
 )
 
 
@@ -191,36 +190,3 @@ def test_forward_inverse_roundtrip():
     back = frac_power_quadrature(sys, 0.4, balakrishnan_forward(sys, 0.4, x))
     px = synthesize(sys, project(sys, x))
     assert wnorm(sys, back - px) / wnorm(sys, px) < 1e-8
-
-
-# ---------------------------------------------------------------------------
-# graph-type domain norm
-# ---------------------------------------------------------------------------
-
-def test_domain_norm_delta_zero(sys149):
-    x = 2.0 * sys149.modes[0] - sys149.modes[1]
-    w = sys149.weight
-    lp = (w * np.sum(np.abs(x) ** 2)) ** 0.5
-    assert domain_norm(sys149, 0.0, x, p=2) == pytest.approx(2 * lp, rel=1e-12)
-
-
-@pytest.mark.parametrize("p", [2.0, 4.0])
-def test_domain_norm_eigenvector_formula(sys149, p):
-    x = sys149.modes[2]
-    w = sys149.weight
-    lp = float((w * np.sum(np.abs(x) ** p)) ** (1 / p))
-    want = lp * (1.0 + 9.0**0.3)
-    assert domain_norm(sys149, 0.3, x, p=p) == pytest.approx(want, rel=1e-12)
-
-
-def test_domain_norm_monotone_in_delta():
-    sys = diagonal_system([1.0, 4.0, 9.0, 16.0])
-    rng = np.random.default_rng(10)
-    x = rng.normal(size=4)
-    vals = [domain_norm(sys, d, x) for d in (0.0, 0.25, 0.5, 0.75, 1.0)]
-    assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-
-
-def test_domain_norm_rejects_negative_delta(sys149):
-    with pytest.raises(ValueError):
-        domain_norm(sys149, -0.1, sys149.modes[0])

@@ -1260,6 +1260,21 @@ def test_cli_bad_value_exits_4_before_any_directory(
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("content, message", [
+    ([1], "config file {path} must hold a JSON object, got list"),
+    ("abc", "config file {path} must hold a JSON object, got str"),
+    ({"preset": ["x"]}, "config keys need string values, got preset=['x']"),
+])
+def test_cli_config_file_of_the_wrong_type_exits_4_before_any_directory(
+        tmp_path, capsys, monkeypatch, content, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(content))
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(["run", "--config", str(cfg_path)], capsys)
+    assert (code, err) == (4, f"error: {message.format(path=cfg_path)}\n")
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
 def test_cli_stage_error_exits_4(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(small_config(
@@ -1420,6 +1435,14 @@ def test_cli_exports_a_persisted_run(tmp_path, capsys):
                            capsys)
     assert (code, out) == (0, f"{target}\n")
     assert target.read_text().splitlines()[0].startswith("replica,")
+    # a header-only CSV is no export of a run that has replicas
+    for count in ("0", "-1"):
+        code, _, err = run_cli(["export", "trajectory", "--run", str(run_dir),
+                                "--out", str(tmp_path / "none.csv"),
+                                "--max-replicas", count], capsys)
+        assert (code, err) == (4, f"error: max_replicas must be at least 1, "
+                                  f"got {count}\n")
+    assert not (tmp_path / "none.csv").exists()
 
 
 def test_cli_export_region_without_run(capsys):

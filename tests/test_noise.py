@@ -9,7 +9,6 @@ from hspde.noise import (
     GProcess,
     make_cameron_martin,
     sample_wiener_increments,
-    apply_G,
     validate_noise_hypotheses,
     g_preset,
 )
@@ -186,7 +185,7 @@ def test_parseval_at_theta_zero(dom):
     spec = make_cameron_martin(dom, theta=0.0, truncation=16)
     rng = np.random.default_rng(0)
     y = rng.normal(size=16)
-    vals = apply_G(GProcess.identity(), spec, 0, y)
+    vals = y @ spec.synthesis
     l2 = np.sqrt(dom.weight * np.sum(vals**2))
     assert abs(l2 - np.linalg.norm(y)) < 1e-8
 
@@ -197,7 +196,7 @@ def test_embedding_norm_nonincreasing_in_theta(dom):
     norms = []
     for theta in (0.0, 0.2, 0.4, 0.8):
         spec = make_cameron_martin(dom, theta=theta, truncation=12)
-        vals = apply_G(GProcess.identity(), spec, 0, y)
+        vals = y @ spec.synthesis
         norms.append(np.sqrt(dom.weight * np.sum(vals**2)))
     assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
 
@@ -209,37 +208,12 @@ def test_weights_formula(dom):
     assert np.allclose(spec.weights, (1 + lam) ** (-0.25), rtol=1e-13)
 
 
-def test_apply_g_identity_on_basis_vector(dom):
+def test_synthesis_of_a_basis_vector_is_its_mode(dom):
     spec = make_cameron_martin(dom, theta=0.0, truncation=8)
     e3 = np.zeros(8)
     e3[2] = 1.0
-    vals = apply_G(GProcess.identity(), spec, 0, e3)
+    vals = e3 @ spec.synthesis
     assert np.allclose(vals, spec.basis_functions[2], atol=1e-14)
-
-
-def test_apply_g_zero_multiplier(dom):
-    spec = make_cameron_martin(dom, theta=0.2, truncation=8)
-    G = GProcess.multiplication(0.0, m=8, q=16)
-    vals = apply_G(G, spec, 0, np.ones(8))
-    assert np.allclose(vals, 0.0)
-
-
-def test_apply_g_multiplication_bound(dom):
-    # |g . f|_p <= sup|g| |f|_p on a sweep of random unit coefficient vectors
-    spec = make_cameron_martin(dom, theta=0.3, truncation=16)
-    G = g_preset("bump", m=8, q=16)
-    ident = GProcess.identity()
-    rng = np.random.default_rng(2)
-    p, w = 4.0, dom.weight
-    gsup = G.values_at(dom, 0, 0.0).max()
-    for _ in range(200):
-        y = rng.normal(size=16)
-        y /= np.linalg.norm(y)
-        f = apply_G(ident, spec, 0, y)
-        gf = apply_G(G, spec, 0, y)
-        lhs = (w * np.sum(np.abs(gf) ** p)) ** (1 / p)
-        rhs = gsup * (w * np.sum(np.abs(f) ** p)) ** (1 / p)
-        assert lhs <= rhs * (1 + 1e-12)
 
 
 def test_g_preset_time_dependence(dom):

@@ -10,11 +10,9 @@ from hspde.spectral import (
     EllipticOperatorSpec,
     build_laplacian_system,
     build_variable_coefficient_system,
-    project,
-    synthesize,
-    apply_semigroup,
     diagonal_system,
 )
+from hspde.fracpow import frac_power_eigen
 from hspde.convolve import SimulationPlan
 from hspde.noise import GProcess, make_cameron_martin
 
@@ -247,75 +245,21 @@ def test_domain_refuses_non_integer_fields(field, value):
 
 
 # ---------------------------------------------------------------------------
-# semigroup action
+# one principal power
 # ---------------------------------------------------------------------------
-
-def test_semigroup_t0_is_projection():
-    dom = SpectralDomain(1, 63, 16)
-    sys = build_laplacian_system(dom)
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=dom.n_points)
-    px = synthesize(sys, project(sys, x))
-    assert np.allclose(apply_semigroup(sys, 0.0, x), px, atol=1e-12)
-
-
-def test_semigroup_eigenmode_decay():
-    dom = SpectralDomain(1, 63, 16)
-    sys = build_laplacian_system(dom)
-    out = apply_semigroup(sys, 1.0, sys.modes[0])
-    assert np.allclose(out, np.exp(-np.pi**2) * sys.modes[0], atol=1e-12)
-
-
-@pytest.mark.parametrize("nonnormal", [False, True])
-def test_semigroup_property(nonnormal):
-    dom = SpectralDomain(1, 63, 48)
-    if nonnormal:
-        sys = build_variable_coefficient_system(
-            dom, EllipticOperatorSpec(a=lambda x: 1.0 + x / 2.0, b=2.0)
-        )
-    else:
-        sys = build_laplacian_system(dom)
-    rng = np.random.default_rng(11)
-    x = rng.normal(size=dom.n_points)
-    s, t = 0.07, 0.13
-    via_two = apply_semigroup(sys, s, apply_semigroup(sys, t, x))
-    direct = apply_semigroup(sys, s + t, x)
-    assert np.abs(via_two - direct).max() < 1e-10
-
-
-def test_semigroup_decay_bound_selfadjoint():
-    dom = SpectralDomain(1, 63, 32)
-    sys = build_laplacian_system(dom)
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=dom.n_points)
-    w = sys.weight
-    px = synthesize(sys, project(sys, x))
-    n0 = np.sqrt(w * np.sum(px**2))
-    for t in (0.01, 0.1, 1.0):
-        nt = np.sqrt(w * np.sum(apply_semigroup(sys, t, x) ** 2))
-        assert nt <= np.exp(-np.pi**2 * t) * n0 * (1 + 1e-12)
-
 
 @pytest.mark.parametrize("power", [0.25, 0.5, 0.75, 1.0])
 def test_fractional_semigroup_decays_at_the_drift_exponents_bitwise(power):
-    # one principal power serves both: exp(-t A^power) on an eigenmode is
-    # exp(-t mu_k) times the mode, mu = drift_exponents at alpha = 2 power
+    # one principal power serves both: A^power on an eigenmode is mu_k times
+    # the mode, mu = the drift exponents of the plan at alpha = 2 power
     system = diagonal_system([1.0, 4.0, 9.0])
     plan = SimulationPlan(system=system,
                           noise=make_cameron_martin(system.domain, 0.0, 3),
                           G=GProcess.identity(), seed=0, alpha=2.0 * power)
-    t = 0.3
-    decay = np.exp(-t * plan.drift_exponents)
-    assert np.isrealobj(decay)
+    assert np.isrealobj(plan.drift_exponents)
     for k in range(3):
-        out = apply_semigroup(system, t, system.modes[k], power=power)
-        assert np.array_equal(out, system.modes[k] * decay[k])
-
-
-def test_semigroup_rejects_negative_time():
-    sys = build_laplacian_system(SpectralDomain(1, 15, 4))
-    with pytest.raises(ValueError):
-        apply_semigroup(sys, -0.1, np.zeros(15))
+        out = frac_power_eigen(system, power, system.modes[k])
+        assert np.array_equal(out, system.modes[k] * plan.drift_exponents[k])
 
 
 # ---------------------------------------------------------------------------
