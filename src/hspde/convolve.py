@@ -39,9 +39,11 @@ applies:
 The scale s is folded into the route's operator.  Replicas run in
 batches on the thread pool of ``hspde._threads``, the one parallel layer:
 BLAS runs one thread inside it, and so does the serial path of one
-worker.  Each batch streams its increments through blocks of 256 steps:
-project the block, run the recursion in place, and synthesise the
-recorded rows per replica, written into the output.
+worker.  Each batch streams its increments through blocks of 256 steps,
+step-major in one (257, R, K) buffer whose row 0 carries the state in:
+project the block below it, run the recursion in place over its (R, K)
+rows, one loop for every block, and synthesise the recorded rows per
+replica, written into the output.
 
 In d = 1 synthesis is one matmul with the propagated modes at the
 recorded points, unless the record is a sine sub-lattice that more modes
@@ -389,8 +391,8 @@ class _Core:
         """
         plan = self.plan
         blk = min(BLOCK_STEPS, plan.steps)
-        # one chunk of increments, one block of mode states, carry and
-        # scratch rows; the per-step route adds one block of field values
+        # one chunk of increments, the carried row, one block of mode states
+        # and a scratch row; the per-step route adds one block of field values
         per_replica = (8 * plan.noise.truncation * min(DRAW_STEPS, plan.steps)
                        + self.dtype.itemsize * (blk + 2) * self.decay.size)
         shared = 0 if self.lift is None else 8 * blk * self.lift.shape[1]
@@ -441,36 +443,34 @@ class _Core:
         plan = self.plan
         r_b, steps = len(out), plan.steps
         stride = plan.record.time_stride
-        xi = np.empty((r_b, min(BLOCK_STEPS, steps), self.decay.size),
-                      dtype=self.dtype)
-        carry, tmp = np.empty_like(xi[:, 0]), np.empty_like(xi[:, 0])
+        rows = min(BLOCK_STEPS, steps)
+        # step-major: row 0 carries the state in, row n is after step b0 + n
+        xi = np.zeros((rows + 1, r_b, self.decay.size), dtype=self.dtype)
+        states, tmp = list(xi), np.empty_like(xi[0])
         # the multi-index tensor of d >= 2, whose places of modes not
         # propagated are never written and stay zero, or the 2L residue
         # sums of a fold
         scratch = None
         if self.scatter is not None:
-            scratch = np.zeros((xi.shape[1], self.modes_rec.shape[0]
+            scratch = np.zeros((rows, self.modes_rec.shape[0]
                                 ** plan.system.domain.dimension),
                                dtype=self.dtype)
         elif self.fold is not None:
-            scratch = np.empty((xi.shape[1], 2 * self.fold), dtype=self.dtype)
+            scratch = np.empty((rows, 2 * self.fold), dtype=self.dtype)
         out[:, 0] = 0.0
         row = 1
         for b0 in range(0, steps, BLOCK_STEPS):
-            blk = xi[:, : min(BLOCK_STEPS, steps - b0)]
-            self._project(block(b0, b0 + blk.shape[1]), blk, b0)
-            # OU recursion in place: row n becomes the state after step b0 + n
-            if b0:
-                np.multiply(carry, self.decay, out=tmp)
-                blk[:, 0] += tmp
-            for n in range(1, blk.shape[1]):
-                np.multiply(blk[:, n - 1], self.decay, out=tmp)
-                np.add(blk[:, n], tmp, out=blk[:, n])
-            carry[...] = blk[:, -1]
-            rows = blk[:, (-b0 - 1) % stride:: stride]
-            stop = row + rows.shape[1]
+            n_b = min(BLOCK_STEPS, steps - b0)
+            self._project(block(b0, b0 + n_b), xi[1: n_b + 1], b0)
+            # OU recursion in place, one (R, K) row after the other
+            for n in range(1, n_b + 1):
+                np.multiply(states[n - 1], self.decay, out=tmp)
+                np.add(states[n], tmp, out=states[n])
+            recorded = xi[1 + (-b0 - 1) % stride: n_b + 1: stride]
+            stop = row + len(recorded)
             for r in range(r_b):
-                self._synthesize(rows[r], out[r, row:stop], scratch)
+                self._synthesize(recorded[:, r], out[r, row:stop], scratch)
+            xi[0] = xi[n_b]
             row = stop
 
     def _synthesize(self, states: np.ndarray, out: np.ndarray,
@@ -498,25 +498,25 @@ class _Core:
 
     def _project(self, block: np.ndarray, blk: np.ndarray, b0: int) -> None:
         """Noise of the steps of ``block`` (R, N, B) in drift coordinates,
-        written to ``blk`` (R, B, K), one matmul per replica."""
+        written to ``blk`` (B, R, K), one matmul per replica."""
         if self.route == "weights":
             # transpose in slabs of 32 modes, so the strided reads stay in cache
             for r in range(len(block)):
                 for j in range(0, blk.shape[2], 32):
                     np.multiply(block[r, j:j + 32].T, self.operator[j:j + 32],
-                                out=blk[r, :, j:j + 32])
+                                out=blk[:, r, j:j + 32])
             return
         if self.route == "dense":
             for r in range(len(block)):
-                np.matmul(block[r].T, self.operator, out=blk[r])
+                np.matmul(block[r].T, self.operator, out=blk[:, r])
             return
         G, domain, tg = self.plan.G, self.plan.system.domain, self.plan.time_grid
         g_rows = np.stack([G.values_at(domain, n, tg[n])
-                           for n in range(b0, b0 + blk.shape[1])])
+                           for n in range(b0, b0 + len(blk))])
         for r in range(len(block)):
             field = block[r].T @ self.lift
             field *= g_rows
-            np.matmul(field, self.operator, out=blk[r])
+            np.matmul(field, self.operator, out=blk[:, r])
 
     def ensemble(self, values: np.ndarray, scheme: str) -> TrajectoryEnsemble:
         flat_idx, shape, weight, rec_times = self.layout

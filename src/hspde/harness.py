@@ -676,7 +676,7 @@ def export_plotdata(run_dir, kind: str, out_path=None, max_replicas=None):
 
     ``region`` and ``increments`` return CSV text; ``trajectory`` writes a
     (possibly large) CSV to ``out_path`` (default inside the run dir) and
-    returns the path.
+    returns the path.  Increments and trajectory read a sweep's first alpha.
     """
     manifest = _load_run(run_dir)
     run_dir = Path(run_dir)

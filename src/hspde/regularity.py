@@ -80,9 +80,9 @@ _MIN_SAMPLES = (1 << (DROP_LOW + DROP_HIGH + 1)) + 1
 #: fewest recorded times the temporal fit takes
 _MIN_TIMES = 64
 #: bytes of one cache-resident slab of _max_increments (L2-sized), and the
-#: fewest and most columns a slab takes
+#: fewest columns a slab takes
 _SLAB_BYTES = 512 << 10
-_SLAB_COLUMNS = (8, 64)
+_SLAB_COLUMNS = 8
 VERIFY_TOLERANCE = 0.10
 #: vertices per axis of the grid ``verify_region`` confronts
 _VERIFY_GRID = 5
@@ -308,19 +308,19 @@ def _line_aligned(shape: tuple, dtype) -> np.ndarray:
 def _max_increments(series: np.ndarray, lags: Sequence[int]) -> np.ndarray:
     """M(lag) = max over start (and any trailing axes) of |x(.+lag) - x(.)|.
 
-    Trailing axes are flattened and walked in slabs of about
-    ``_SLAB_BYTES``, between the ``_SLAB_COLUMNS`` bounds in width, so a
-    tall series takes narrow slabs: each slab is copied once into a small
-    scratch array and every lag is taken on it while it is in cache.
-    Working memory stays at two slabs whatever the series size, so no call
-    makes a series-sized temporary.  A max is exact, so slabbing does not
-    change a bit.
+    Trailing axes are flattened and walked in column slabs of about
+    ``_SLAB_BYTES``, and at least ``_SLAB_COLUMNS`` wide, so a tall series
+    takes narrow slabs and a short one wide slabs: each slab is copied once
+    into a small scratch array and every lag is taken on it while it is in
+    cache.  Working memory stays at two slabs whatever the series size,
+    so no call makes a series-sized temporary.  A max is exact and does
+    not depend on the order of the slabs, so slabbing does not change a
+    bit.
     """
     n = len(series)
     flat = series.reshape(n, -1)
-    lo, hi = _SLAB_COLUMNS
     fit = _SLAB_BYTES // (n * series.dtype.itemsize)
-    width = min(flat.shape[1], max(lo, min(hi, fit)))
+    width = min(flat.shape[1], max(_SLAB_COLUMNS, fit))
     slab = _line_aligned((n, width), series.dtype)
     diff = _line_aligned((n - min(lags), width), series.dtype)
     starts = range(0, flat.shape[1], width)

@@ -4,10 +4,7 @@ Every check runs at its stated tolerance; nothing here is weakened to make
 a run green.  Statistical criteria use frozen seeds so the outcomes are
 deterministic.
 """
-import json
-
 import numpy as np
-import pytest
 
 from hspde.convolve import RecordSpec, SimulationPlan, TrajectoryEnsemble, simulate
 from hspde.fracpow import (

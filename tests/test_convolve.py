@@ -683,13 +683,17 @@ def field_path_reference(plan, increments, space_indices):
     "identity", "bump", "smooth-varcoef", "separable:sin", "complex", "d3",
 ])
 def test_routes_match_field_path_oracle(case):
-    plan = core_plan(case, replicas=2, steps=300, stride=1)
-    incs = replica_increments(plan)
-    got = simulate_from_increments(plan, incs)
-    want = field_path_reference(plan, incs, got.space_indices)
-    scale = np.abs(want).max()
-    assert scale > 0
-    assert np.abs(got.values - want).max() <= 1e-12 * scale
+    # 515 steps are two whole blocks and 3 steps, and a record stride of 5
+    # does not divide a block, so the state carried into each block and
+    # the first recorded row of each block both meet the oracle
+    for steps, stride in ((300, 1), (2 * convolve.BLOCK_STEPS + 3, 5)):
+        plan = core_plan(case, replicas=2, steps=steps, stride=stride)
+        incs = replica_increments(plan)
+        got = simulate_from_increments(plan, incs)
+        want = field_path_reference(plan, incs, got.space_indices)
+        scale = np.abs(want).max()
+        assert scale > 0
+        assert np.abs(got.values - want).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("case, route", [

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from hspde import noise
 from hspde.spectral import SpectralDomain, build_laplacian_system
 from hspde.noise import (
-    CameronMartinSpec,
     GProcess,
     make_cameron_martin,
     sample_wiener_increments,

@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings, strategies as st
 from hspde.convolve import RecordSpec, SimulationPlan, TrajectoryEnsemble, simulate
 from hspde.noise import GProcess, make_cameron_martin, sample_wiener_increments
 from hspde.regularity import (
-    ExponentEstimate,
     RegularityQuery,
     admissible,
     estimate_spatial_exponent,
@@ -374,18 +373,22 @@ def test_estimates_invariant_under_scaling():
 
 def test_max_increments_match_fresh_differences():
     # the column slabs must give the per-lag expression's bits, also for
-    # series wider than one slab, with several trailing axes, and taller
-    # than 8192 rows, whose slabs are 8 columns wide and the last partial
+    # series wider than one slab (300 rows take 218 columns a slab, so 500
+    # columns take 3 slabs, the last partial and holding a NaN), with
+    # several trailing axes, and taller than 8192 rows, whose slabs are 8
+    # columns wide and the last partial
     rng = np.random.default_rng(5)
     lags = [1, 2, 4, 8, 16, 32]
     nan_wide = rng.standard_normal((70, 150))
     nan_wide[40, 140] = np.nan
+    nan_slabs = rng.standard_normal((300, 500))
+    nan_slabs[150, 470] = np.nan
     for series in (rng.standard_normal(257), rng.standard_normal((300, 7)),
                    rng.standard_normal((7, 300)).T,
                    rng.standard_normal((300, 9))[:, 4],
                    rng.standard_normal((300, 150)),
                    rng.standard_normal((300, 200))[:, ::3],
-                   rng.standard_normal((70, 9, 11)), nan_wide,
+                   rng.standard_normal((70, 9, 11)), nan_wide, nan_slabs,
                    rng.standard_normal((8300, 21))):
         want = [np.abs(series[lag:] - series[:-lag]).max() for lag in lags]
         assert np.array_equal(_max_increments(series, lags), want,
