@@ -8,7 +8,6 @@ with the eigen route to near machine precision at the default node count.
 import numpy as np
 
 from hspde import (
-    FracPowerRequest,
     SpectralDomain,
     balakrishnan_forward,
     build_laplacian_system,
@@ -20,13 +19,12 @@ from hspde import (
 sys = build_laplacian_system(SpectralDomain(1, 63, 16))
 rng = np.random.default_rng(1)
 x = synthesize(sys, rng.normal(size=16))
-request = FracPowerRequest(nodes=200)
 
 print("route agreement (relative L2 error against the eigen route):")
 print(f"  {'z':>5} {'inverse (quadrature)':>22} {'forward':>12}")
 for z in (0.25, 0.5, 0.75):
-    inv = frac_power_quadrature(sys, z, x, request)
-    fwd = balakrishnan_forward(sys, z, x, request)
+    inv = frac_power_quadrature(sys, z, x)
+    fwd = balakrishnan_forward(sys, z, x)
     err_inv = np.linalg.norm(inv - frac_power_eigen(sys, -z, x)) \
         / np.linalg.norm(frac_power_eigen(sys, -z, x))
     err_fwd = np.linalg.norm(fwd - frac_power_eigen(sys, z, x)) \

@@ -18,7 +18,6 @@ from .spectral import (
     synthesize,
 )
 from .fracpow import (
-    FracPowerRequest,
     frac_power_eigen,
     frac_power_quadrature,
     balakrishnan_forward,

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fracpow import FracPowerRequest, balakrishnan_forward, frac_power_eigen, \
+from .fracpow import NODES, balakrishnan_forward, frac_power_eigen, \
     frac_power_quadrature
 from .gamma_radon import FiniteRankOperator, mc_gamma_norm
 from .harness import (
@@ -69,31 +69,10 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _add_query_flags(parser, required: bool) -> None:
-    parser.add_argument("--theorem", required=required, choices=THEOREMS)
-    parser.add_argument("--d", type=int, default=None)
-    parser.add_argument("--q", type=float, default=None)
-    parser.add_argument("--p", type=float, default=None)
-    parser.add_argument("--alpha", type=float, default=None)
-    parser.add_argument("--theta", type=float, default=None)
-    parser.add_argument("--m", type=float, default=None)
-
-
 def _intish(value):
     if isinstance(value, float) and value.is_integer():
         return int(value)
     return value
-
-
-def _query_from_flags(args) -> RegularityQuery:
-    if args.theorem is None or args.d is None or args.q is None:
-        raise ValueError("a region query needs --theorem, --d and --q")
-    kwargs = {"theorem": args.theorem, "d": args.d, "q": _intish(args.q)}
-    for key in ("p", "alpha", "theta", "m"):
-        val = getattr(args, key)
-        if val is not None:
-            kwargs[key] = _intish(val) if key in ("p", "m") else val
-    return RegularityQuery(**kwargs)
 
 
 def _add_config_flags(parser) -> None:
@@ -153,8 +132,13 @@ def _print_verdict(manifest, output_dir: str) -> int:
 
 
 def _cmd_region(args) -> int:
-    query = _query_from_flags(args)
-    _emit(region_csv(query, n_points=args.points), args.out)
+    kwargs = {"theorem": args.theorem, "d": args.d, "q": _intish(args.q)}
+    for key in ("p", "alpha", "theta", "m"):
+        val = getattr(args, key)
+        if val is not None:
+            kwargs[key] = _intish(val) if key in ("p", "m") else val
+    _emit(region_csv(RegularityQuery(**kwargs), n_points=args.points),
+          args.out)
     return EXIT_OK
 
 
@@ -224,7 +208,6 @@ def _cmd_gamma_norm(args) -> int:
 
 def _cmd_fracpow_check(args) -> int:
     zs = [float(z) for z in args.z.split(",")]
-    request = FracPowerRequest(nodes=args.nodes)
     lap = build_laplacian_system(SpectralDomain(1, 63, 16))
     systems = [
         (diagonal_system(np.array([1.0, 4.0, 9.0])),
@@ -241,7 +224,7 @@ def _cmd_fracpow_check(args) -> int:
             worst = 0.0
             for system, values in systems:
                 exact = frac_power_eigen(system, sign * z, values)
-                approx = fn(system, z, values, request)
+                approx = fn(system, z, values, args.nodes)
                 rel = np.linalg.norm(approx - exact) / np.linalg.norm(exact)
                 worst = max(worst, float(rel))
             lines.append(f"{_fmt(z)},{method},{_fmt(worst)},{args.nodes}")
@@ -250,10 +233,6 @@ def _cmd_fracpow_check(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    if args.kind == "region" and args.run is None:
-        return _cmd_region(args)
-    if args.run is None:
-        raise ValueError(f"export {args.kind!r} needs --run")
     if args.kind == "trajectory":
         path = export_plotdata(args.run, "trajectory", out_path=args.out,
                                max_replicas=args.max_replicas)
@@ -273,7 +252,13 @@ def _build_parser() -> _Parser:
                                 parser_class=_Parser)
 
     p = sub.add_parser("region", help="admissible-region boundary CSV")
-    _add_query_flags(p, required=True)
+    p.add_argument("--theorem", required=True, choices=THEOREMS)
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--q", type=float, required=True)
+    p.add_argument("--p", type=float, default=None)
+    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--theta", type=float, default=None)
+    p.add_argument("--m", type=float, default=None)
     p.add_argument("--points", type=int, default=33)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_region)
@@ -314,18 +299,17 @@ def _build_parser() -> _Parser:
                             "ground truth")
     p.add_argument("--z", default="0.25,0.5,0.75",
                    help="comma-separated exponents in (0, 1)")
-    p.add_argument("--nodes", type=int, default=200)
+    p.add_argument("--nodes", type=int, default=NODES,
+                   help="Gauss-Legendre nodes of the quadrature rule")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_fracpow_check)
 
     p = sub.add_parser("presets", help="list built-in experiment presets")
     p.set_defaults(func=_cmd_presets)
 
-    p = sub.add_parser("export", help="plot-ready CSVs from a run or query")
+    p = sub.add_parser("export", help="plot-ready CSVs from a run")
     p.add_argument("kind", choices=["region", "increments", "trajectory"])
-    p.add_argument("--run", default=None, help="run directory")
-    _add_query_flags(p, required=False)
-    p.add_argument("--points", type=int, default=33)
+    p.add_argument("--run", required=True, help="run directory")
     p.add_argument("--max-replicas", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_export)

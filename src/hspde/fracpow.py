@@ -12,78 +12,37 @@ representations
     A^z    x = sin(pi z)/(pi z)  * int_0^inf t^z    (t I + A)^(-2) A x dt
 
 for Re z in (0, 1).  The integrals are computed after the substitution
-t = e^s on a window [-cutoff_lo, cutoff_hi] with composite Gauss-Legendre
-panels.  The integrand tails decay like e^(-(1-Re z)|s|) and e^(-Re z s),
-which is far too slow for tight tolerances at the default window, so the
-two tails are added back analytically: outside the window the resolvent
-admits a geometric expansion in e^s/lambda (left) and lambda e^(-s)
-(right), and the first few terms integrate in closed form.  With the
-defaults (200 nodes, window 30) the combined truncation + quadrature error
-is far below 1e-8 for spectra inside [1e-3, 1e6].
-
-Both quadrature routes recompute the integral with doubled panels and
-report the disagreement as an a-posteriori error estimate.
+t = e^s on the window [-WINDOW, WINDOW] with one composite
+Gauss-Legendre rule of ``nodes`` nodes (default ``NODES``).  The integrand
+tails decay like e^(-(1-Re z)|s|) and e^(-Re z s), which is far too slow
+for tight tolerances on this window, so the two tails are added back
+analytically: outside the window the resolvent admits a geometric
+expansion in e^s/lambda (left) and lambda e^(-s) (right), and the first
+few terms integrate in closed form.  With ``NODES`` = 400 and ``WINDOW`` =
+30 the combined truncation + quadrature error is far below 1e-8 for
+spectra inside [1e-3, 1e6]; a spectrum whose tail expansions would not
+converge is refused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple, Union
-
 import numpy as np
 
-from .spectral import EigenSystem, project, synthesize, _grid_norm, \
-    _principal_power, _realify
+from .spectral import EigenSystem, project, synthesize, _principal_power, \
+    _realify
 
 __all__ = [
-    "FracPowerRequest",
-    "QuadratureError",
     "frac_power_eigen",
     "frac_power_quadrature",
     "balakrishnan_forward",
 ]
 
+#: Gauss-Legendre nodes of the rule (panels of 10)
+NODES = 400
+#: half-width of the log-substituted window [-WINDOW, WINDOW]
+WINDOW = 30.0
 #: terms of the geometric expansion added back for each integrand tail
 TAIL_TERMS = 8
-
-
-@dataclass(frozen=True)
-class FracPowerRequest:
-    """Quadrature controls for the resolvent-integral routes.
-
-    ``nodes`` is the total Gauss-Legendre node target (panels of 10);
-    ``cutoff_lo``/``cutoff_hi`` bound the log-substituted window; if
-    ``tolerance`` is set, a node-doubling disagreement above it raises
-    ``QuadratureError``.
-    """
-
-    nodes: int = 200
-    cutoff_lo: float = 30.0
-    cutoff_hi: float = 30.0
-    tolerance: Optional[float] = None
-
-    def __post_init__(self):
-        if self.nodes < 10:
-            raise ValueError("need at least 10 quadrature nodes")
-        if self.cutoff_lo <= 0 or self.cutoff_hi <= 0:
-            raise ValueError("window cutoffs must be positive")
-
-
-class QuadratureError(RuntimeError):
-    """Node-doubling disagreement above the requested tolerance.
-
-    Carries both approximations so callers can inspect the disagreement.
-    """
-
-    def __init__(self, estimate, tolerance, coarse, fine):
-        super().__init__(
-            f"node-doubling disagreement {estimate:.3e} exceeds "
-            f"tolerance {tolerance:.3e}"
-        )
-        self.estimate = estimate
-        self.tolerance = tolerance
-        self.coarse = coarse
-        self.fine = fine
 
 
 def _real_result(out: np.ndarray, values, z: complex) -> np.ndarray:
@@ -103,11 +62,11 @@ def frac_power_eigen(system: EigenSystem, z: complex, values: np.ndarray) -> np.
                         values, z)
 
 
-def _panels(lo: float, hi: float, total_nodes: int):
+def _panels(nodes: int):
     per = 10
-    n_panels = max(1, int(round(total_nodes / per)))
+    n_panels = int(round(nodes / per))
     x, w = np.polynomial.legendre.leggauss(per)
-    edges = np.linspace(lo, hi, n_panels + 1)
+    edges = np.linspace(-WINDOW, WINDOW, n_panels + 1)
     half = (edges[1] - edges[0]) / 2.0
     mids = (edges[:-1] + edges[1:]) / 2.0
     s = (mids[:, None] + half * x[None, :]).ravel()
@@ -115,9 +74,9 @@ def _panels(lo: float, hi: float, total_nodes: int):
     return s, wt
 
 
-def _check_envelope(lam: np.ndarray, req: FracPowerRequest):
-    lo_ratio = np.abs(np.exp(-req.cutoff_lo) / lam).max()
-    hi_ratio = np.abs(lam * np.exp(-req.cutoff_hi)).max()
+def _check_envelope(lam: np.ndarray):
+    lo_ratio = np.abs(np.exp(-WINDOW) / lam).max()
+    hi_ratio = np.abs(lam * np.exp(-WINDOW)).max()
     if lo_ratio >= 0.5 or hi_ratio >= 0.5:
         raise ValueError(
             "spectrum outside the envelope supported by the quadrature "
@@ -125,30 +84,28 @@ def _check_envelope(lam: np.ndarray, req: FracPowerRequest):
         )
 
 
-def _inverse_power_factors(lam: np.ndarray, z: complex, req: FracPowerRequest,
-                           total_nodes: int) -> np.ndarray:
+def _inverse_power_factors(lam: np.ndarray, z: complex, nodes: int) -> np.ndarray:
     """sin(pi z)/pi * int t^-z (t+lam)^-1 dt, per eigenvalue."""
-    s, w = _panels(-req.cutoff_lo, req.cutoff_hi, total_nodes)
+    s, w = _panels(nodes)
     es = np.exp(s)
     window = (w * np.exp((1.0 - z) * s)) @ (1.0 / (es[:, None] + lam[None, :]))
 
     j = np.arange(TAIL_TERMS)[:, None]
     lo = np.sum(
         (-1.0) ** j * lam[None, :] ** (-(j + 1))
-        * np.exp(-req.cutoff_lo * (1.0 - z + j)) / (1.0 - z + j),
+        * np.exp(-WINDOW * (1.0 - z + j)) / (1.0 - z + j),
         axis=0,
     )
     hi = np.sum(
-        (-lam[None, :]) ** j * np.exp(-req.cutoff_hi * (z + j)) / (z + j),
+        (-lam[None, :]) ** j * np.exp(-WINDOW * (z + j)) / (z + j),
         axis=0,
     )
     return np.sin(np.pi * z) / np.pi * (window + lo + hi)
 
 
-def _forward_power_factors(lam: np.ndarray, z: complex, req: FracPowerRequest,
-                           total_nodes: int) -> np.ndarray:
+def _forward_power_factors(lam: np.ndarray, z: complex, nodes: int) -> np.ndarray:
     """sin(pi z)/(pi z) * int t^z lam (t+lam)^-2 dt, per eigenvalue."""
-    s, w = _panels(-req.cutoff_lo, req.cutoff_hi, total_nodes)
+    s, w = _panels(nodes)
     es = np.exp(s)
     window = (w * np.exp((1.0 + z) * s)) @ (
         lam[None, :] / (es[:, None] + lam[None, :]) ** 2
@@ -157,67 +114,39 @@ def _forward_power_factors(lam: np.ndarray, z: complex, req: FracPowerRequest,
     j = np.arange(TAIL_TERMS)[:, None]
     lo = np.sum(
         (j + 1) * (-1.0) ** j * lam[None, :] ** (-(j + 1))
-        * np.exp(-req.cutoff_lo * (1.0 + z + j)) / (1.0 + z + j),
+        * np.exp(-WINDOW * (1.0 + z + j)) / (1.0 + z + j),
         axis=0,
     )
     hi = np.sum(
         (j + 1) * (-lam[None, :]) ** j * lam[None, :]
-        * np.exp(-req.cutoff_hi * (1.0 - z + j)) / (1.0 - z + j),
+        * np.exp(-WINDOW * (1.0 - z + j)) / (1.0 - z + j),
         axis=0,
     )
     return np.sin(np.pi * z) / (np.pi * z) * (window + lo + hi)
 
 
-def _quadrature_apply(system, z, values, req, factor_fn, return_error):
+def _quadrature_apply(system, z, values, nodes, factor_fn):
     z = complex(z)
     if not (0.0 < z.real < 1.0):
         raise ValueError(f"resolvent-integral route needs Re z in (0,1), got {z}")
+    if nodes < 10:
+        raise ValueError("need at least 10 quadrature nodes")
     lam = np.asarray(system.eigenvalues)
-    _check_envelope(lam, req)
-
-    coarse_f = factor_fn(lam, z, req, req.nodes)
-    fine_f = factor_fn(lam, z, req, 2 * req.nodes)
-    coeffs = project(system, values)
-    coarse = synthesize(system, coeffs * coarse_f)
-    fine = synthesize(system, coeffs * fine_f)
-
-    w = system.weight
-    scale = _grid_norm(fine, w, 2)
-    err = float(_grid_norm(fine - coarse, w, 2) / max(scale, 1e-300))
-    if req.tolerance is not None and err > req.tolerance:
-        raise QuadratureError(err, req.tolerance, coarse, fine)
-
-    fine = _real_result(fine, values, z)
-    if return_error:
-        return fine, err
-    return fine
+    _check_envelope(lam)
+    factors = factor_fn(lam, z, nodes)
+    return _real_result(synthesize(system, project(system, values) * factors),
+                        values, z)
 
 
-def frac_power_quadrature(
-    system: EigenSystem,
-    z: complex,
-    values: np.ndarray,
-    request: FracPowerRequest = FracPowerRequest(),
-    return_error: bool = False,
-) -> Union[np.ndarray, Tuple[np.ndarray, float]]:
-    """A^(-z) x via the resolvent integral, Re z in (0,1).
-
-    Returns the doubled-node approximation; with ``return_error=True`` also
-    returns the node-doubling disagreement (relative, weighted L^2).
-    """
-    return _quadrature_apply(
-        system, z, values, request, _inverse_power_factors, return_error
-    )
+def frac_power_quadrature(system: EigenSystem, z: complex, values: np.ndarray,
+                          nodes: int = NODES) -> np.ndarray:
+    """A^(-z) x via the resolvent integral on a ``nodes``-node rule,
+    Re z in (0,1)."""
+    return _quadrature_apply(system, z, values, nodes, _inverse_power_factors)
 
 
-def balakrishnan_forward(
-    system: EigenSystem,
-    z: complex,
-    values: np.ndarray,
-    request: FracPowerRequest = FracPowerRequest(),
-    return_error: bool = False,
-) -> Union[np.ndarray, Tuple[np.ndarray, float]]:
-    """A^z x via the forward resolvent-squared integral, Re z in (0,1)."""
-    return _quadrature_apply(
-        system, z, values, request, _forward_power_factors, return_error
-    )
+def balakrishnan_forward(system: EigenSystem, z: complex, values: np.ndarray,
+                         nodes: int = NODES) -> np.ndarray:
+    """A^z x via the forward resolvent-squared integral on a ``nodes``-node
+    rule, Re z in (0,1)."""
+    return _quadrature_apply(system, z, values, nodes, _forward_power_factors)

@@ -8,7 +8,7 @@ import numpy as np
 
 from hspde.convolve import RecordSpec, SimulationPlan, TrajectoryEnsemble, simulate
 from hspde.fracpow import (
-    FracPowerRequest,
+    NODES,
     balakrishnan_forward,
     frac_power_eigen,
     frac_power_quadrature,
@@ -69,7 +69,6 @@ def ensemble_from_preset(name: str, alpha=None) -> TrajectoryEnsemble:
 # ---------------------------------------------------------------------------
 
 def test_ac1_fractional_power_routes():
-    request = FracPowerRequest(nodes=200)
     lap = build_laplacian_system(SpectralDomain(1, 63, 16))
     systems = [
         (diagonal_system(np.array([1.0, 4.0, 9.0])),
@@ -79,18 +78,18 @@ def test_ac1_fractional_power_routes():
     worst = 0.0
     for z in (0.25, 0.5, 0.75):
         for system, x in systems:
-            inv = frac_power_quadrature(system, z, x, request)
+            inv = frac_power_quadrature(system, z, x)
             want = frac_power_eigen(system, -z, x)
             worst = max(worst, float(np.linalg.norm(inv - want)
                                      / np.linalg.norm(want)))
-            fwd = balakrishnan_forward(system, z, x, request)
+            fwd = balakrishnan_forward(system, z, x)
             want = frac_power_eigen(system, z, x)
             worst = max(worst, float(np.linalg.norm(fwd - want)
                                      / np.linalg.norm(want)))
     _report("AC-1", worst <= 1e-7,
             f"max relative L2 error {worst:.3e} <= 1e-07 "
             f"(both routes, both spectra, z in {{0.25, 0.5, 0.75}}, "
-            f"200 nodes)")
+            f"{NODES} nodes)")
 
 
 # ---------------------------------------------------------------------------

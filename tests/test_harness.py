@@ -1446,10 +1446,16 @@ def test_cli_exports_a_persisted_run(tmp_path, capsys):
 
 
 def test_cli_export_region_without_run(capsys):
-    code, out, _ = run_cli(["export", "region", "--theorem", "prop32",
-                            "--d", "1", "--p", "4", "--q", "8"], capsys)
-    assert code == 0
-    assert out.splitlines()[1].startswith("0,0.25,")
+    # a region CSV from query flags is `hspde region`'s job; export reads
+    # a run, and refuses the query flags rather than ignore them
+    code, out, err = run_cli(["export", "region"], capsys)
+    assert (code, out) == (4, "")
+    assert "--run" in err
+    code, out, err = run_cli(["export", "region", "--run", "r",
+                              "--theorem", "prop32", "--d", "1", "--q", "8",
+                              "--points", "5"], capsys)
+    assert (code, out) == (4, "")
+    assert "unrecognized arguments" in err
 
 
 def test_cli_export_missing_run_errors(tmp_path, capsys):

@@ -22,14 +22,26 @@ def dom():
 # increment law
 # ---------------------------------------------------------------------------
 
+def _increment_tables(spec, tg, seed, reps):
+    """Replicas 0..reps-1's increment tables, (reps, truncation, steps),
+    from one batched fill; two of them are pinned bit for bit to
+    ``sample_wiener_increments``, which draws one replica per call."""
+    streams = noise._WienerStreams(spec, tg, seed, range(reps))
+    tables = np.empty((reps, spec.truncation, streams.steps))
+    streams.fill(tables)
+    for r in (1, reps - 1):
+        assert np.array_equal(
+            tables[r], sample_wiener_increments(spec, tg, seed, replica=r))
+    return tables
+
+
 def test_increment_variance_and_cross_mode_independence(dom):
     spec = make_cameron_martin(dom, theta=0.0, truncation=4)
     tg = np.linspace(0.0, 1.0, 4)
     dt = tg[1] - tg[0]
     reps = 4000
-    draws = np.stack(
-        [sample_wiener_increments(spec, tg, seed=42, replica=r)[:, 0] for r in range(reps)]
-    )  # (reps, modes), first increment of each stream
+    draws = _increment_tables(spec, tg, 42, reps)[:, :, 0]
+    # (reps, modes), first increment of each stream
     cov = draws.T @ draws / reps
     se = dt * np.sqrt(2.0 / reps)
     assert np.abs(np.diag(cov) - dt).max() < 3 * se
@@ -41,9 +53,7 @@ def test_process_variance_grows_linearly(dom):
     spec = make_cameron_martin(dom, theta=0.0, truncation=2)
     tg = np.linspace(0.0, 2.0, 9)
     reps = 4000
-    w_end = np.array(
-        [sample_wiener_increments(spec, tg, seed=7, replica=r).sum(axis=1) for r in range(reps)]
-    )
+    w_end = _increment_tables(spec, tg, 7, reps).sum(axis=2)
     var = w_end.var(axis=0)
     se = 2.0 * np.sqrt(2.0 / reps)
     assert np.abs(var - 2.0).max() < 3 * se
@@ -53,9 +63,7 @@ def test_disjoint_increments_uncorrelated(dom):
     spec = make_cameron_martin(dom, theta=0.0, truncation=1)
     tg = np.linspace(0.0, 1.0, 3)
     reps = 10_000
-    pairs = np.array(
-        [sample_wiener_increments(spec, tg, seed=3, replica=r)[0] for r in range(reps)]
-    )
+    pairs = _increment_tables(spec, tg, 3, reps)[:, 0]
     corr = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
     assert abs(corr) <= 3e-2
 

@@ -1,5 +1,5 @@
-"""No module of the package, and no test module, imports a name it never
-reads.
+"""No module of the package, no test module and no demo imports a name it
+never reads.
 
 A stdlib ``ast`` scan, in place of a lint dependency: every name a module
 binds by ``import`` or ``from ... import`` must be read somewhere in that
@@ -15,7 +15,8 @@ import hspde
 MODULES = sorted(
     [p for p in Path(hspde.__file__).resolve().parent.glob("*.py")
      if p.name != "__init__.py"]
-    + list(Path(__file__).resolve().parent.glob("*.py")))
+    + list(Path(__file__).resolve().parent.glob("*.py"))
+    + list((Path(__file__).resolve().parents[1] / "demos").glob("*.py")))
 
 #: (module, name) pairs imported on purpose and never read: harness never
 #: calls verify_region, but perfbench's tracer patches that name on harness,
