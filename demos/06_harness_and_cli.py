@@ -3,7 +3,7 @@
 A JSON-able config fully determines a run: the run id is a content hash,
 estimates and verdicts are persisted deterministically, and the manifest
 records everything needed to reproduce the numbers.  The same pipeline
-is reachable from the command line (`hspde run`, `hspde verify`, ...).
+is the command line's `hspde run`.
 """
 import json
 import tempfile
@@ -47,6 +47,6 @@ print(f"verdict: {'PASS' if verdict['passed'] else 'FAIL'} "
 
 print("\nthe same run from a shell:")
 print(f"  hspde run --preset laplacian-d1 --out-dir {out_dir}")
-print(f"  hspde verify --preset colored-d1-thm31")
+print(f"  hspde run --preset colored-d1-thm31   # exit 2 on a FAIL")
 print(f"  hspde region --theorem prop32 --d 1 --q 8 --p 4")
-print(f"  hspde export region --run {run_dir}")
+print(f"  cat {run_dir / 'region.csv'}")

@@ -3,15 +3,16 @@
 Subcommands::
 
     region         admissible-region boundary as CSV
-    simulate       build + simulate a config, persisting trajectories
-    estimate       exponent-estimate table for a config or persisted run
-    verify         full pipeline, exit 2 when the verdict fails
-    run            full pipeline: estimates, verdict, manifest
+    run            the pipeline: simulate, estimate, verify; writes the
+                   estimates, verdict, region and manifest of a run id,
+                   exit 2 when the verdict fails
+    estimate       exponent-estimate table recomputed from a persisted run
     gamma-norm     Monte Carlo gamma-norm of a finite-rank operator
     fracpow-check  cross-checks the fractional-power routes against the
                    spectral ground truth
     presets        list built-in experiment presets
-    export         plot-ready CSVs (region / increments / trajectory)
+    export         plot-ready CSVs of a persisted run (increments /
+                   trajectory)
 
 Exit codes: 0 success (verdict PASS or no verdict), 2 verification FAIL,
 3 noise-hypothesis validation failure, 4 any other error (bad flags,
@@ -75,29 +76,13 @@ def _intish(value):
     return value
 
 
-def _add_config_flags(parser) -> None:
-    parser.add_argument("--preset", default=None,
-                        help="start from a built-in preset")
-    parser.add_argument("--config", default=None,
-                        help="JSON experiment config file")
-    parser.add_argument("--set", dest="overrides", action="append",
-                        default=[], metavar="KEY.PATH=VALUE",
-                        help="override a config value (JSON-parsed); "
-                             "beats both file and preset")
-    parser.add_argument("--out-dir", default=None,
-                        help="override the config's output_dir")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker threads of the simulation and the "
-                             "exponent fits (default: one per usable CPU)")
-
-
-def _resolve(args, force_persist: bool = False) -> ExperimentConfig:
+def _resolve(args) -> ExperimentConfig:
     if args.preset is None and args.config is None:
         raise ValueError("one of --preset or --config is required")
     raw = resolve_config(args.preset, args.config, args.overrides)
     if args.out_dir is not None:
         raw["output_dir"] = args.out_dir
-    if force_persist or getattr(args, "persist_trajectories", False):
+    if args.persist_trajectories:
         raw["persist_trajectories"] = True
     return ExperimentConfig.from_dict(raw)
 
@@ -150,36 +135,12 @@ def _cmd_presets(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _resolve(args)
-    if args.command == "verify" and not (config.query or config.sweep):
-        raise ValueError(
-            "config has neither a query nor a sweep; nothing to verify")
     manifest = run_experiment(config, workers=args.workers)
     return _print_verdict(manifest, config.output_dir)
 
 
-def _cmd_simulate(args) -> int:
-    config = _resolve(args, force_persist=True)
-    manifest = run_experiment(config, workers=args.workers, until="simulate")
-    run_dir = Path(config.output_dir) / manifest.run_id
-    print(f"run {manifest.run_id} -> {run_dir}")
-    for name in manifest.outputs:
-        print(f"  {name}")
-    return EXIT_OK
-
-
 def _cmd_estimate(args) -> int:
-    if args.run is not None:
-        _emit(estimates_from_run(args.run, workers=args.workers), args.out)
-        return EXIT_OK
-    config = _resolve(args)
-    manifest = run_experiment(config, workers=args.workers, until="estimate")
-    run_dir = Path(config.output_dir) / manifest.run_id
-    text = (run_dir / "estimates.csv").read_text(encoding="utf-8")
-    if args.out:
-        _emit(text, args.out)
-    else:
-        print(f"run {manifest.run_id} -> {run_dir}")
-        sys.stdout.write(text)
+    _emit(estimates_from_run(args.run, workers=args.workers), args.out)
     return EXIT_OK
 
 
@@ -263,23 +224,31 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_region)
 
-    for name, func, help_text in (
-            ("run", _cmd_run, "full pipeline: simulate, estimate, verify"),
-            ("verify", _cmd_run, "full pipeline, exit 2 on verdict FAIL"),
-            ("simulate", _cmd_simulate,
-             "build and simulate only; always persists trajectories")):
-        p = sub.add_parser(name, help=help_text)
-        _add_config_flags(p)
-        if name != "simulate":
-            p.add_argument("--persist-trajectories", action="store_true")
-        p.set_defaults(func=func)
+    workers = {"type": int, "default": None,
+               "help": "worker threads of the simulation and the exponent "
+                       "fits (default: one per usable CPU)"}
+    p = sub.add_parser("run", help="the pipeline: simulate, estimate, "
+                                   "verify; exit 2 on verdict FAIL")
+    p.add_argument("--preset", default=None,
+                   help="start from a built-in preset")
+    p.add_argument("--config", default=None,
+                   help="JSON experiment config file")
+    p.add_argument("--set", dest="overrides", action="append", default=[],
+                   metavar="KEY.PATH=VALUE",
+                   help="override a config value (JSON-parsed); beats both "
+                        "file and preset")
+    p.add_argument("--out-dir", default=None,
+                   help="override the config's output_dir")
+    p.add_argument("--workers", **workers)
+    p.add_argument("--persist-trajectories", action="store_true")
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("estimate",
-                       help="exponent-estimate CSV for a config or a "
+                       help="exponent-estimate CSV recomputed from a "
                             "persisted run")
-    _add_config_flags(p)
-    p.add_argument("--run", default=None,
-                   help="recompute from this run's persisted trajectories")
+    p.add_argument("--run", required=True,
+                   help="run directory with persisted trajectories")
+    p.add_argument("--workers", **workers)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_estimate)
 
@@ -308,7 +277,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_presets)
 
     p = sub.add_parser("export", help="plot-ready CSVs from a run")
-    p.add_argument("kind", choices=["region", "increments", "trajectory"])
+    p.add_argument("kind", choices=["increments", "trajectory"])
     p.add_argument("--run", required=True, help="run directory")
     p.add_argument("--max-replicas", type=int, default=None)
     p.add_argument("--out", default=None)

@@ -32,11 +32,11 @@ every key its JSON type and default, and ``from_dict`` refuses, naming the
 key, whatever the table does not admit.  ``run_experiment``'s start builds
 every object and every alpha's plan, each refusing its own bad values,
 refuses a record over ``RECORD_BYTES``, reads the plans' record for the
-estimator indices and (when the run will estimate) the short-record
-refusal, and checks a region query's d and fractional alpha against the
-plans, so every value is checked before any directory exists.  The one
-refusal still left to a stage is a plan with one replica over the 256 MiB
-buffer budget, at simulate.
+estimator indices and the short-record refusal, and checks a region
+query's d and fractional alpha against the plans, so every value is
+checked before any directory exists.  The one refusal still left to a
+stage is a plan with one replica over the 256 MiB buffer budget, at
+simulate.
 """
 
 import contextlib
@@ -469,8 +469,7 @@ def _simulate_into(plan: SimulationPlan, workers: int, stem: Optional[str]):
         raise
 
 
-def run_experiment(config, workers: Optional[int] = None,
-                   until: str = "verify") -> RunManifest:
+def run_experiment(config, workers: Optional[int] = None) -> RunManifest:
     """Start a run, then simulate -> estimate -> verify and persist results.
 
     ``config`` is an ExperimentConfig or a raw dict.  The start builds the
@@ -488,14 +487,12 @@ def run_experiment(config, workers: Optional[int] = None,
     read "ok" once they passed for every alpha.  A
     stage failure aborts with the stage name, and the alpha of a per-alpha
     stage, after landing the run with its partial manifest, where a stage
-    that ran for some alphas only reads "incomplete".  ``until`` stops the
-    pipeline early after the named stage ("simulate", "estimate" or the
-    default "verify").  ``workers`` threads (None or 0: one per CPU the
-    process may use) run the simulation's replica batches and the fits'
-    replica profiles; with ``workers=1`` the run starts no thread.
+    that ran for some alphas only reads "incomplete".  Every run ends with
+    the verify stage, so a run id names one set of files.  ``workers``
+    threads (None or 0: one per CPU the process may use) run the
+    simulation's replica batches and the fits' replica profiles; with
+    ``workers=1`` the run starts no thread.
     """
-    if until not in ("simulate", "estimate", "verify"):
-        raise ValueError(f"unknown pipeline stage {until!r}")
     if not isinstance(config, ExperimentConfig):
         config = ExperimentConfig.from_dict(config)
     workers = worker_count(workers)
@@ -533,8 +530,7 @@ def run_experiment(config, workers: Optional[int] = None,
                          per_axis ** system.domain.dimension)
     _refuse_out_of_range("estimator.times", times if isinstance(times, list)
                          else None, n_times)  # a number counts the times
-    if until != "simulate":
-        _refuse_short_record(n_times, per_axis)
+    _refuse_short_record(n_times, per_axis)
     if query is not None and not config.sweep:
         _check_provenance({"dimension": system.domain.dimension,
                            "alpha": plans[0].alpha}, query)
@@ -595,31 +591,28 @@ def run_experiment(config, workers: Optional[int] = None,
             with stage("persist-trajectories", alpha, last):
                 save_trajectories(ens, str(staging / tag))
             manifest.outputs.extend([f"{tag}.bin", f"{tag}.json"])
-        if until != "simulate":
-            with stage("estimate", alpha, done=False):
-                fits[alpha] = _fit_ensemble(ens, estimator, workers)
+        with stage("estimate", alpha, done=False):
+            fits[alpha] = _fit_ensemble(ens, estimator, workers)
         del ens  # before the next alpha's ensemble is simulated
 
-    if until != "simulate":
-        with stage("estimate"):
-            emit("estimates.csv", _estimates_csv(fits.items()))
-    if until == "verify":
-        with stage("verify"):
-            if config.sweep:
-                manifest.verdict = _confront_sweep(
-                    fits, estimator["temporal_mode"],
-                    _resolved("sweep", config.sweep)["slack"])
-            elif query is not None:
-                by_mode = fits[alphas[0]]
-                manifest.verdict = {
-                    **_confront_region(query, by_mode["sup-space"],
-                                       by_mode["pooled"]).as_dict(),
-                    "kind": "region", "theorem": query.theorem,
-                    "params": _query_params(query)}
-        if manifest.verdict is not None:
-            emit("verdict.json", _json(manifest.verdict))
-        if query is not None and exponent_budget(query) > 0:
-            emit("region.csv", region_csv(query))
+    with stage("estimate"):
+        emit("estimates.csv", _estimates_csv(fits.items()))
+    with stage("verify"):
+        if config.sweep:
+            manifest.verdict = _confront_sweep(
+                fits, estimator["temporal_mode"],
+                _resolved("sweep", config.sweep)["slack"])
+        elif query is not None:
+            by_mode = fits[alphas[0]]
+            manifest.verdict = {
+                **_confront_region(query, by_mode["sup-space"],
+                                   by_mode["pooled"]).as_dict(),
+                "kind": "region", "theorem": query.theorem,
+                "params": _query_params(query)}
+    if manifest.verdict is not None:
+        emit("verdict.json", _json(manifest.verdict))
+    if query is not None and exponent_budget(query) > 0:
+        emit("region.csv", region_csv(query))
     persist_manifest()
     return manifest
 
@@ -674,17 +667,13 @@ def estimates_from_run(run_dir, workers: Optional[int] = None) -> str:
 def export_plotdata(run_dir, kind: str, out_path=None, max_replicas=None):
     """Plot-ready CSV for a persisted run.
 
-    ``region`` and ``increments`` return CSV text; ``trajectory`` writes a
-    (possibly large) CSV to ``out_path`` (default inside the run dir) and
-    returns the path.  Increments and trajectory read a sweep's first alpha.
+    ``increments`` returns CSV text; ``trajectory`` writes a (possibly
+    large) CSV to ``out_path`` (default inside the run dir) and returns the
+    path.  Both read a sweep's first alpha.  A run's region boundary is its
+    own ``region.csv``.
     """
     manifest = _load_run(run_dir)
     run_dir = Path(run_dir)
-    if kind == "region":
-        query_dict = manifest["config"].get("query")
-        if not query_dict:
-            raise ValueError("run has no region query to export")
-        return region_csv(RegularityQuery(**query_dict))
     if kind not in ("increments", "trajectory"):
         raise ValueError(f"unknown export kind {kind!r}")
     ens = load_trajectories(_trajectory_files(run_dir, manifest)[0])

@@ -104,8 +104,10 @@ class RegularityQuery:
     """Which regularity statement to query, with its exponents.
 
     ``p`` is required for the white-noise and fractional settings; the
-    smoothed-noise settings ignore it and derive their own integrability
-    from theta (and m).
+    smoothed-noise settings derive their own integrability from theta (and
+    m), and refuse a ``p``.  A theorem refuses, by name, every parameter
+    its region does not read, and an ``alpha`` other than 2 unless it is
+    the fractional one.
     """
 
     theorem: str
@@ -119,6 +121,13 @@ class RegularityQuery:
     def __post_init__(self):
         if self.theorem not in THEOREMS:
             raise ValueError(f"unknown theorem key {self.theorem!r}")
+        for key, readers in (("p", ("prop32", "fractional")),
+                             ("theta", ("remark33", "colored")),
+                             ("m", ("colored",))):
+            if getattr(self, key) is not None and self.theorem not in readers:
+                raise ValueError(f"{self.theorem} reads no {key}; drop it")
+        if self.theorem != "fractional" and _frac(self.alpha) != 2:
+            raise ValueError(f"{self.theorem} reads no alpha; drop it")
         if self.d < 1:
             raise ValueError("d must be a positive integer")
         if _frac(self.q) < 2:

@@ -138,9 +138,7 @@ class EllipticOperatorSpec:
 
     Coefficients may be floats, arrays sampled on the interior grid, or
     callables of the grid points.  ``ellipticity`` is the constant a0 with
-    a0 <= a(xi) <= 1/a0 enforced on the grid.  ``b_exponent`` and
-    ``c_exponent`` record the integrability exponents the drift and
-    potential are declared to live in; they must exceed d and d/2.
+    a0 <= a(xi) <= 1/a0 enforced on the grid.
     """
 
     a: Coefficient = 1.0
@@ -148,8 +146,6 @@ class EllipticOperatorSpec:
     c: Coefficient = 0.0
     shift: float = 0.0
     ellipticity: float = 0.5
-    b_exponent: float = np.inf
-    c_exponent: float = np.inf
 
     def sampled(self, domain: SpectralDomain):
         """Coefficient arrays on the interior grid, validated."""
@@ -167,10 +163,6 @@ class EllipticOperatorSpec:
                 "diffusion coefficient leaves the ellipticity window "
                 f"[{lo}, {hi}] on the grid"
             )
-        if self.b_exponent <= domain.dimension:
-            raise ValueError("drift integrability exponent must exceed d")
-        if self.c_exponent <= domain.dimension / 2.0:
-            raise ValueError("potential integrability exponent must exceed d/2")
         for name, arr in (("a", a), ("b", b), ("c", c)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"coefficient {name} is not finite on the grid")

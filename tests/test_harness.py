@@ -285,20 +285,22 @@ def test_config_errors_refused_before_any_stage(tmp_path, path, value,
 
 @pytest.mark.parametrize("plan, inside, outside", [
     ({}, {"point_index": 63}, {"point_index": 64}),
-    ({"space_count": 16}, {"point_index": 15}, {"point_index": 16}),
-    ({}, {"times": [0, 2048]}, {"times": [2049]}),
-    ({"time_stride": 2}, {"times": [0, 1024]}, {"times": [1025]}),
+    ({"space_count": 40}, {"point_index": 41}, {"point_index": 42}),
+    ({}, {"times": [0, 512]}, {"times": [513]}),
+    ({"time_stride": 2}, {"times": [0, 256]}, {"times": [257]}),
     ({}, {"times": 5000}, {"times": [5000]}),  # a number counts times
     ({}, {"point_index": 0}, {"point_index": 1.5}),
-    ({}, {"times": [0]}, {"times": [True]}),
-    ({}, {"times": [2048]}, {"times": []}),
+    ({}, {"times": [1]}, {"times": [True]}),  # time 0 is all zero
+    ({}, {"times": [512]}, {"times": []}),
     ({}, {"times": 1}, {"times": 0}),
 ])
 def test_estimator_indices_follow_the_record(tmp_path, plan, inside,
                                              outside):
+    # 128 grid points at space count 40 record 42, over the 33-point floor
     cfg = small_config(tmp_path / "inside")
-    cfg["plan"].update(plan)
-    run_experiment(dict(cfg, estimator=inside), workers=1, until="simulate")
+    cfg["domain"]["grid_size"] = 128
+    cfg["plan"].update({"steps": 512, "replicas": 2, **plan})
+    run_experiment(dict(cfg, estimator=inside), workers=1)
     # an index outside the record, a list or count of no time, or a value
     # that is no integer
     message = "selects no time" if outside.get("times") in ([], 0) \
@@ -306,8 +308,7 @@ def test_estimator_indices_follow_the_record(tmp_path, plan, inside,
             {"point_index": 1.5}, {"times": [True]}) else "not an index into"
     out = tmp_path / "outside"
     with pytest.raises(ValueError, match=message):
-        run_experiment(dict(cfg, estimator=outside, output_dir=str(out)),
-                       until="simulate")
+        run_experiment(dict(cfg, estimator=outside, output_dir=str(out)))
     assert not out.exists()
 
 
@@ -787,34 +788,6 @@ def test_pipeline_holds_one_ensemble_at_a_time(tmp_path, monkeypatch):
     assert all(ref() is None for ref in alive)
 
 
-def test_persisted_sweep_stops_early(tmp_path):
-    def sweep_config(out_dir):
-        cfg = small_config(out_dir, query=None, persist_trajectories=True,
-                           sweep={"alpha": [2.0, 1.0, 1.5]})
-        cfg["plan"].update({"steps": 512, "replicas": 2})
-        return cfg
-
-    full = run_experiment(sweep_config(tmp_path / "full"), workers=1)
-    tags = [f"trajectories-alpha-{a}" for a in ("2", "1", "1.5")]
-    pairs = [f"{tag}{ext}" for tag in tags for ext in (".bin", ".json")]
-    for until, stages in (("simulate", ["build", "simulate",
-                                        "persist-trajectories"]),
-                          ("estimate", ["build", "simulate",
-                                        "persist-trajectories", "estimate"])):
-        out = tmp_path / until
-        manifest = run_experiment(sweep_config(out), workers=1, until=until)
-        run_dir = out / manifest.run_id
-        assert sorted(manifest.stages) == sorted(stages)
-        assert set(manifest.stages.values()) == {"ok"}
-        assert set(manifest.timings) == set(manifest.stages)
-        estimates = ["estimates.csv"] if until == "estimate" else []
-        assert manifest.outputs == pairs + estimates + ["manifest.json"]
-        assert all((run_dir / name).is_file() for name in manifest.outputs)
-    assert not list((tmp_path / "simulate").glob("*/estimates.csv"))
-    assert (run_dir / "estimates.csv").read_bytes() == \
-        (tmp_path / "full" / full.run_id / "estimates.csv").read_bytes()
-
-
 def test_sweep_verdict_needs_a_temporal_mode(tmp_path):
     cfg = small_config(tmp_path, query=None, sweep={"alpha": [1.0, 2.0]},
                        estimator={"temporal_mode": "pooled"})
@@ -823,36 +796,19 @@ def test_sweep_verdict_needs_a_temporal_mode(tmp_path):
     assert not any(tmp_path.iterdir())  # refused before any stage ran
 
 
-def test_pipeline_can_stop_early(tmp_path):
-    cfg = small_config(tmp_path)
-    cfg["plan"].update({"steps": 512, "replicas": 2})
-    manifest = run_experiment(cfg, until="simulate")
-    run_dir = tmp_path / manifest.run_id
-    assert not (run_dir / "estimates.csv").exists()
-    manifest = run_experiment(cfg, until="estimate")
-    assert (run_dir / "estimates.csv").is_file()
-    assert not (run_dir / "verdict.json").exists()
-    with pytest.raises(ValueError, match="stage"):
-        run_experiment(cfg, until="plot")
-
-
 @pytest.mark.parametrize("plan, message", [
     ({"steps": 48}, "need at least 64 recorded times, the record has 49"),
     ({"space_count": 16}, "need at least 33 recorded points per spatial "
                           "axis, the record has 16"),
 ])
 def test_short_record_refused_before_any_directory(tmp_path, plan, message):
-    # the fits' sample floors are read off the plan's record, so a run that
-    # will estimate fails before it simulates; a simulate-only run still runs
+    # the fits' sample floors are read off the plan's record, so every run
+    # fails before it simulates
     cfg = small_config(tmp_path)
     cfg["plan"].update(plan)
-    for until in ("estimate", "verify"):
-        with pytest.raises(ValueError, match=message):
-            run_experiment(cfg, workers=1, until=until)
-        assert not any(tmp_path.iterdir())
-    manifest = run_experiment(cfg, workers=1, until="simulate")
-    assert manifest.stages == {"build": "ok", "simulate": "ok"}
-    assert (tmp_path / manifest.run_id / "manifest.json").is_file()
+    with pytest.raises(ValueError, match=message):
+        run_experiment(cfg, workers=1)
+    assert not any(tmp_path.iterdir())
 
 
 def _diagonal_config(out_dir, count, grid_size, **extra):
@@ -873,11 +829,9 @@ def test_short_record_reads_the_diagonal_grid(tmp_path):
     # a diagonal operator's grid has one point per eigenvalue, whatever the
     # domain section says: 64 eigenvalues fit, 16 do not
     with pytest.raises(ValueError, match="the record has 16"):
-        run_experiment(_diagonal_config(tmp_path, 16, 64), workers=1,
-                       until="estimate")
+        run_experiment(_diagonal_config(tmp_path, 16, 64), workers=1)
     assert not any(tmp_path.iterdir())
-    manifest = run_experiment(_diagonal_config(tmp_path, 64, 16), workers=1,
-                              until="estimate")
+    manifest = run_experiment(_diagonal_config(tmp_path, 64, 16), workers=1)
     assert manifest.stages["estimate"] == "ok"
 
 
@@ -886,7 +840,7 @@ def test_index_check_reads_the_diagonal_grid(tmp_path):
     # points lack is taken, one its 80 points hold is refused up front
     inside = _diagonal_config(tmp_path, 64, 16,
                               estimator={"point_index": 40})
-    manifest = run_experiment(inside, workers=1, until="estimate")
+    manifest = run_experiment(inside, workers=1)
     assert manifest.stages["estimate"] == "ok"
     outside = _diagonal_config(tmp_path / "outside", 64, 80,
                                estimator={"point_index": 70})
@@ -896,16 +850,16 @@ def test_index_check_reads_the_diagonal_grid(tmp_path):
     assert not (tmp_path / "outside").exists()
 
 
-def test_vacuous_region_run():
+def test_vacuous_region_run(tmp_path):
     cfg = get_preset("laplacian-d2")
-    import tempfile
-    cfg["output_dir"] = tempfile.mkdtemp()
+    cfg["output_dir"] = str(tmp_path)
     manifest = run_experiment(cfg)
     verdict = manifest.verdict
     assert verdict["passed"] is True
     assert verdict["beta_hat"] is None
     assert "empty region" in verdict["note"]
     assert "region.csv" not in manifest.outputs
+    assert not (tmp_path / manifest.run_id / "region.csv").exists()
 
 
 def _count_fits(monkeypatch) -> collections.Counter:
@@ -978,10 +932,12 @@ def test_tracing_patch_points_are_callable():
 # ---------------------------------------------------------------------------
 
 def test_export_region_matches_query(completed_run):
-    _, _, run_dir = completed_run
-    text = export_plotdata(run_dir, "region")
+    # every run whose region is not empty writes the query's boundary
+    _, manifest, run_dir = completed_run
+    text = (run_dir / "region.csv").read_text()
     query = RegularityQuery("prop32", d=1, q=8, p=4)
     assert text == region_csv(query)
+    assert "region.csv" in manifest.outputs
     first = text.splitlines()[1].split(",")
     assert (float(first[0]), float(first[1])) == (0.0, 0.25)
 
@@ -997,7 +953,7 @@ def test_export_unknown_kind_and_missing_run(completed_run, tmp_path):
     with pytest.raises(ValueError, match="kind"):
         export_plotdata(run_dir, "heatmap")
     with pytest.raises(FileNotFoundError, match="unknown run"):
-        export_plotdata(tmp_path / "no-such-run", "region")
+        export_plotdata(tmp_path / "no-such-run", "increments")
 
 
 def test_export_increments_and_trajectory(tmp_path):
@@ -1162,21 +1118,11 @@ def test_cli_run_and_verify_exit_codes(tmp_path, capsys):
     code, out, _ = run_cli(["run", "--config", str(cfg_path)], capsys)
     assert code == 0
     assert "PASS" in out
-    code, out, _ = run_cli(["verify", "--config", str(cfg_path),
+    code, out, _ = run_cli(["run", "--config", str(cfg_path),
                             "--set", "query.p=400", "--set", "query.q=400"],
                            capsys)
     assert code == 2
     assert "FAIL" in out
-
-
-def test_cli_verify_without_query_or_sweep_exits_4_before_any_directory(
-        tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    code, _, err = run_cli(["verify", "--preset", "laplacian-d1",
-                            "--set", "query=null"], capsys)
-    assert code == 4
-    assert "nothing to verify" in err
-    assert not any(tmp_path.iterdir())
 
 
 def test_cli_hypothesis_failure_exits_3(tmp_path, capsys):
@@ -1324,8 +1270,6 @@ def test_cli_short_record_exits_4_before_any_directory(
     assert code == 4
     assert "need at least 64 recorded times" in err
     assert not any(tmp_path.iterdir())
-    code, _, _ = run_cli(["simulate", *flags], capsys)
-    assert code == 0
 
 
 def test_cli_colored_query_without_integrability_exits_4(
@@ -1361,18 +1305,30 @@ def test_cli_needs_a_config_source(capsys):
     assert "--preset" in err
 
 
-def test_cli_simulate_then_estimate_from_run(tmp_path, capsys):
+def test_cli_simulate_then_estimate_from_run(tmp_path, capsys, monkeypatch):
     cfg = small_config(tmp_path / "runs")
     cfg["plan"].update({"steps": 512, "replicas": 2})
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    code, out, _ = run_cli(["simulate", "--config", str(cfg_path)], capsys)
+    code, out, _ = run_cli(["run", "--config", str(cfg_path),
+                            "--persist-trajectories"], capsys)
     assert code == 0
-    run_dir = out.splitlines()[0].split(" -> ")[1]
-    code, out, _ = run_cli(["estimate", "--run", run_dir], capsys)
+    run_dir = Path(out.splitlines()[0].split(" -> ")[1])
+    code, out, _ = run_cli(["estimate", "--run", str(run_dir)], capsys)
     assert code == 0
-    assert out.splitlines()[0] == \
-        "alpha,kind,mode,value,fit_r2,lag_lo,lag_hi,replicas"
+    assert out == (run_dir / "estimates.csv").read_text()
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(["estimate", "--run", str(run_dir), "--out",
+                            "table.csv"], capsys)
+    assert (code, out) == (0, "table.csv\n")
+    assert Path("table.csv").read_bytes() == \
+        (run_dir / "estimates.csv").read_bytes()
+    # estimate reads a run: without one it exits 4, and it takes no config
+    code, out, err = run_cli(["estimate"], capsys)
+    assert (code, out) == (4, "")
+    assert "--run" in err
+    code, out, err = run_cli(["estimate", "--preset", "laplacian-d1"], capsys)
+    assert (code, out) == (4, "")
 
 
 def _cli_run(tmp_path, capsys, cfg) -> tuple:
@@ -1407,21 +1363,6 @@ def test_cli_prints_sweep_no_query_and_vacuous_verdicts(tmp_path, capsys):
         "region check: PASS (0 failing vertices)"])
 
 
-def test_cli_estimate_from_a_preset(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    flags = ["estimate", "--preset", "laplacian-d1", "--out-dir", "runs",
-             "--set", "plan.steps=512", "--set", "plan.replicas=2"]
-    code, out, _ = run_cli(flags, capsys)
-    assert code == 0
-    run_line, table = out.split("\n", 1)
-    run_dir = Path(run_line.split(" -> ")[1])
-    assert table == (run_dir / "estimates.csv").read_text()
-    assert not (run_dir / "verdict.json").exists()
-    code, out, _ = run_cli([*flags, "--out", "table.csv"], capsys)
-    assert (code, out) == (0, "table.csv\n")
-    assert Path("table.csv").read_text() == table
-
-
 def test_cli_exports_a_persisted_run(tmp_path, capsys):
     cfg = small_config(tmp_path / "runs", persist_trajectories=True)
     cfg["plan"].update({"steps": 512, "replicas": 2})
@@ -1446,16 +1387,20 @@ def test_cli_exports_a_persisted_run(tmp_path, capsys):
 
 
 def test_cli_export_region_without_run(capsys):
-    # a region CSV from query flags is `hspde region`'s job; export reads
-    # a run, and refuses the query flags rather than ignore them
-    code, out, err = run_cli(["export", "region"], capsys)
+    # a region CSV from query flags is `hspde region`'s job, and a run's is
+    # its region.csv; export reads a run's trajectories, and refuses the
+    # query flags rather than ignore them
+    code, out, err = run_cli(["export", "increments"], capsys)
     assert (code, out) == (4, "")
     assert "--run" in err
-    code, out, err = run_cli(["export", "region", "--run", "r",
+    code, out, err = run_cli(["export", "increments", "--run", "r",
                               "--theorem", "prop32", "--d", "1", "--q", "8",
                               "--points", "5"], capsys)
     assert (code, out) == (4, "")
     assert "unrecognized arguments" in err
+    code, out, err = run_cli(["export", "region", "--run", "r"], capsys)
+    assert (code, out) == (4, "")
+    assert "invalid choice: 'region'" in err
 
 
 def test_cli_export_missing_run_errors(tmp_path, capsys):

@@ -207,6 +207,23 @@ def test_query_validation():
         RegularityQuery("colored", d=1, q=8, theta=0.4)
     with pytest.raises(ValueError, match="m must exceed"):
         RegularityQuery("colored", d=1, q=8, theta=0.4, m=2)
+    # a parameter the theorem's region never reads is refused by name
+    for theorem, params, key in (
+            ("prop32", {"p": 4, "theta": 0.3}, "theta"),
+            ("prop32", {"p": 4, "m": 5}, "m"),
+            ("prop32", {"p": 4, "alpha": 1}, "alpha"),
+            ("fractional", {"p": 4, "theta": 0.3}, "theta"),
+            ("fractional", {"p": 4, "m": 5}, "m"),
+            ("remark33", {"theta": 0.4, "p": 4}, "p"),
+            ("remark33", {"theta": 0.4, "m": 5}, "m"),
+            ("remark33", {"theta": 0.4, "alpha": 1.5}, "alpha"),
+            ("colored", {"theta": 0.4, "m": 8, "p": 4}, "p"),
+            ("colored", {"theta": 0.4, "m": 8, "alpha": 1}, "alpha")):
+        with pytest.raises(ValueError, match=f"^{theorem} reads no {key};"):
+            RegularityQuery(theorem, d=1, q=8, **params)
+    # alpha = 2 is every other theorem's own slope, so it is no extra key
+    assert exponent_budget(RegularityQuery("prop32", d=1, q=8, p=4,
+                                           alpha=2.0)) == exponent_budget(P32)
 
 
 # ----- region properties over random rational queries --------------------------
