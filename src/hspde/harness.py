@@ -22,9 +22,13 @@ ensemble, persists it when asked, fits it once and releases it before the
 next alpha is simulated, so a sweep holds at most one ensemble.  A
 persisted ensemble is simulated straight into its mapped payload file,
 which is deleted again if the simulation fails, so persisting it writes
-only its sidecar.  Region verdicts take the ``sup-space`` and ``pooled``
-rows of the estimate table, so ``estimator.times`` shapes both the table
-and the verdict; ``estimator.temporal_mode`` steers sweep verdicts only.
+only its sidecar.  The fits' per-replica max-increment profiles land
+once, as ``profiles.csv`` beside ``estimates.csv``, and the increments
+export reads its time rows from that file instead of taking the profiles
+again from the payload.  Region verdicts take the ``sup-space`` and
+``pooled`` rows of the estimate table, so ``estimator.times`` shapes both
+the table and the verdict; ``estimator.temporal_mode`` steers sweep
+verdicts only.
 
 A config is a JSON object of sections and top-level values.  The key
 table ``_KEYS``, with the ``operator`` and ``g`` kinds of ``_KINDS``, gives
@@ -456,6 +460,18 @@ def _estimates_csv(fits) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _profiles_csv(fits) -> str:
+    """The per-replica max-increment profiles that the fits of (alpha,
+    ``_fit_ensemble`` result) pairs read, one row per replica and lag."""
+    lines = ["alpha,mode,replica,lag,max_increment"]
+    for alpha, by_mode in fits:
+        for mode, est in by_mode.items():
+            lines.extend(f"{_fmt(alpha)},{mode},{r},{_fmt(lag)},{_fmt(m)}"
+                         for r, profile in enumerate(est.profiles)
+                         for lag, m in zip(est.lags, profile))
+    return "\n".join(lines) + "\n"
+
+
 def _simulate_into(plan: SimulationPlan, workers: int, stem: Optional[str]):
     """``simulate(plan)``; given a ``stem``, straight into the mapped payload
     of ``<stem>.bin``, which is deleted again if ``simulate`` raises."""
@@ -482,7 +498,8 @@ def run_experiment(config, workers: Optional[int] = None) -> RunManifest:
     when ``persist_trajectories`` is set (simulated into its mapped
     payload, so the persist-trajectories stage writes the sidecar),
     fitted, and released before the next alpha is simulated;
-    ``estimates.csv`` is written once, after the loop.  The simulate,
+    ``estimates.csv`` and ``profiles.csv`` (the fits' per-replica
+    profiles) are written once, after the loop.  The simulate,
     persist-trajectories and estimate stages time the sum over alphas and
     read "ok" once they passed for every alpha.  A
     stage failure aborts with the stage name, and the alpha of a per-alpha
@@ -526,10 +543,15 @@ def run_experiment(config, workers: Optional[int] = None) -> RunManifest:
                                               plan["steps"])
     estimator = _resolved("estimator", config.estimator)
     times = estimator["times"]
+    # a list (or tuple) of indices; a number counts the times
+    times = list(times) if isinstance(times, (list, tuple)) else None
     _refuse_out_of_range("estimator.point_index", estimator["point_index"],
                          per_axis ** system.domain.dimension)
-    _refuse_out_of_range("estimator.times", times if isinstance(times, list)
-                         else None, n_times)  # a number counts the times
+    _refuse_out_of_range("estimator.times", times, n_times)
+    if times is not None and not any(times):
+        raise ValueError(f"estimator.times {times}: selects time 0 only, "
+                         "where u(0) = 0, so a spatial fit there is "
+                         "degenerate")
     _refuse_short_record(n_times, per_axis)
     if query is not None and not config.sweep:
         _check_provenance({"dimension": system.domain.dimension,
@@ -597,6 +619,7 @@ def run_experiment(config, workers: Optional[int] = None) -> RunManifest:
 
     with stage("estimate"):
         emit("estimates.csv", _estimates_csv(fits.items()))
+        emit("profiles.csv", _profiles_csv(fits.items()))
     with stage("verify"):
         if config.sweep:
             manifest.verdict = _confront_sweep(
@@ -636,16 +659,34 @@ def _trajectory_files(run_dir: Path, manifest: dict) -> list:
     return traj
 
 
-def _increment_profile_csv(ens) -> str:
-    """Median dyadic max-increment profiles, plot-ready: the estimators'
-    per-replica profiles, in time pooled over every recorded point and in
-    space pooled over every recorded time."""
+def _run_profiles(run_dir: Path, alpha: float, mode: str):
+    """(lags (L,), profiles (replicas, L)) of a run's ``mode`` fit at
+    ``alpha``, as its ``profiles.csv`` holds them."""
+    path = run_dir / "profiles.csv"
+    if not path.is_file():
+        raise FileNotFoundError(
+            "run has no profiles.csv (made before runs wrote their fits' "
+            "profiles, or its estimate stage failed); re-run the config")
+    rows = [line.split(",") for line
+            in path.read_text(encoding="utf-8").splitlines()[1:]]
+    cells = np.array([list(map(float, row[2:])) for row in rows
+                      if row[:2] == [_fmt(alpha), mode]])
+    # rows run replica-major: (replicas, lags, (replica, lag, increment))
+    table = cells.reshape(int(cells[-1, 0]) + 1, -1, 3)
+    return table[0, :, 1], table[:, :, 2]
+
+
+def _increment_profile_csv(ens, time_profiles) -> str:
+    """Median dyadic max-increment profiles, plot-ready: in time the
+    per-replica profiles ``time_profiles`` (``_increment_profiles``'
+    lags and profiles), in space the estimators' per-replica profiles of
+    ``ens`` pooled over every recorded time."""
     lines = ["axis,lag,median_max_increment"]
-    axes = {"time": {}}
+    axes = {"time": time_profiles}
     if ens.space_shape[0] >= _MIN_SAMPLES:
-        axes["space"] = {"times": np.arange(ens.values.shape[1])}
-    for axis, where in axes.items():
-        lags, profiles = _increment_profiles(ens, axis, **where)
+        axes["space"] = _increment_profiles(
+            ens, "space", times=np.arange(ens.values.shape[1]))
+    for axis, (lags, profiles) in axes.items():
         for lag, per_replica in zip(lags, profiles.T):
             lines.append(f"{axis},{_fmt(lag)},{_fmt(np.median(per_replica))}")
     return "\n".join(lines) + "\n"
@@ -669,7 +710,10 @@ def export_plotdata(run_dir, kind: str, out_path=None, max_replicas=None):
 
     ``increments`` returns CSV text; ``trajectory`` writes a (possibly
     large) CSV to ``out_path`` (default inside the run dir) and returns the
-    path.  Both read a sweep's first alpha.  A run's region boundary is its
+    path.  Both read a sweep's first alpha.  ``increments`` takes its time
+    rows, the per-lag medians of the ``sup-space`` fit's profiles, from
+    the run's ``profiles.csv`` (refused if the run has none), and its
+    space rows from the persisted payload.  A run's region boundary is its
     own ``region.csv``.
     """
     manifest = _load_run(run_dir)
@@ -678,7 +722,8 @@ def export_plotdata(run_dir, kind: str, out_path=None, max_replicas=None):
         raise ValueError(f"unknown export kind {kind!r}")
     ens = load_trajectories(_trajectory_files(run_dir, manifest)[0])
     if kind == "increments":
-        return _increment_profile_csv(ens)
+        return _increment_profile_csv(ens, _run_profiles(
+            run_dir, ens.provenance["alpha"], "sup-space"))
     out_path = Path(out_path or run_dir / "trajectory-export.csv")
     export_trajectories_csv(ens, out_path, max_replicas=max_replicas)
     return out_path

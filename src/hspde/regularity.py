@@ -274,18 +274,27 @@ def select_sigma_delta(query: RegularityQuery, beta: Rational,
 
 @dataclass(frozen=True)
 class ExponentEstimate:
-    """Fitted Hölder exponent; exactly one of beta_hat/gamma_hat is set."""
+    """Fitted Hölder exponent; exactly one of beta_hat/gamma_hat is set.
+
+    ``lags`` (L,) are the fit's physical lags and ``profiles`` (replicas, L)
+    the per-replica max-increment profiles it fitted.
+    """
 
     beta_hat: Optional[float]
     gamma_hat: Optional[float]
     per_replica: np.ndarray = field(repr=False)
-    lag_range: tuple = (0.0, 0.0)
+    lags: np.ndarray = field(repr=False)
+    profiles: np.ndarray = field(repr=False)
     fit_r2: float = 0.0
     kind: str = "temporal"
 
     @property
     def value(self) -> float:
         return self.beta_hat if self.beta_hat is not None else self.gamma_hat
+
+    @property
+    def lag_range(self) -> tuple:
+        return float(self.lags[0]), float(self.lags[-1])
 
 
 def _kept_lags(n_samples: int) -> list:
@@ -435,7 +444,7 @@ def _fit_profiles(lags: np.ndarray, profiles: np.ndarray,
     return ExponentEstimate(
         beta_hat=value if kind == "temporal" else None,
         gamma_hat=value if kind == "spatial" else None,
-        per_replica=per_replica, lag_range=(float(lags[0]), float(lags[-1])),
+        per_replica=per_replica, lags=lags, profiles=profiles,
         fit_r2=float(np.median(r2s)), kind=kind)
 
 

@@ -31,7 +31,7 @@ from hspde.harness import (
 from hspde.presets import get_preset, list_presets, operator_preset
 from hspde.regularity import RegularityQuery
 from hspde.spectral import EllipticOperatorSpec
-from hspde.trajio import load_trajectories
+from hspde.trajio import _fmt, load_trajectories
 
 CONTRACT_PRESETS = [
     "laplacian-d1",
@@ -293,6 +293,8 @@ def test_config_errors_refused_before_any_stage(tmp_path, path, value,
     ({}, {"times": [1]}, {"times": [True]}),  # time 0 is all zero
     ({}, {"times": [512]}, {"times": []}),
     ({}, {"times": 1}, {"times": 0}),
+    ({}, {"times": (1,)}, {"times": (513,)}),  # a tuple, from Python
+    ({}, {"times": (0, 1)}, {"times": (0, 0)}),
 ])
 def test_estimator_indices_follow_the_record(tmp_path, plan, inside,
                                              outside):
@@ -304,6 +306,7 @@ def test_estimator_indices_follow_the_record(tmp_path, plan, inside,
     # an index outside the record, a list or count of no time, or a value
     # that is no integer
     message = "selects no time" if outside.get("times") in ([], 0) \
+        else "selects time 0 only" if outside.get("times") == (0, 0) \
         else "config keys need integer" if outside in (
             {"point_index": 1.5}, {"times": [True]}) else "not an index into"
     out = tmp_path / "outside"
@@ -483,8 +486,8 @@ def test_run_id_tracks_content(tmp_path):
 
 def test_standard_outputs_exist(completed_run):
     _, manifest, run_dir = completed_run
-    for name in ("estimates.csv", "region.csv", "verdict.json",
-                 "manifest.json"):
+    for name in ("estimates.csv", "profiles.csv", "region.csv",
+                 "verdict.json", "manifest.json"):
         assert name in manifest.outputs
         assert (run_dir / name).is_file()
     assert all(status == "ok" for status in manifest.stages.values())
@@ -564,7 +567,8 @@ def test_sweep_read_back_follows_the_run_order(tmp_path):
         (run_dir / "estimates.csv").read_bytes()
     first = load_trajectories(str(run_dir / "trajectories-alpha-1.json"))
     assert export_plotdata(run_dir, kind="increments") == \
-        harness._increment_profile_csv(first)
+        harness._increment_profile_csv(
+            first, regularity._increment_profiles(first, "time"))
 
 
 def test_stage_error_names_stage_and_keeps_partial_manifest(tmp_path,
@@ -948,6 +952,18 @@ def test_export_requires_persisted_trajectories(completed_run):
         export_plotdata(run_dir, "increments")
 
 
+def test_export_increments_requires_profiles(tmp_path):
+    # a run made before runs wrote profiles.csv, or whose estimate stage
+    # failed, has trajectories but no profiles: no recomputation stands in
+    cfg = small_config(tmp_path, persist_trajectories=True)
+    cfg["plan"].update({"steps": 512, "replicas": 2})
+    run_dir = tmp_path / run_experiment(cfg, workers=1).run_id
+    (run_dir / "profiles.csv").unlink()
+    with pytest.raises(FileNotFoundError,
+                       match=r"no profiles\.csv .*; re-run the config"):
+        export_plotdata(run_dir, "increments")
+
+
 def test_export_unknown_kind_and_missing_run(completed_run, tmp_path):
     _, _, run_dir = completed_run
     with pytest.raises(ValueError, match="kind"):
@@ -968,6 +984,44 @@ def test_export_increments_and_trajectory(tmp_path):
     path = export_plotdata(run_dir, "trajectory", max_replicas=1)
     header = path.read_text().splitlines()[0]
     assert header.startswith("replica,")
+
+
+def _profiled_sweep_d1(out_dir):
+    cfg = small_config(out_dir, query=None, persist_trajectories=True,
+                       sweep={"alpha": [1.5, 2.0]})
+    cfg["plan"].update({"steps": 512, "replicas": 2})
+    return cfg
+
+
+@pytest.mark.parametrize("make_config", [
+    _profiled_sweep_d1,
+    lambda out_dir: dict(PINNED_RUNS["d2"], output_dir=str(out_dir)),
+], ids=["d1-sweep", "d2"])
+def test_profiles_file_is_the_fits_evidence(make_config, tmp_path):
+    runs = {workers: tmp_path / f"w{workers}" / run_experiment(
+        make_config(tmp_path / f"w{workers}"), workers=workers).run_id
+        for workers in (1, 2)}
+    run_dir = runs[2]
+    assert (runs[1] / "profiles.csv").read_bytes() == \
+        (run_dir / "profiles.csv").read_bytes()
+    assert "profiles.csv" in json.loads(
+        (run_dir / "manifest.json").read_text())["outputs"]
+    # each mode's rows, fitted again, give that mode's estimates.csv row
+    table = (run_dir / "estimates.csv").read_text().splitlines()
+    for row in table[1:]:
+        alpha, kind, mode = row.split(",")[:3]
+        lags, profiles = harness._run_profiles(run_dir, float(alpha), mode)
+        refit = regularity._fit_profiles(lags, profiles, kind)
+        assert harness._estimates_csv([(float(alpha), {mode: refit})]) == \
+            f"{table[0]}\n{row}\n"
+    # the export's time rows are the payload's sup-space profile medians
+    ens = load_trajectories(str(harness._trajectory_files(
+        run_dir, json.loads((run_dir / "manifest.json").read_text()))[0]))
+    lags, fresh = regularity._increment_profiles(ens, "time")
+    want = [f"time,{_fmt(lag)},{_fmt(np.median(column))}"
+            for lag, column in zip(lags, fresh.T)]
+    got = export_plotdata(run_dir, "increments").splitlines()
+    assert [line for line in got if line.startswith("time,")] == want
 
 
 # Two small seeded runs, one per dimension, and the exact text their
@@ -1196,6 +1250,13 @@ def test_cli_hypothesis_failure_exits_3(tmp_path, capsys):
      r"estimator.times \[\]: selects no time"),
     (["--preset", "fractional-alpha-sweep", "--set", "sweep.alpha=[]"],
      "sweep.alpha needs a list of at least two distinct numbers"),
+    # every run starts from u = 0, so time 0 alone gives a flat spatial fit
+    (["--preset", "laplacian-d1", "--set", "plan.steps=512",
+      "--set", "plan.replicas=2", "--set", "estimator.times=[0]"],
+     r"estimator.times \[0\]: selects time 0 only, where u\(0\) = 0, so a "
+     "spatial fit there is degenerate"),
+    (["--preset", "laplacian-d1", "--set", "estimator.times=[0,0]"],
+     r"estimator.times \[0, 0\]: selects time 0 only"),
 ])
 def test_cli_bad_value_exits_4_before_any_directory(
         tmp_path, capsys, monkeypatch, flags, message):
