@@ -2,17 +2,13 @@
 
 Subcommands::
 
-    region         admissible-region boundary as CSV
-    run            the pipeline: simulate, estimate, verify; writes the
-                   estimates, verdict, region and manifest of a run id,
-                   exit 2 when the verdict fails
-    estimate       exponent-estimate table recomputed from a persisted run
-    gamma-norm     Monte Carlo gamma-norm of a finite-rank operator
-    fracpow-check  cross-checks the fractional-power routes against the
-                   spectral ground truth
-    presets        list built-in experiment presets
-    export         plot-ready CSVs of a persisted run (increments /
-                   trajectory)
+    region    admissible-region boundary as CSV
+    run       the pipeline: simulate, estimate, verify; writes the
+              estimates, verdict, region and manifest of a run id, exit 2
+              when the verdict fails
+    estimate  exponent-estimate table recomputed from a persisted run
+    presets   list built-in experiment presets
+    export    plot-ready CSVs of a persisted run (increments / trajectory)
 
 Exit codes: 0 success (verdict PASS or no verdict), 2 verification FAIL,
 3 noise-hypothesis validation failure, 4 any other error (bad flags,
@@ -27,11 +23,6 @@ import traceback
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
-from .fracpow import NODES, balakrishnan_forward, frac_power_eigen, \
-    frac_power_quadrature
-from .gamma_radon import FiniteRankOperator, mc_gamma_norm
 from .harness import (
     ExperimentConfig,
     HypothesisError,
@@ -43,8 +34,6 @@ from .harness import (
     run_experiment,
 )
 from .regularity import THEOREMS, RegularityQuery
-from .spectral import SpectralDomain, build_laplacian_system, \
-    diagonal_system, synthesize
 from .trajio import _fmt
 
 __all__ = ["main"]
@@ -144,61 +133,15 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _gamma_operator(kind: str, n: int, seed: int) -> FiniteRankOperator:
-    if kind == "identity":
-        return FiniteRankOperator.identity(n)
-    if kind == "gaussian":
-        rng = np.random.default_rng(np.random.SeedSequence(seed,
-                                                           spawn_key=(1,)))
-        return FiniteRankOperator.from_matrix(
-            rng.standard_normal((n, n)) / np.sqrt(n))
-    if kind == "rank-one":
-        return FiniteRankOperator.rank_one(np.ones(n) / np.sqrt(n),
-                                           index=0, rank=n)
-    raise ValueError(f"unknown operator kind {kind!r}")
-
-
-def _cmd_gamma_norm(args) -> int:
-    R = _gamma_operator(args.kind, args.N, args.seed)
-    est = mc_gamma_norm(R, p=args.p, samples=args.samples, seed=args.seed)
-    lines = ["estimate,std_error,N,samples",
-             f"{_fmt(est.value)},{_fmt(est.std_error)},{args.N},{est.samples}"]
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
-
-
-def _cmd_fracpow_check(args) -> int:
-    zs = [float(z) for z in args.z.split(",")]
-    lap = build_laplacian_system(SpectralDomain(1, 63, 16))
-    systems = [
-        (diagonal_system(np.array([1.0, 4.0, 9.0])),
-         np.array([1.0, -2.0, 0.5])),
-        (lap, synthesize(lap, np.linspace(1.0, -1.0, 16))),
-    ]
-    # quadrature realizes the inverse power, balakrishnan the forward one;
-    # each is gauged against the eigen route at its own sign
-    routes = (("quadrature", frac_power_quadrature, -1.0),
-              ("balakrishnan", balakrishnan_forward, +1.0))
-    lines = ["z,method,relative_error,nodes"]
-    for z in zs:
-        for method, fn, sign in routes:
-            worst = 0.0
-            for system, values in systems:
-                exact = frac_power_eigen(system, sign * z, values)
-                approx = fn(system, z, values, args.nodes)
-                rel = np.linalg.norm(approx - exact) / np.linalg.norm(exact)
-                worst = max(worst, float(rel))
-            lines.append(f"{_fmt(z)},{method},{_fmt(worst)},{args.nodes}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
-
-
 def _cmd_export(args) -> int:
     if args.kind == "trajectory":
         path = export_plotdata(args.run, "trajectory", out_path=args.out,
                                max_replicas=args.max_replicas)
         print(path)
         return EXIT_OK
+    if args.max_replicas is not None:
+        raise ValueError("--max-replicas applies to the trajectory export "
+                         "only")
     _emit(export_plotdata(args.run, args.kind), args.out)
     return EXIT_OK
 
@@ -252,34 +195,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("gamma-norm",
-                       help="Monte Carlo gamma-norm of a finite-rank operator")
-    p.add_argument("--kind", default="identity",
-                   choices=["identity", "gaussian", "rank-one"])
-    p.add_argument("--N", type=int, default=16)
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_gamma_norm)
-
-    p = sub.add_parser("fracpow-check",
-                       help="fractional-power route errors vs the spectral "
-                            "ground truth")
-    p.add_argument("--z", default="0.25,0.5,0.75",
-                   help="comma-separated exponents in (0, 1)")
-    p.add_argument("--nodes", type=int, default=NODES,
-                   help="Gauss-Legendre nodes of the quadrature rule")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_fracpow_check)
-
     p = sub.add_parser("presets", help="list built-in experiment presets")
     p.set_defaults(func=_cmd_presets)
 
     p = sub.add_parser("export", help="plot-ready CSVs from a run")
     p.add_argument("kind", choices=["increments", "trajectory"])
     p.add_argument("--run", required=True, help="run directory")
-    p.add_argument("--max-replicas", type=int, default=None)
+    p.add_argument("--max-replicas", type=int, default=None,
+                   help="replicas to write (trajectory export only)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_export)
 
@@ -297,6 +220,8 @@ def main(argv=None) -> int:
     except Exception as err:  # stage failures included
         if args.verbose:
             traceback.print_exc()
+        if isinstance(err, KeyError) and err.args:
+            err = err.args[0]  # str() of a KeyError quotes its message
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -13,7 +13,7 @@ representations
 
 for Re z in (0, 1).  The integrals are computed after the substitution
 t = e^s on the window [-WINDOW, WINDOW] with one composite
-Gauss-Legendre rule of ``nodes`` nodes (default ``NODES``).  The integrand
+Gauss-Legendre rule of ``NODES`` nodes.  The integrand
 tails decay like e^(-(1-Re z)|s|) and e^(-Re z s), which is far too slow
 for tight tolerances on this window, so the two tails are added back
 analytically: outside the window the resolvent admits a geometric
@@ -62,9 +62,9 @@ def frac_power_eigen(system: EigenSystem, z: complex, values: np.ndarray) -> np.
                         values, z)
 
 
-def _panels(nodes: int):
+def _panels():
     per = 10
-    n_panels = int(round(nodes / per))
+    n_panels = NODES // per
     x, w = np.polynomial.legendre.leggauss(per)
     edges = np.linspace(-WINDOW, WINDOW, n_panels + 1)
     half = (edges[1] - edges[0]) / 2.0
@@ -84,9 +84,9 @@ def _check_envelope(lam: np.ndarray):
         )
 
 
-def _inverse_power_factors(lam: np.ndarray, z: complex, nodes: int) -> np.ndarray:
+def _inverse_power_factors(lam: np.ndarray, z: complex) -> np.ndarray:
     """sin(pi z)/pi * int t^-z (t+lam)^-1 dt, per eigenvalue."""
-    s, w = _panels(nodes)
+    s, w = _panels()
     es = np.exp(s)
     window = (w * np.exp((1.0 - z) * s)) @ (1.0 / (es[:, None] + lam[None, :]))
 
@@ -103,9 +103,9 @@ def _inverse_power_factors(lam: np.ndarray, z: complex, nodes: int) -> np.ndarra
     return np.sin(np.pi * z) / np.pi * (window + lo + hi)
 
 
-def _forward_power_factors(lam: np.ndarray, z: complex, nodes: int) -> np.ndarray:
+def _forward_power_factors(lam: np.ndarray, z: complex) -> np.ndarray:
     """sin(pi z)/(pi z) * int t^z lam (t+lam)^-2 dt, per eigenvalue."""
-    s, w = _panels(nodes)
+    s, w = _panels()
     es = np.exp(s)
     window = (w * np.exp((1.0 + z) * s)) @ (
         lam[None, :] / (es[:, None] + lam[None, :]) ** 2
@@ -125,28 +125,26 @@ def _forward_power_factors(lam: np.ndarray, z: complex, nodes: int) -> np.ndarra
     return np.sin(np.pi * z) / (np.pi * z) * (window + lo + hi)
 
 
-def _quadrature_apply(system, z, values, nodes, factor_fn):
+def _quadrature_apply(system, z, values, factor_fn):
     z = complex(z)
     if not (0.0 < z.real < 1.0):
         raise ValueError(f"resolvent-integral route needs Re z in (0,1), got {z}")
-    if nodes < 10:
-        raise ValueError("need at least 10 quadrature nodes")
     lam = np.asarray(system.eigenvalues)
     _check_envelope(lam)
-    factors = factor_fn(lam, z, nodes)
+    factors = factor_fn(lam, z)
     return _real_result(synthesize(system, project(system, values) * factors),
                         values, z)
 
 
-def frac_power_quadrature(system: EigenSystem, z: complex, values: np.ndarray,
-                          nodes: int = NODES) -> np.ndarray:
-    """A^(-z) x via the resolvent integral on a ``nodes``-node rule,
+def frac_power_quadrature(system: EigenSystem, z: complex,
+                          values: np.ndarray) -> np.ndarray:
+    """A^(-z) x via the resolvent integral on the ``NODES``-node rule,
     Re z in (0,1)."""
-    return _quadrature_apply(system, z, values, nodes, _inverse_power_factors)
+    return _quadrature_apply(system, z, values, _inverse_power_factors)
 
 
-def balakrishnan_forward(system: EigenSystem, z: complex, values: np.ndarray,
-                         nodes: int = NODES) -> np.ndarray:
-    """A^z x via the forward resolvent-squared integral on a ``nodes``-node
-    rule, Re z in (0,1)."""
-    return _quadrature_apply(system, z, values, nodes, _forward_power_factors)
+def balakrishnan_forward(system: EigenSystem, z: complex,
+                         values: np.ndarray) -> np.ndarray:
+    """A^z x via the forward resolvent-squared integral on the
+    ``NODES``-node rule, Re z in (0,1)."""
+    return _quadrature_apply(system, z, values, _forward_power_factors)

@@ -98,14 +98,6 @@ class FiniteRankOperator:
         return cls(matrix=np.asarray(matrix, dtype=float), kind="generic")
 
     @classmethod
-    def rank_one(cls, values: np.ndarray, index: int, rank: int) -> "FiniteRankOperator":
-        """R y = y[index] * values."""
-        values = np.asarray(values, dtype=float)
-        mat = np.zeros((len(values), rank))
-        mat[:, index] = values
-        return cls(matrix=mat, kind="rank-one")
-
-    @classmethod
     def multiplication(cls, multiplier, spec: CameronMartinSpec) -> "FiniteRankOperator":
         """R y = g . (weighted synthesis of y) on the grid of ``spec``."""
         g = _on_grid(multiplier, spec.domain.points)

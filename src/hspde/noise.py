@@ -210,7 +210,8 @@ def g_preset(name: str, m: float, q: float) -> GProcess:
             return (1.0 + 0.5 * np.sin(2 * np.pi * t)) * np.sin(np.pi * pts[:, 0])
         return GProcess.multiplication(sep, m=m, q=q, time_dependent=True,
                                        label="separable:sin")
-    raise KeyError(f"unknown g preset {name!r}")
+    raise KeyError(f"unknown g preset {name!r}; available: "
+                   "['bump', 'const', 'separable:sin']")
 
 
 def _philox(seed: int, *key: int) -> np.random.Generator:

@@ -26,7 +26,9 @@ def test_identity_estimates_sqrt_n():
 def test_rank_one_oracle():
     # R y = y_1 f: squared norm is E gamma^2 |f|^2 = |f|^2
     f = np.array([3.0, 0.0, 4.0])
-    R = FiniteRankOperator.rank_one(f, index=1, rank=5)
+    mat = np.zeros((3, 5))
+    mat[:, 1] = f
+    R = FiniteRankOperator.from_matrix(mat)
     est = mc_gamma_norm(R, p=2, samples=20_000, seed=2)
     assert abs(est.value**2 - 25.0) < 3 * est.std_error
 

@@ -1,3 +1,4 @@
+import argparse
 import collections
 import copy
 import gc
@@ -1132,40 +1133,6 @@ def test_cli_presets_lists_contract_names(capsys):
         assert name in out
 
 
-def test_cli_gamma_norm_table(capsys):
-    code, out, _ = run_cli(["gamma-norm", "--kind", "identity", "--N", "4",
-                            "--p", "2", "--samples", "20000", "--seed", "7"],
-                           capsys)
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "estimate,std_error,N,samples"
-    est, se, n, samples = lines[1].split(",")
-    assert float(est) == pytest.approx(2.0, abs=5 * float(se))
-    assert (n, samples) == ("4", "20000")
-
-
-def test_cli_gamma_norm_other_kinds(capsys):
-    for kind in ("gaussian", "rank-one"):
-        code, out, _ = run_cli(["gamma-norm", "--kind", kind, "--N", "6",
-                                "--p", "4", "--samples", "5000",
-                                "--seed", "3"], capsys)
-        assert code == 0
-        assert float(out.splitlines()[1].split(",")[0]) > 0
-
-
-def test_cli_fracpow_check_hits_tolerance(capsys):
-    code, out, _ = run_cli(["fracpow-check", "--nodes", "200"], capsys)
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "z,method,relative_error,nodes"
-    assert len(lines) == 7
-    for line in lines[1:]:
-        z, method, err, nodes = line.split(",")
-        assert method in ("quadrature", "balakrishnan")
-        assert float(err) < 1e-7
-        assert nodes == "200"
-
-
 def test_cli_run_and_verify_exit_codes(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(small_config(tmp_path / "runs")))
@@ -1257,6 +1224,13 @@ def test_cli_hypothesis_failure_exits_3(tmp_path, capsys):
      "spatial fit there is degenerate"),
     (["--preset", "laplacian-d1", "--set", "estimator.times=[0,0]"],
      r"estimator.times \[0, 0\]: selects time 0 only"),
+    # unknown names print their KeyError's message, not its quoted repr
+    (["--preset", "nope"],
+     r"^error: unknown preset 'nope'; available: \['colored-d1-thm31', "),
+    (["--preset", "colored-d1-thm31", "--set", "g.kind=preset",
+      "--set", "g.name=nope"],
+     r"^error: unknown g preset 'nope'; available: "
+     r"\['bump', 'const', 'separable:sin'\]$"),
 ])
 def test_cli_bad_value_exits_4_before_any_directory(
         tmp_path, capsys, monkeypatch, flags, message):
@@ -1462,6 +1436,21 @@ def test_cli_export_region_without_run(capsys):
     code, out, err = run_cli(["export", "region", "--run", "r"], capsys)
     assert (code, out) == (4, "")
     assert "invalid choice: 'region'" in err
+    # the flag only the trajectory export reads is refused by name
+    code, out, err = run_cli(["export", "increments", "--run", "r",
+                              "--max-replicas", "2"], capsys)
+    assert (code, out) == (4, "")
+    assert err == ("error: --max-replicas applies to the trajectory export "
+                   "only\n")
+    # the side calculators are gone; the CLI runs and reads runs
+    for command in ("gamma-norm", "fracpow-check"):
+        code, out, err = run_cli([command], capsys)
+        assert (code, out) == (4, "")
+        assert f"invalid choice: '{command}'" in err
+    subparsers, = (action for action in cli._build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    assert list(subparsers.choices) == ["region", "run", "estimate",
+                                        "presets", "export"]
 
 
 def test_cli_export_missing_run_errors(tmp_path, capsys):
