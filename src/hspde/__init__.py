@@ -59,7 +59,7 @@ from .regularity import (
     estimate_spatial_exponent,
     verify_region,
 )
-from .trajio import save_trajectories, load_trajectories, export_trajectories_csv
+from .trajio import save_trajectories, load_trajectories
 from .presets import get_preset, list_presets, operator_preset
 from .harness import (
     ExperimentConfig,

@@ -8,7 +8,7 @@ Subcommands::
               when the verdict fails
     estimate  exponent-estimate table recomputed from a persisted run
     presets   list built-in experiment presets
-    export    plot-ready CSVs of a persisted run (increments / trajectory)
+    export    per-lag median max increments of a persisted run, as CSV
 
 Exit codes: 0 success (verdict PASS or no verdict), 2 verification FAIL,
 3 noise-hypothesis validation failure, 4 any other error (bad flags,
@@ -134,14 +134,6 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    if args.kind == "trajectory":
-        path = export_plotdata(args.run, "trajectory", out_path=args.out,
-                               max_replicas=args.max_replicas)
-        print(path)
-        return EXIT_OK
-    if args.max_replicas is not None:
-        raise ValueError("--max-replicas applies to the trajectory export "
-                         "only")
     _emit(export_plotdata(args.run, args.kind), args.out)
     return EXIT_OK
 
@@ -198,11 +190,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("presets", help="list built-in experiment presets")
     p.set_defaults(func=_cmd_presets)
 
-    p = sub.add_parser("export", help="plot-ready CSVs from a run")
-    p.add_argument("kind", choices=["increments", "trajectory"])
+    p = sub.add_parser("export", help="plot-ready CSV from a persisted run")
+    p.add_argument("kind", choices=["increments"])
     p.add_argument("--run", required=True, help="run directory")
-    p.add_argument("--max-replicas", type=int, default=None,
-                   help="replicas to write (trajectory export only)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_export)
 

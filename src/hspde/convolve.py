@@ -181,6 +181,11 @@ class SimulationPlan:
             raise ValueError("time_stride must divide steps")
         if self.noise.domain.n_points != self.system.domain.n_points:
             raise ValueError("noise and system live on different grids")
+        table = self.G.table
+        if table is not None and table.shape[1] != self.system.domain.n_points:
+            raise ValueError(f"g table rows hold {table.shape[1]} values, "
+                             f"the grid has {self.system.domain.n_points} "
+                             "points")
 
     @property
     def dt(self) -> float:

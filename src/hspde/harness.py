@@ -68,6 +68,7 @@ from .regularity import (
     _check_provenance,
     _confront_region,
     _confront_sweep,
+    _default_times,
     _derived_integrability,
     _increment_profiles,
     _refuse_no_times,
@@ -87,8 +88,7 @@ from .spectral import (
     build_variable_coefficient_system,
     diagonal_system,
 )
-from .trajio import _fmt, _json, _payload, export_trajectories_csv, \
-    load_trajectories, save_trajectories
+from .trajio import _fmt, _json, _payload, load_trajectories, save_trajectories
 
 __all__ = [
     "ExperimentConfig", "RunManifest", "StageError", "HypothesisError",
@@ -548,10 +548,7 @@ def run_experiment(config, workers: Optional[int] = None) -> RunManifest:
     _refuse_out_of_range("estimator.point_index", estimator["point_index"],
                          per_axis ** system.domain.dimension)
     _refuse_out_of_range("estimator.times", times, n_times)
-    if times is not None and not any(times):
-        raise ValueError(f"estimator.times {times}: selects time 0 only, "
-                         "where u(0) = 0, so a spatial fit there is "
-                         "degenerate")
+    _default_times(n_times, estimator["times"], "estimator.times")
     _refuse_short_record(n_times, per_axis)
     if query is not None and not config.sweep:
         _check_provenance({"dimension": system.domain.dimension,
@@ -705,25 +702,19 @@ def estimates_from_run(run_dir, workers: Optional[int] = None) -> str:
     return _estimates_csv(fits)
 
 
-def export_plotdata(run_dir, kind: str, out_path=None, max_replicas=None):
-    """Plot-ready CSV for a persisted run.
+def export_plotdata(run_dir, kind: str) -> str:
+    """Plot-ready CSV text for a persisted run; ``increments`` is the one
+    kind.
 
-    ``increments`` returns CSV text; ``trajectory`` writes a (possibly
-    large) CSV to ``out_path`` (default inside the run dir) and returns the
-    path.  Both read a sweep's first alpha.  ``increments`` takes its time
-    rows, the per-lag medians of the ``sup-space`` fit's profiles, from
-    the run's ``profiles.csv`` (refused if the run has none), and its
-    space rows from the persisted payload.  A run's region boundary is its
-    own ``region.csv``.
+    It reads a sweep's first alpha: its time rows, the per-lag medians of
+    the ``sup-space`` fit's profiles, come from the run's ``profiles.csv``
+    (refused if the run has none), and its space rows from the persisted
+    payload.  A run's region boundary is its own ``region.csv``.
     """
     manifest = _load_run(run_dir)
     run_dir = Path(run_dir)
-    if kind not in ("increments", "trajectory"):
+    if kind != "increments":
         raise ValueError(f"unknown export kind {kind!r}")
     ens = load_trajectories(_trajectory_files(run_dir, manifest)[0])
-    if kind == "increments":
-        return _increment_profile_csv(ens, _run_profiles(
-            run_dir, ens.provenance["alpha"], "sup-space"))
-    out_path = Path(out_path or run_dir / "trajectory-export.csv")
-    export_trajectories_csv(ens, out_path, max_replicas=max_replicas)
-    return out_path
+    return _increment_profile_csv(ens, _run_profiles(
+        run_dir, ens.provenance["alpha"], "sup-space"))

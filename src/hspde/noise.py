@@ -182,10 +182,7 @@ class GProcess:
         if self.kind == "identity":
             return None
         if self.table is not None:
-            row = min(t_index, self.table.shape[0] - 1)
-            if self.table.shape[1] != domain.n_points:
-                raise ValueError("g table does not match the grid")
-            return self.table[row]
+            return self.table[min(t_index, self.table.shape[0] - 1)]
         return _on_grid(self.profile(time, domain.points), domain.points)
 
 

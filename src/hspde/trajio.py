@@ -20,21 +20,18 @@ over or unlinking a mapped file leaves the mapping intact.
 from __future__ import annotations
 
 import contextlib
-import csv
 import json
 import math
 import mmap
 import os
-from typing import Optional
 
 import numpy as np
 
 from .convolve import TrajectoryEnsemble
 
-__all__ = ["save_trajectories", "load_trajectories", "export_trajectories_csv"]
+__all__ = ["save_trajectories", "load_trajectories"]
 
 FORMAT_TAG = "hspde-traj-1"
-CSV_CELL_LIMIT = 2_000_000
 
 
 def _fmt(value) -> str:
@@ -132,33 +129,3 @@ def load_trajectories(path: str) -> TrajectoryEnsemble:
         space_weight=float(manifest["space_weight"]),
         provenance=manifest["provenance"],
     )
-
-
-def export_trajectories_csv(ens: TrajectoryEnsemble, path: str,
-                            max_replicas: Optional[int] = None) -> str:
-    """Long-format CSV: replica, t, one coordinate column per axis, value.
-
-    Meant for plotting small ensembles; refuses payloads beyond
-    2e6 cells (use the binary container for those).
-    """
-    if max_replicas is not None and max_replicas < 1:
-        raise ValueError(f"max_replicas must be at least 1, got {max_replicas}")
-    n_rep = ens.replicas if max_replicas is None else min(max_replicas, ens.replicas)
-    n_cells = n_rep * ens.values.shape[1] * ens.values.shape[2]
-    if n_cells > CSV_CELL_LIMIT:
-        raise ValueError(
-            f"{n_cells} cells exceeds the CSV limit {CSV_CELL_LIMIT}; "
-            "save the binary container instead"
-        )
-    d = ens.space_points.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replica", "t"] + [f"x{i + 1}" for i in range(d)] + ["value"])
-        for r in range(n_rep):
-            for it, t in enumerate(ens.time_grid):
-                for js in range(ens.values.shape[2]):
-                    coords = [_fmt(c) for c in ens.space_points[js]]
-                    writer.writerow(
-                        [r, _fmt(t)] + coords + [_fmt(ens.values[r, it, js])]
-                    )
-    return path

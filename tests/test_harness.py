@@ -973,7 +973,7 @@ def test_export_unknown_kind_and_missing_run(completed_run, tmp_path):
         export_plotdata(tmp_path / "no-such-run", "increments")
 
 
-def test_export_increments_and_trajectory(tmp_path):
+def test_export_increments(tmp_path):
     cfg = small_config(tmp_path, persist_trajectories=True)
     cfg["plan"].update({"steps": 512, "replicas": 2})
     manifest = run_experiment(cfg)
@@ -982,9 +982,6 @@ def test_export_increments_and_trajectory(tmp_path):
     assert inc[0] == "axis,lag,median_max_increment"
     axes = {line.split(",")[0] for line in inc[1:]}
     assert axes == {"time", "space"}
-    path = export_plotdata(run_dir, "trajectory", max_replicas=1)
-    header = path.read_text().splitlines()[0]
-    assert header.startswith("replica,")
 
 
 def _profiled_sweep_d1(out_dir):
@@ -1231,6 +1228,12 @@ def test_cli_hypothesis_failure_exits_3(tmp_path, capsys):
       "--set", "g.name=nope"],
      r"^error: unknown g preset 'nope'; available: "
      r"\['bump', 'const', 'separable:sin'\]$"),
+    # a g table must give every grid point a value, before any stage runs
+    *((["--preset", "laplacian-d1", "--set", "plan.steps=512",
+        "--set", 'g={"kind":"table","values":%s,"m":8,"q":16}' % rows],
+       f"^error: g table rows hold {width} values, the grid has 128 points$")
+      for rows, width in (("[[1.0,2.0,3.0]]", 3),
+                          (json.dumps([[1.0] * 129] * 2), 129))),
 ])
 def test_cli_bad_value_exits_4_before_any_directory(
         tmp_path, capsys, monkeypatch, flags, message):
@@ -1405,20 +1408,21 @@ def test_cli_exports_a_persisted_run(tmp_path, capsys):
     code, out, _ = run_cli(["export", "increments", "--run", str(run_dir)],
                            capsys)
     assert (code, out) == (0, export_plotdata(run_dir, "increments"))
-    target = tmp_path / "trajectory.csv"
-    code, out, _ = run_cli(["export", "trajectory", "--run", str(run_dir),
-                            "--out", str(target), "--max-replicas", "1"],
-                           capsys)
-    assert (code, out) == (0, f"{target}\n")
-    assert target.read_text().splitlines()[0].startswith("replica,")
-    # a header-only CSV is no export of a run that has replicas
-    for count in ("0", "-1"):
-        code, _, err = run_cli(["export", "trajectory", "--run", str(run_dir),
-                                "--out", str(tmp_path / "none.csv"),
-                                "--max-replicas", count], capsys)
-        assert (code, err) == (4, f"error: max_replicas must be at least 1, "
-                                  f"got {count}\n")
-    assert not (tmp_path / "none.csv").exists()
+    code, out, _ = run_cli(["estimate", "--run", str(run_dir)], capsys)
+    assert (code, out) == (0, (run_dir / "estimates.csv").read_text())
+    # reading a landed run back writes nothing into it
+    outputs = json.loads((run_dir / "manifest.json").read_text())["outputs"]
+    assert sorted(path.name for path in run_dir.iterdir()) \
+        == sorted(outputs + ["timings.json"])
+    # the export is the fit's evidence; the payload is read as it is stored
+    code, out, err = run_cli(["export", "trajectory", "--run", str(run_dir)],
+                             capsys)
+    assert (code, out) == (4, "")
+    assert "invalid choice: 'trajectory'" in err
+    code, out, err = run_cli(["export", "increments", "--run", str(run_dir),
+                              "--max-replicas", "1"], capsys)
+    assert (code, out) == (4, "")
+    assert "unrecognized arguments: --max-replicas 1" in err
 
 
 def test_cli_export_region_without_run(capsys):
@@ -1436,12 +1440,11 @@ def test_cli_export_region_without_run(capsys):
     code, out, err = run_cli(["export", "region", "--run", "r"], capsys)
     assert (code, out) == (4, "")
     assert "invalid choice: 'region'" in err
-    # the flag only the trajectory export reads is refused by name
+    # the increments export takes no replica count
     code, out, err = run_cli(["export", "increments", "--run", "r",
                               "--max-replicas", "2"], capsys)
     assert (code, out) == (4, "")
-    assert err == ("error: --max-replicas applies to the trajectory export "
-                   "only\n")
+    assert "unrecognized arguments: --max-replicas 2" in err
     # the side calculators are gone; the CLI runs and reads runs
     for command in ("gamma-norm", "fracpow-check"):
         code, out, err = run_cli([command], capsys)

@@ -1,6 +1,7 @@
 """Region arithmetic against hand-worked rationals, estimator calibration
 against injected paths of known roughness, and region verification."""
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -499,10 +500,15 @@ def test_estimator_preconditions():
             estimate_spatial_exponent(wide, times=times)
     estimate_temporal_exponent(wide, point_index=64)
     estimate_spatial_exponent(wide, times=[0, 128])
-    # a selection of no time is refused by name, not by a slab of width 0
-    for times in ([], np.arange(0), 0, -1, 2.5):
-        with pytest.raises(ValueError, match="times .*selects no time"):
-            estimate_spatial_exponent(wide, times=times)
+    # a selection of no time is refused by name, not by a slab of width 0,
+    # and one of time 0 alone, where u(0) = 0, before any fit warns of
+    # degenerate paths
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for times in ([], np.arange(0), 0, -1, 2.5, [0], (0, 0)):
+            with pytest.raises(ValueError, match="times .*selects "
+                                                 "(no time|time 0 only)"):
+                estimate_spatial_exponent(wide, times=times)
     estimate_spatial_exponent(wide, times=1)
 
 

@@ -1,6 +1,5 @@
-"""Trajectory container round-trips and CSV export."""
+"""Trajectory container round-trips."""
 
-import csv
 import dataclasses
 import json
 import os
@@ -14,12 +13,7 @@ from hypothesis.extra.numpy import arrays
 from hspde.spectral import SpectralDomain, build_laplacian_system
 from hspde.noise import GProcess, make_cameron_martin
 from hspde.convolve import RecordSpec, SimulationPlan, simulate
-from hspde.trajio import (
-    _payload,
-    save_trajectories,
-    load_trajectories,
-    export_trajectories_csv,
-)
+from hspde.trajio import _payload, save_trajectories, load_trajectories
 
 
 @pytest.fixture(scope="module")
@@ -133,30 +127,3 @@ def test_simulated_payload_is_written_in_place(tmp_path, ensemble):
     save_trajectories(dataclasses.replace(ensemble, values=payload[:1]), stem)
     assert np.array_equal(load_trajectories(stem).values,
                           2 * ensemble.values[:1])
-
-
-def test_csv_export(tmp_path, ensemble):
-    path = str(tmp_path / "run.csv")
-    export_trajectories_csv(ensemble, path, max_replicas=2)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["replica", "t", "x1", "value"]
-    n_t, n_s = ensemble.values.shape[1], ensemble.values.shape[2]
-    assert len(rows) == 1 + 2 * n_t * n_s
-    r, it, js = 1, 2, 3
-    row = rows[1 + r * n_t * n_s + it * n_s + js]
-    assert float(row[1]) == ensemble.time_grid[it]
-    assert float(row[2]) == ensemble.space_points[js, 0]
-    assert float(row[3]) == ensemble.values[r, it, js]
-
-
-def test_csv_export_refuses_huge_payloads(tmp_path, ensemble):
-    big = replace_values(ensemble, np.zeros((300, 300, 300)))
-    with pytest.raises(ValueError, match="CSV limit"):
-        export_trajectories_csv(big, str(tmp_path / "big.csv"))
-
-
-def replace_values(ens, values):
-    import dataclasses
-
-    return dataclasses.replace(ens, values=values)
