@@ -68,7 +68,6 @@ from .regularity import (
     _check_provenance,
     _confront_region,
     _confront_sweep,
-    _default_times,
     _derived_integrability,
     _increment_profiles,
     _refuse_no_times,
@@ -548,7 +547,10 @@ def run_experiment(config, workers: Optional[int] = None) -> RunManifest:
     _refuse_out_of_range("estimator.point_index", estimator["point_index"],
                          per_axis ** system.domain.dimension)
     _refuse_out_of_range("estimator.times", times, n_times)
-    _default_times(n_times, estimator["times"], "estimator.times")
+    if times is not None and not any(times):
+        raise ValueError(f"estimator.times {times}: selects time 0 only, "
+                         "where u(0) = 0, so a spatial fit there is "
+                         "degenerate")
     _refuse_short_record(n_times, per_axis)
     if query is not None and not config.sweep:
         _check_provenance({"dimension": system.domain.dimension,

@@ -487,21 +487,14 @@ def _refuse_no_times(what: str, times) -> None:
                          "times must be a positive integer")
 
 
-def _default_times(n_times: int, times, what: str) -> np.ndarray:
-    """The time indices ``times`` selects of ``n_times``; refuses, naming
-    the key ``what``, a selection of no time or of time 0 alone."""
-    _refuse_no_times(what, times)
+def _default_times(n_times: int, times) -> np.ndarray:
+    _refuse_no_times("times", times)
     if times is None:
         times = 32
     if np.isscalar(times):
         lo = n_times // 2
         return np.unique(np.linspace(lo, n_times - 1, int(times)).astype(int))
-    indices = np.asarray(times, dtype=int)
-    if not indices.any():
-        raise ValueError(f"{what} {indices.tolist()}: selects time 0 only, "
-                         "where u(0) = 0, so a spatial fit there is "
-                         "degenerate")
-    return indices
+    return np.asarray(times, dtype=int)
 
 
 def estimate_spatial_exponent(
@@ -511,15 +504,20 @@ def estimate_spatial_exponent(
 
     ``times`` selects recorded time indices, or counts times spread over
     the upper half of the horizon, where the law is closest to stationary
-    (default: 32 of them); a selection of no time, or of time 0 alone,
-    is refused.  Each replica contributes a single fit: the max-increment
+    (default: 32 of them); a selection of no time is refused, and so is
+    one whose every section is zero, such as a simulated ensemble's time 0
+    (u(0) = 0).  Each replica contributes a single fit: the max-increment
     statistic pools every selected time section, mirroring how the
     sup-space temporal mode pools recorded points, and the estimate is the
-    median over replicas.  Pooling keeps the extreme-value sample count roughly flat
-    across lags, which per-section fits do not.  ``workers`` threads take
-    the replicas' profiles (default: one per CPU).
+    median over replicas.  Pooling keeps the extreme-value sample count
+    roughly flat across lags, which per-section fits do not.  ``workers``
+    threads take the replicas' profiles (default: one per CPU).
     """
-    times = _default_times(ens.values.shape[1], times, "times")
+    times = _default_times(ens.values.shape[1], times)
+    _refuse_out_of_range("times", times, ens.values.shape[1])
+    if not any(ens.values[:, t].any() for t in times):
+        raise ValueError(f"times {times.tolist()}: every selected section "
+                         "is zero, so a spatial fit there is degenerate")
     lags, profiles = _increment_profiles(ens, "space", times=times,
                                          workers=workers)
     return _fit_profiles(lags, profiles, "spatial")

@@ -501,14 +501,22 @@ def test_estimator_preconditions():
     estimate_temporal_exponent(wide, point_index=64)
     estimate_spatial_exponent(wide, times=[0, 128])
     # a selection of no time is refused by name, not by a slab of width 0,
-    # and one of time 0 alone, where u(0) = 0, before any fit warns of
-    # degenerate paths
+    # and one of zero sections alone, as at a simulated ensemble's time 0
+    # where u(0) = 0, before any fit warns of degenerate paths
+    still = inject(wide.values.copy())
+    still.values[:, 0] = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for times in ([], np.arange(0), 0, -1, 2.5, [0], (0, 0)):
-            with pytest.raises(ValueError, match="times .*selects "
-                                                 "(no time|time 0 only)"):
+        for times in ([], np.arange(0), 0, -1, 2.5):
+            with pytest.raises(ValueError, match="times .*selects no time"):
                 estimate_spatial_exponent(wide, times=times)
+        for times in ([0], (0, 0)):
+            with pytest.raises(ValueError, match=r"times \[0(, 0)?\]: every "
+                                                 "selected section is zero"):
+                estimate_spatial_exponent(still, times=times)
+    # a caller's ensemble may hold data at index 0
+    assert np.isfinite(estimate_spatial_exponent(wide, times=[0]).value)
+    estimate_spatial_exponent(still, times=[0, 128])
     estimate_spatial_exponent(wide, times=1)
 
 
