@@ -34,13 +34,14 @@ A config is a JSON object of sections and top-level values.  The key
 table ``_KEYS``, with the ``operator`` and ``g`` kinds of ``_KINDS``, gives
 every key its JSON type and default, and ``from_dict`` refuses, naming the
 key, whatever the table does not admit.  ``run_experiment``'s start builds
-every object and every alpha's plan, each refusing its own bad values,
-refuses a record over ``RECORD_BYTES``, reads the plans' record for the
-estimator indices and the short-record refusal, and checks a region
-query's d and fractional alpha against the plans, so every value is
-checked before any directory exists.  The one refusal still left to a
-stage is a plan with one replica over the 256 MiB buffer budget, at
-simulate.
+every object and every alpha's plan, each refusing its own bad values (a
+``diagonal`` operator a domain section other than its grid), refuses a
+record over ``RECORD_BYTES``, selects the estimator's point and times on
+the plans' record (``regularity._selection``), refuses time 0 alone and a
+short record, and checks a region query's d and fractional alpha against
+the plans, so every value is checked before any directory exists.  The
+one refusal still left to a stage is a plan with one replica over the
+256 MiB buffer budget, at simulate.
 """
 
 import contextlib
@@ -62,7 +63,6 @@ from .convolve import RECORD_BYTES, RecordSpec, SimulationPlan, simulate
 from .noise import GProcess, g_preset, make_cameron_martin, validate_noise_hypotheses
 from .presets import get_preset, list_presets, operator_preset
 from .regularity import (
-    _MIN_SAMPLES,
     Rational,
     RegularityQuery,
     _check_provenance,
@@ -70,9 +70,8 @@ from .regularity import (
     _confront_sweep,
     _derived_integrability,
     _increment_profiles,
-    _refuse_no_times,
-    _refuse_out_of_range,
     _refuse_short_record,
+    _selection,
     estimate_spatial_exponent,
     estimate_temporal_exponent,
     exponent_budget,
@@ -263,9 +262,6 @@ class ExperimentConfig:
         sections = {name: dict(value) for name, value in raw.items()
                     if (name in _KEYS or name in _KINDS)
                     and _OBJECT.holds(value)}
-        # a selection of no time is refused in the estimators' own words
-        _refuse_no_times("estimator.times",
-                         sections.get("estimator", {}).get("times"))
         for name, section in sections.items():
             walk(name, section)
         for keys, what in ((unknown, "unknown"), (missing, "missing")):
@@ -288,6 +284,16 @@ class ExperimentConfig:
                            separators=(",", ":"))
         digest = hashlib.sha1(canon.encode("utf-8")).hexdigest()[:10]
         return f"{self.name}-{digest}"
+
+
+def _diagonal(domain: dict, eigenvalues):
+    """``diagonal_system(eigenvalues)``; its grid is the domain section's."""
+    system = diagonal_system(eigenvalues)
+    grid = asdict(system.domain)
+    if domain != grid:
+        raise ValueError(f"operator.eigenvalues give the domain {grid}, the "
+                         f"domain section says {domain}")
+    return system
 
 
 # The key table: config section -> key -> (JSON type, default), where
@@ -320,8 +326,7 @@ _KINDS = {
         "varcoef": ({"name": (_STRING, MISSING)}, lambda domain, name:
                     build_variable_coefficient_system(
                         SpectralDomain(**domain), operator_preset(name))),
-        "diagonal": ({"eigenvalues": (_NUMBER_LIST, MISSING)},
-                     lambda domain, eigenvalues: diagonal_system(eigenvalues)),
+        "diagonal": ({"eigenvalues": (_NUMBER_LIST, MISSING)}, _diagonal),
     },
     "g": {
         "identity": ({}, GProcess.identity),
@@ -541,15 +546,12 @@ def run_experiment(config, workers: Optional[int] = None) -> RunManifest:
     n_times, per_axis = plans[0].record.shape(system.domain.grid_size,
                                               plan["steps"])
     estimator = _resolved("estimator", config.estimator)
-    times = estimator["times"]
-    # a list (or tuple) of indices; a number counts the times
-    times = list(times) if isinstance(times, (list, tuple)) else None
-    _refuse_out_of_range("estimator.point_index", estimator["point_index"],
-                         per_axis ** system.domain.dimension)
-    _refuse_out_of_range("estimator.times", times, n_times)
-    if times is not None and not any(times):
-        raise ValueError(f"estimator.times {times}: selects time 0 only, "
-                         "where u(0) = 0, so a spatial fit there is "
+    times = _selection((n_times, per_axis ** system.domain.dimension),
+                       estimator["point_index"], estimator["times"],
+                       "estimator.")[1]
+    if not times.any():
+        raise ValueError(f"estimator.times {times.tolist()}: selects time 0 "
+                         "only, where u(0) = 0, so a spatial fit there is "
                          "degenerate")
     _refuse_short_record(n_times, per_axis)
     if query is not None and not config.sweep:
@@ -681,10 +683,8 @@ def _increment_profile_csv(ens, time_profiles) -> str:
     lags and profiles), in space the estimators' per-replica profiles of
     ``ens`` pooled over every recorded time."""
     lines = ["axis,lag,median_max_increment"]
-    axes = {"time": time_profiles}
-    if ens.space_shape[0] >= _MIN_SAMPLES:
-        axes["space"] = _increment_profiles(
-            ens, "space", times=np.arange(ens.values.shape[1]))
+    axes = {"time": time_profiles, "space": _increment_profiles(
+        ens, "space", times=np.arange(ens.values.shape[1]))}
     for axis, (lags, profiles) in axes.items():
         for lag, per_replica in zip(lags, profiles.T):
             lines.append(f"{axis},{_fmt(lag)},{_fmt(np.median(per_replica))}")

@@ -30,11 +30,13 @@ by least squares with the two smallest and two largest dyadic levels
 dropped, medianed across replicas.  The max pools whatever sections are
 available (recorded points for the sup-space temporal mode, selected
 time sections for the spatial fit) so the extreme-value sample count
-stays comparable across lags.  The replicas' profiles are taken on the
-thread pool of ``hspde._threads``, the one parallel layer (BLAS runs one
-thread inside it); a max is exact, so the profiles and estimates do not
-depend on the worker count or the host's BLAS thread count, bit for bit.
-The per-replica log-log fits are cheap and stay serial.
+stays comparable across lags.  ``_selection`` owns the fits' point and
+time selection, for the estimators and the run's start alike.  The
+replicas' profiles are taken on the thread pool of ``hspde._threads``,
+the one parallel layer (BLAS runs one thread inside it); a max is exact,
+so the profiles and estimates do not depend on the worker count or the
+host's BLAS thread count, bit for bit.  The per-replica log-log fits are
+cheap and stay serial.
 
 Estimates are one-sided evidence: the theory promises membership for
 every admissible exponent pair, so a verification passes when no
@@ -375,12 +377,32 @@ def _refuse_short_record(times=_MIN_TIMES, per_axis=_MIN_SAMPLES) -> None:
                              f"record has {count}")
 
 
-def _refuse_out_of_range(what: str, indices, size: int) -> None:
-    """Refuse ``indices`` (None: none) outside [0, size); numpy wraps -1."""
-    given = np.atleast_1d([] if indices is None else indices).tolist()
-    bad = [i for i in given if type(i) is not int or not 0 <= i < size]
-    if bad:
-        raise ValueError(f"{what} {bad}: not an index into [0, {size})")
+def _selection(record, point_index=None, times=None, what: str = ""):
+    """(point_index, times as an int array) of a fit on ``record``, (recorded
+    times, recorded points): by default the middle point and 32 times spread
+    over the upper half, as a number of times is.  Refuses, naming each key
+    after ``what``, a selection of no time and a point or time that is not
+    an integer index into the record, checked as given, before any cast."""
+    n_times, n_points = record
+    point_index = n_points // 2 if point_index is None else point_index
+    times = 32 if times is None else times
+    if np.ndim(times) == 0:
+        if isinstance(times, bool) or not isinstance(
+                times, (int, np.integer)) or times < 1:
+            raise ValueError(f"{what}times {times!r}: selects no time; a "
+                             "count of times must be a positive integer")
+        times = np.unique(np.linspace(n_times // 2, n_times - 1,
+                                      int(times)).astype(int))
+    elif len(times) == 0:
+        raise ValueError(f"{what}times []: selects no time")
+    for key, given, size in (("point_index", point_index, n_points),
+                             ("times", times, n_times)):
+        bad = [i for i in np.atleast_1d(given).tolist()
+               if type(i) is not int or not 0 <= i < size]
+        if bad:
+            raise ValueError(f"{what}{key} {bad}: not an index into "
+                             f"[0, {size})")
+    return point_index, np.asarray(times, dtype=int)
 
 
 def _increment_profiles(ens: TrajectoryEnsemble, axis: str,
@@ -396,10 +418,8 @@ def _increment_profiles(ens: TrajectoryEnsemble, axis: str,
     replicas are mapped on ``workers`` threads (default: one per CPU); a
     max is exact, so the profiles do not depend on the worker count.
     Returns (lags (L,) in time or space units, profiles (replicas, L)).
-    A point or time that is not an integer index into the record is refused.
+    The callers check the indices and the record's floors.
     """
-    _refuse_out_of_range("point_index", point_index, ens.values.shape[2])
-    _refuse_out_of_range("times", times, ens.values.shape[1])
     if axis == "time":
         step = _uniform_step(ens.time_grid, "recorded time grid")
         kept = _kept_lags(ens.values.shape[1])
@@ -408,7 +428,6 @@ def _increment_profiles(ens: TrajectoryEnsemble, axis: str,
                   for r in range(ens.replicas))
     else:
         shape = tuple(ens.space_shape)
-        _refuse_short_record(per_axis=shape[0])
         kept = _kept_lags(shape[0])
         pts = ens.space_points.reshape(shape + (len(shape),))
         step = _uniform_step(pts[(slice(None),) + (0,) * len(shape)],
@@ -458,43 +477,20 @@ def estimate_temporal_exponent(
 
     ``pointwise`` watches a single recorded spatial point (the middle one
     unless ``point_index`` says otherwise); ``sup-space`` takes the sup
-    over all recorded points inside each increment.  ``workers`` threads
-    take the replicas' profiles (default: one per CPU).
+    over all recorded points inside each increment, and refuses a
+    ``point_index``.  ``workers`` threads take the replicas' profiles
+    (default: one per CPU).
     """
     if mode not in ("pointwise", "sup-space"):
         raise ValueError(f"unknown mode {mode!r}")
     _refuse_short_record(times=ens.values.shape[1])
-    if mode == "sup-space":
-        point_index = None
-    elif point_index is None:
-        point_index = ens.values.shape[2] // 2
+    if mode == "pointwise":
+        point_index = _selection(ens.values.shape[1:], point_index)[0]
+    elif point_index is not None:
+        raise ValueError("sup-space reads no point_index; drop it")
     lags, profiles = _increment_profiles(ens, "time", point_index=point_index,
                                          workers=workers)
     return _fit_profiles(lags, profiles, "temporal")
-
-
-def _refuse_no_times(what: str, times) -> None:
-    """Refuse a ``times`` selection (None: the default) that selects no
-    time: an empty list, or a count that is not a positive integer."""
-    if times is None:
-        return
-    if not np.isscalar(times):
-        if len(times) == 0:
-            raise ValueError(f"{what} []: selects no time")
-    elif isinstance(times, bool) or not isinstance(times, (int, np.integer)) \
-            or times < 1:
-        raise ValueError(f"{what} {times!r}: selects no time; a count of "
-                         "times must be a positive integer")
-
-
-def _default_times(n_times: int, times) -> np.ndarray:
-    _refuse_no_times("times", times)
-    if times is None:
-        times = 32
-    if np.isscalar(times):
-        lo = n_times // 2
-        return np.unique(np.linspace(lo, n_times - 1, int(times)).astype(int))
-    return np.asarray(times, dtype=int)
 
 
 def estimate_spatial_exponent(
@@ -513,8 +509,8 @@ def estimate_spatial_exponent(
     roughly flat across lags, which per-section fits do not.  ``workers``
     threads take the replicas' profiles (default: one per CPU).
     """
-    times = _default_times(ens.values.shape[1], times)
-    _refuse_out_of_range("times", times, ens.values.shape[1])
+    times = _selection(ens.values.shape[1:], times=times)[1]
+    _refuse_short_record(per_axis=ens.space_shape[0])
     if not any(ens.values[:, t].any() for t in times):
         raise ValueError(f"times {times.tolist()}: every selected section "
                          "is zero, so a spatial fit there is degenerate")

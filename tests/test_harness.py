@@ -243,8 +243,10 @@ def test_unknown_config_keys_rejected(tmp_path, path):
     # a selection of no time fails no index check
     ("estimator.times", [], r"estimator.times \[\]: selects no time"),
     *(("estimator.times", count, "estimator.times .*: selects no time; a "
-       "count of times must be a positive integer")
-      for count in (0, -3, 2.5, True, "32")),
+       "count of times must be a positive integer") for count in (0, -3)),
+    *(("estimator.times", value, "config keys need integer or integer list "
+       "values, got " + re.escape(f"estimator.times={value!r}"))
+      for value in (2.5, True, "32")),
     # bool() would read each as true and persist every ensemble
     *(("persist_trajectories", flag, "persist_trajectories needs true or "
        f"false, got {flag!r}") for flag in ("false", "0", "no", 0)),
@@ -276,7 +278,8 @@ def test_config_errors_refused_before_any_stage(tmp_path, path, value,
         del target[key]
     else:
         target[key] = value
-    if "not an index" not in message:  # the record is the start's to read
+    # indices and counts are checked on the plan's record, at the start
+    if "not an index" not in message and "selects no time" not in message:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict(cfg)
     with pytest.raises(ValueError, match=message):
@@ -816,42 +819,55 @@ def test_short_record_refused_before_any_directory(tmp_path, plan, message):
     assert not any(tmp_path.iterdir())
 
 
-def _diagonal_config(out_dir, count, grid_size, **extra):
+def _diagonal_config(out_dir, count, grid_size=None, **extra):
     """A config on ``count`` eigenvalues whose domain section says
-    ``grid_size`` points, which a diagonal operator's grid ignores."""
+    ``grid_size`` points and modes (default: ``count``, the operator's
+    grid)."""
     cfg = small_config(out_dir, operator={
         "kind": "diagonal",
         "eigenvalues": [np.pi**2 * k**2 for k in range(1, count + 1)]},
         **extra)
-    cfg["domain"] = {"dimension": 1, "grid_size": grid_size,
-                     "mode_cutoff": 16}
+    size = count if grid_size is None else grid_size
+    cfg["domain"] = {"dimension": 1, "grid_size": size, "mode_cutoff": size}
     cfg["noise"]["truncation"] = 16
     cfg["plan"].update({"steps": 512, "replicas": 2})
     return cfg
 
 
+def _domain_mismatch(count, grid_size) -> str:
+    return re.escape(
+        f"operator.eigenvalues give the domain {{'dimension': 1, 'grid_size': "
+        f"{count}, 'mode_cutoff': {count}}}, the domain section says "
+        f"{{'dimension': 1, 'grid_size': {grid_size}, 'mode_cutoff': "
+        f"{grid_size}}}")
+
+
 def test_short_record_reads_the_diagonal_grid(tmp_path):
-    # a diagonal operator's grid has one point per eigenvalue, whatever the
-    # domain section says: 64 eigenvalues fit, 16 do not
+    # a diagonal operator's grid has one point per eigenvalue, and its
+    # domain section must say so: 64 eigenvalues fit, 16 do not
     with pytest.raises(ValueError, match="the record has 16"):
+        run_experiment(_diagonal_config(tmp_path, 16), workers=1)
+    with pytest.raises(ValueError, match=_domain_mismatch(16, 64)):
         run_experiment(_diagonal_config(tmp_path, 16, 64), workers=1)
     assert not any(tmp_path.iterdir())
-    manifest = run_experiment(_diagonal_config(tmp_path, 64, 16), workers=1)
+    manifest = run_experiment(_diagonal_config(tmp_path, 64), workers=1)
     assert manifest.stages["estimate"] == "ok"
 
 
 def test_index_check_reads_the_diagonal_grid(tmp_path):
-    # 64 eigenvalues record 64 points: an index the domain section's 16
-    # points lack is taken, one its 80 points hold is refused up front
-    inside = _diagonal_config(tmp_path, 64, 16,
-                              estimator={"point_index": 40})
+    # 64 eigenvalues record 64 points: index 40 is taken, 70 is refused up
+    # front, and so is a domain section of 80 points, which would hold it
+    inside = _diagonal_config(tmp_path, 64, estimator={"point_index": 40})
     manifest = run_experiment(inside, workers=1)
     assert manifest.stages["estimate"] == "ok"
-    outside = _diagonal_config(tmp_path / "outside", 64, 80,
+    outside = _diagonal_config(tmp_path / "outside", 64,
                                estimator={"point_index": 70})
     with pytest.raises(ValueError, match=re.escape(
             "estimator.point_index [70]: not an index into [0, 64)")):
         run_experiment(outside, workers=1)
+    with pytest.raises(ValueError, match=_domain_mismatch(64, 80)):
+        run_experiment(_diagonal_config(tmp_path / "outside", 64, 80),
+                       workers=1)
     assert not (tmp_path / "outside").exists()
 
 
@@ -1234,6 +1250,12 @@ def test_cli_hypothesis_failure_exits_3(tmp_path, capsys):
        f"^error: g table rows hold {width} values, the grid has 128 points$")
       for rows, width in (("[[1.0,2.0,3.0]]", 3),
                           (json.dumps([[1.0] * 129] * 2), 129))),
+    # a diagonal operator's grid is one point and one mode per eigenvalue
+    (["--preset", "laplacian-d1", "--set",
+      'operator={"kind":"diagonal","eigenvalues":[1.0,4.0,9.0]}'],
+     r"^error: operator.eigenvalues give the domain \{'dimension': 1, "
+     r"'grid_size': 3, 'mode_cutoff': 3\}, the domain section says "
+     r"\{'dimension': 1, 'grid_size': 128, 'mode_cutoff': 128\}$"),
 ])
 def test_cli_bad_value_exits_4_before_any_directory(
         tmp_path, capsys, monkeypatch, flags, message):

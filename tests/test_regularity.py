@@ -498,6 +498,17 @@ def test_estimator_preconditions():
     for times in ([-2, 100], [128, 129]):
         with pytest.raises(ValueError, match=r"times \[(-2|129)\]"):
             estimate_spatial_exponent(wide, times=times)
+    # a time is checked as given: a cast would fit times 100 and 120
+    for times in ([100.9, 120.2], np.array([100.0, 120.0])):
+        with pytest.raises(ValueError, match=r"times \[100\.\d, 120\.\d\]: "
+                                             r"not an index into \[0, 129\)"):
+            estimate_spatial_exponent(wide, times=times)
+    for times in (np.array([100, 120]), np.int64(5), (100,)):
+        estimate_spatial_exponent(wide, times=times)
+    # the sup-space fit reads every point, so it refuses to be given one
+    with pytest.raises(ValueError, match="sup-space reads no point_index; "
+                                         "drop it"):
+        estimate_temporal_exponent(wide, mode="sup-space", point_index=64)
     estimate_temporal_exponent(wide, point_index=64)
     estimate_spatial_exponent(wide, times=[0, 128])
     # a selection of no time is refused by name, not by a slab of width 0,
